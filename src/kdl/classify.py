@@ -427,32 +427,3 @@ def surface_class_payload(sc: SurfaceClass) -> dict:
         "criteria": CRITERIA[sc.surface_type],
     }
 
-
-def datum_payload(datum: SurfaceDatum) -> dict:
-    """JSON-ready encoding of a surface datum with stable field order."""
-    if isinstance(datum, HopfDatum):
-        return {
-            "type": HOPF,
-            "n": datum.n,
-            "n1": datum.n1,
-            "n2": datum.n2,
-            "b": datum.b,
-            "alpha_label": datum.alpha_label,
-        }
-    if isinstance(datum, EllipticRuledDatum):
-        return {
-            "type": ELLIPTIC_RULED,
-            "e": datum.e,
-            "w": datum.w,
-            "translation": datum.translation,
-            "j_label": datum.j_label,
-        }
-    if isinstance(datum, RationalDatum):
-        return {
-            "type": RATIONAL,
-            "e": datum.e,
-            "w": datum.w,
-            "untwisted": datum.untwisted,
-            "horizontal_labels": list(datum.horizontal_labels),
-        }
-    raise TypeError(f"not a surface datum: {type(datum).__name__}")

@@ -39,7 +39,7 @@ from .graphs import (
     gluing_morphism,
     pullback_rank,
 )
-from .smoothing import build_family, family_payload, report_payload, verify_family
+from .smoothing import FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
 
 SCHEMA = "kdl/1"
 
@@ -295,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a surface datum (JSON via --data, --file, or stdin)")
-    p.add_argument("--type", choices=["hopf", "elliptic", "elliptic_ruled", "rational"])
+    p.add_argument("--type", choices=list(_TYPE_ALIASES))
     p.add_argument("--data", help="datum as a JSON string")
     p.add_argument("--file", help="path to a datum JSON file")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("fan", help="emit a fan window (or the full family with --full)")
-    p.add_argument("--family", required=True, choices=["mumford", "hopf", "elliptic", "rational"])
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--e", type=int, help="degree (hopf/rational/elliptic)")
     p.add_argument("--w", type=int, help="warp (used by --full and the elliptic twist)")
     p.add_argument("--window", type=int, default=16, help="verify indices with |m|,|n| <= window")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fan)
 
     p = sub.add_parser("verify", help="run the verification battery; exit 0 iff all checks pass")
-    p.add_argument("--family", required=True, choices=["mumford", "hopf", "elliptic", "rational"])
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--e", type=int)
     p.add_argument("--w", type=int)
     p.add_argument("--window", type=int, default=16)

@@ -14,12 +14,20 @@ Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
 constructions are periodic under their lattice group actions, so a window
 longer than one period certifies every claim.
 
+A fan kind declares everything the code below needs once: its JSON ``NAME``,
+its ``AMBIENT_RANK``, its index ``AXES`` (``("m",)``, ``("n",)`` or
+``("m", "n")``) and one ray formula ``ray_<axis>`` per axis.  The cone at an
+index takes, along each axis, that axis's rays at i and i+1; ``cone_at``,
+``deflection``, ``fan_window`` and ``window_payload`` are written once over
+the axes, so a new kind is one more class here.
+
 Matrices act on row vectors from the right throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 from typing import ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch, NotDivisible
@@ -35,10 +43,11 @@ def binom2(m: int) -> int:
 class MumfordNeron:
     """The rank-2 chain fan smoothing the Neron 1-gon."""
 
+    NAME: ClassVar[str] = "mumford_neron"
+    AXES: ClassVar[tuple[str, ...]] = ("m",)
     AMBIENT_RANK: ClassVar[int] = 2
-    ARITY: ClassVar[int] = 1
 
-    def hinge_ray(self, m: int) -> IntVec:
+    def ray_m(self, m: int) -> IntVec:
         return IntVec((m, 1))
 
 
@@ -47,14 +56,15 @@ class HopfSmoothing:
     """The rank-3 chain fan whose central fibre is a degree-e C*-bundle over the infinity-gon."""
 
     e: int
+    NAME: ClassVar[str] = "hopf_smoothing"
+    AXES: ClassVar[tuple[str, ...]] = ("m",)
     AMBIENT_RANK: ClassVar[int] = 3
-    ARITY: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("degree e must be a positive integer")
 
-    def hinge_ray(self, m: int) -> IntVec:
+    def ray_m(self, m: int) -> IntVec:
         return IntVec((m, self.e * binom2(m), 1))
 
 
@@ -62,10 +72,11 @@ class HopfSmoothing:
 class EllipticSmoothing:
     """The rank-3 chain fan whose central fibre is a product of the infinity-gon with C*."""
 
+    NAME: ClassVar[str] = "elliptic_smoothing"
+    AXES: ClassVar[tuple[str, ...]] = ("n",)
     AMBIENT_RANK: ClassVar[int] = 3
-    ARITY: ClassVar[int] = 1
 
-    def hinge_ray(self, n: int) -> IntVec:
+    def ray_n(self, n: int) -> IntVec:
         return IntVec((0, n, 1))
 
 
@@ -74,8 +85,9 @@ class RationalSmoothing:
     """The rank-4 doubly periodic fan: a bundle of infinity-gons over the infinity-gon."""
 
     e: int
+    NAME: ClassVar[str] = "rational_smoothing"
+    AXES: ClassVar[tuple[str, ...]] = ("m", "n")
     AMBIENT_RANK: ClassVar[int] = 4
-    ARITY: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.e < 1:
@@ -90,7 +102,16 @@ class RationalSmoothing:
 
 FanKind = Union[MumfordNeron, HopfSmoothing, EllipticSmoothing, RationalSmoothing]
 
-CHAIN_KINDS = (MumfordNeron, HopfSmoothing, EllipticSmoothing)
+
+def axis_indices(kind: FanKind, index) -> tuple[int, ...]:
+    """The per-axis integers of a cone index: a bare int on one axis, a tuple over ``AXES`` on more."""
+    if len(kind.AXES) == 1:
+        if isinstance(index, int):
+            return (index,)
+        raise ArityMismatch(f"{type(kind).__name__} indexes cones by a single integer")
+    if isinstance(index, tuple) and len(index) == len(kind.AXES):
+        return index
+    raise ArityMismatch(f"{type(kind).__name__} indexes cones by a tuple ({', '.join(kind.AXES)})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,17 +165,17 @@ class GroupElement:
         return cls(IntMatrix.identity(len(labels)), tuple(labels))
 
 
+def _ray(kind: FanKind, axis: str):
+    return getattr(kind, f"ray_{axis}")
+
+
 def cone_at(kind: FanKind, index) -> Cone:
-    """The cone of the infinite fan at the given index, straight from the generator formula."""
-    if isinstance(kind, RationalSmoothing):
-        if not (isinstance(index, tuple) and len(index) == 2):
-            raise ArityMismatch(f"{type(kind).__name__} indexes cones by a pair (m, n)")
-        m, n = index
-        rays = (kind.ray_m(m), kind.ray_m(m + 1), kind.ray_n(n), kind.ray_n(n + 1))
-        return Cone(rays, kind.AMBIENT_RANK)
-    if not isinstance(index, int):
-        raise ArityMismatch(f"{type(kind).__name__} indexes cones by a single integer")
-    rays = (kind.hinge_ray(index), kind.hinge_ray(index + 1))
+    """The cone of the infinite fan at the given index, straight from the generator formula.
+
+    Along each axis the cone takes that axis's rays at i and i+1.
+    """
+    at = axis_indices(kind, index)
+    rays = tuple(_ray(kind, axis)(i + k) for axis, i in zip(kind.AXES, at) for k in (0, 1))
     return Cone(rays, kind.AMBIENT_RANK)
 
 
@@ -203,23 +224,17 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
     result measures the C*-bundle degree of the central fibre over the polygon
     component attached to that hinge: e*(0,1,0) for HopfSmoothing, zero for
     MumfordNeron and EllipticSmoothing, e*(0,1,0,0) in the m-direction and
-    zero in the n-direction for RationalSmoothing.
+    zero in the n-direction for RationalSmoothing.  A kind with one axis takes
+    no direction; a kind with several needs one of its ``AXES``.
     """
-    if isinstance(kind, RationalSmoothing):
-        if not (isinstance(index, tuple) and len(index) == 2):
-            raise ArityMismatch("RationalSmoothing needs an index pair (m, n)")
-        if direction == "m":
-            ray, i = kind.ray_m, index[0]
-        elif direction == "n":
-            ray, i = kind.ray_n, index[1]
-        else:
-            raise ArityMismatch("direction must be 'm' or 'n' for RationalSmoothing")
-    else:
+    name = type(kind).__name__
+    if len(kind.AXES) == 1:
         if direction is not None:
-            raise ArityMismatch(f"{type(kind).__name__} has a single index direction")
-        if not isinstance(index, int):
-            raise ArityMismatch(f"{type(kind).__name__} indexes cones by a single integer")
-        ray, i = kind.hinge_ray, index
+            raise ArityMismatch(f"{name} has a single index direction")
+        direction = kind.AXES[0]
+    elif direction not in kind.AXES:
+        raise ArityMismatch(f"direction must be {' or '.join(map(repr, kind.AXES))} for {name}")
+    ray, i = _ray(kind, direction), axis_indices(kind, index)[kind.AXES.index(direction)]
     return ray(i - 1) + ray(i + 1) - ray(i).scaled(2)
 
 
@@ -228,7 +243,8 @@ class FanWindow:
     """A finite, fully materialized slice of one of the infinite fans.
 
     ``index_range`` holds one inclusive (lo, hi) interval per index axis;
-    ``cones`` maps each index in the window to its cone.
+    ``cones`` maps each index in the window to its cone, keyed by an int on
+    one axis and by a tuple over the kind's ``AXES`` on more.
     """
 
     kind: FanKind
@@ -239,24 +255,14 @@ class FanWindow:
         return sorted(self.cones)
 
 
-def fan_window(kind: FanKind, bound: int = 16, n_bound: int | None = None) -> FanWindow:
-    """Materialize the window of all cone indices with |m| <= bound (and |n| <= n_bound)."""
+def fan_window(kind: FanKind, bound: int = 16) -> FanWindow:
+    """Materialize the window of all cone indices with |index| <= bound on every axis."""
     if bound < 1:
         raise ValueError("window bound must be at least 1")
-    if isinstance(kind, RationalSmoothing):
-        nb = bound if n_bound is None else n_bound
-        if nb < 1:
-            raise ValueError("window bound must be at least 1")
-        cones = {
-            (m, n): cone_at(kind, (m, n))
-            for m in range(-bound, bound + 1)
-            for n in range(-nb, nb + 1)
-        }
-        return FanWindow(kind, ((-bound, bound), (-nb, nb)), cones)
-    if n_bound is not None:
-        raise ArityMismatch(f"{type(kind).__name__} has a single index axis")
-    cones = {m: cone_at(kind, m) for m in range(-bound, bound + 1)}
-    return FanWindow(kind, ((-bound, bound),), cones)
+    span = range(-bound, bound + 1)
+    indices = span if len(kind.AXES) == 1 else product(span, repeat=len(kind.AXES))
+    cones = {index: cone_at(kind, index) for index in indices}
+    return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), cones)
 
 
 # Lattice parts of the group actions attached to each fan family.
@@ -313,29 +319,8 @@ def rational_shift_n() -> IntMatrix:
     )
 
 
-def kind_name(kind: FanKind) -> str:
-    return {
-        MumfordNeron: "mumford_neron",
-        HopfSmoothing: "hopf_smoothing",
-        EllipticSmoothing: "elliptic_smoothing",
-        RationalSmoothing: "rational_smoothing",
-    }[type(kind)]
-
-
-def kind_params(kind: FanKind) -> dict:
-    if isinstance(kind, (HopfSmoothing, RationalSmoothing)):
-        return {"e": kind.e}
-    return {}
-
-
 def window_payload(window: FanWindow) -> dict:
     """JSON-ready document for a fan window, with byte-stable ordering."""
-    if isinstance(window.kind, RationalSmoothing):
-        axis_names = ("m", "n")
-    elif isinstance(window.kind, EllipticSmoothing):
-        axis_names = ("n",)
-    else:
-        axis_names = ("m",)
     cones = []
     for index in window.indices():
         cone = window.cones[index]
@@ -346,8 +331,8 @@ def window_payload(window: FanWindow) -> dict:
             }
         )
     return {
-        "kind": kind_name(window.kind),
-        "params": kind_params(window.kind),
-        "range": {name: list(span) for name, span in zip(axis_names, window.index_range)},
+        "kind": window.kind.NAME,
+        "params": asdict(window.kind),
+        "range": {name: list(span) for name, span in zip(window.kind.AXES, window.index_range)},
         "cones": cones,
     }

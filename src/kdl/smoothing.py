@@ -18,16 +18,25 @@ smoothness of all cones, facet adjacency, index shifts, deflection values,
 special-linearity and commutation of the generators, and a combinatorial
 freeness proxy.  Analytic facts with no finite certificate in the fan data
 are listed as untested metadata, never silently assumed.
+
+``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
+per family holds its minimum degree, fan kind, named generators, parameter
+labels, expected deflection per axis, untested notes, fibre/base labels and
+surface type.  ``build_family``, ``verify_family`` and ``family_invariants``
+read that row and derive everything else from the kind's ``AXES``.  Adding a
+family takes one fan kind in ``kdl.fans`` (its ``AXES`` and one ``ray_<axis>``
+formula per axis), the lattice parts of its generators, and one row here,
+with one shift generator per axis listed first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, Verdict, smoothing_verdict
 from .errors import NotDivisible
 from .fans import (
-    Cone,
     EllipticSmoothing,
     FanKind,
     FanWindow,
@@ -36,23 +45,101 @@ from .fans import (
     MumfordNeron,
     RationalSmoothing,
     apply,
-    cone_at,
+    axis_indices,
     cone_is_smooth,
     deflection,
     elliptic_shift,
     elliptic_twist,
     fan_window,
     hopf_shift,
-    kind_name,
     mumford_shift,
     rational_shift_m,
     rational_shift_n,
     share_facet,
     window_payload,
 )
-from .lattice import IntMatrix, IntVec, det
+from .lattice import IntVec, det
 
-FAMILY_NAMES = ("mumford", "hopf", "elliptic", "rational")
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything one smoothing family adds to the axis-generic fan machinery.
+
+    ``min_degree`` is None for the curve family, which takes no degree or
+    warp.  ``generators`` maps (e, w) to named group elements: the first
+    ``len(kind.AXES)`` shift one step along each axis of the fan, and every
+    later one must fix the fan.  ``deflections`` maps e to the expected
+    deflection along each axis.
+    """
+
+    min_degree: int | None
+    kind: Callable[[int | None], FanKind]
+    generators: Callable[[int | None, int | None], tuple[tuple[str, GroupElement], ...]]
+    labels: dict[str, str]
+    deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
+    untested: tuple[str, ...] = ()
+    fiber_base_labels: tuple[str, str] | None = None
+    surface_type: str | None = None
+
+
+FAMILIES = {
+    "mumford": FamilySpec(
+        min_degree=None,
+        kind=lambda e: MumfordNeron(),
+        generators=lambda e, w: (("polygon_shift", GroupElement.from_matrix(mumford_shift())),),
+        labels={},
+        deflections=lambda e: ((0, 0),),
+    ),
+    "hopf": FamilySpec(
+        min_degree=1,
+        kind=HopfSmoothing,
+        generators=lambda e, w: (
+            ("polygon_shift", GroupElement.from_matrix(hopf_shift(e))),
+            ("fiber_gluing", GroupElement.translation(("1", "alpha", "1"))),
+        ),
+        labels={"alpha_label": "alpha"},
+        deflections=lambda e: ((0, e, 0),),
+        untested=(
+            "the chosen fibre-gluing parameter is replaced by a compatible primitive "
+            "w-th root when the covering group action is pushed down",
+        ),
+        fiber_base_labels=("C*/<alpha^w>", "C*/<t>"),
+        surface_type=HOPF,
+    ),
+    "elliptic": FamilySpec(
+        min_degree=0,
+        kind=lambda e: EllipticSmoothing(),
+        generators=lambda e, w: (
+            ("polygon_shift", GroupElement.from_matrix(elliptic_shift())),
+            ("base_twist", GroupElement(elliptic_twist(e, w), ("alpha", "1", "1"))),
+        ),
+        labels={"alpha_label": "alpha"},
+        deflections=lambda e: ((0, 0, 0),),
+        fiber_base_labels=("C*/<t>", "C*/<alpha>"),
+        surface_type=ELLIPTIC_RULED,
+    ),
+    "rational": FamilySpec(
+        min_degree=1,
+        kind=RationalSmoothing,
+        generators=lambda e, w: (
+            ("shift_m", GroupElement.from_matrix(rational_shift_m(e))),
+            ("shift_n", GroupElement.from_matrix(rational_shift_n())),
+            ("horizontal_gluing", GroupElement.translation(("1", "1", "1", "1", "lambda"))),
+        ),
+        labels={"alpha_label": "lambda", "zeta_label": "zeta"},
+        deflections=lambda e: ((0, e, 0, 0), (0, 0, 0, 0)),
+        untested=(
+            "the two birational modifications over the blown-up parameter plane "
+            "(blowup along the non-normal-crossing locus, contraction of one quadric "
+            "ruling) and the resulting honeycomb central fibre",
+            "which horizontal parameter value realizes a prescribed gluing",
+        ),
+        fiber_base_labels=("C*/<t2>", "C*/<t1>"),
+        surface_type=RATIONAL,
+    ),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,104 +195,35 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
-    if family == "mumford":
+    spec = FAMILIES[family]
+    if spec.min_degree is None:
         if e is not None or w is not None:
-            raise ValueError("the mumford family takes no degree or warp")
-        kind = MumfordNeron()
-        return SmoothingFamily(
-            family="mumford",
-            kind=kind,
-            params=FamilyParams(),
-            fan=fan_window(kind, window),
-            generators=(GroupElement.from_matrix(mumford_shift()),),
-            generator_names=("polygon_shift",),
-            quotient_info=None,
-        )
-
-    if e is None or w is None:
-        raise ValueError(f"the {family} family needs both a degree e and a warp w")
-    if w < 1 or e % w != 0:
-        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
-
-    if family == "hopf":
-        if e < 1:
-            raise ValueError("the hopf family needs degree e >= 1")
-        kind: FanKind = HopfSmoothing(e)
-        generators = (
-            GroupElement.from_matrix(hopf_shift(e)),
-            GroupElement.translation(("1", "alpha", "1")),
-        )
-        names = ("polygon_shift", "fiber_gluing")
-        params = FamilyParams(e=e, w=w, alpha_label="alpha")
-    elif family == "elliptic":
-        if e < 0:
-            raise ValueError("degree must be nonnegative")
-        kind = EllipticSmoothing()
-        generators = (
-            GroupElement.from_matrix(elliptic_shift()),
-            GroupElement(elliptic_twist(e, w), ("alpha", "1", "1")),
-        )
-        names = ("polygon_shift", "base_twist")
-        params = FamilyParams(e=e, w=w, alpha_label="alpha")
+            raise ValueError(f"the {family} family takes no degree or warp")
+        params, quotient_info = FamilyParams(), None
     else:
-        if e < 1:
-            raise ValueError("the rational family needs degree e >= 1")
-        kind = RationalSmoothing(e)
-        generators = (
-            GroupElement.from_matrix(rational_shift_m(e)),
-            GroupElement.from_matrix(rational_shift_n()),
-            GroupElement.translation(("1", "1", "1", "1", "lambda")),
-        )
-        names = ("shift_m", "shift_n", "horizontal_gluing")
-        params = FamilyParams(e=e, w=w, alpha_label="lambda", zeta_label="zeta")
-
+        if e is None or w is None:
+            raise ValueError(f"the {family} family needs both a degree e and a warp w")
+        if w < 1 or e % w != 0:
+            raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
+        if e < spec.min_degree:
+            raise ValueError(
+                f"the {family} family needs degree e >= {spec.min_degree}"
+                if spec.min_degree
+                else "degree must be nonnegative"
+            )
+        params = FamilyParams(e=e, w=w, **spec.labels)
+        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=e // w)
+    kind = spec.kind(e)
+    named = spec.generators(e, w)
     return SmoothingFamily(
         family=family,
         kind=kind,
         params=params,
         fan=fan_window(kind, window),
-        generators=generators,
-        generator_names=names,
-        quotient_info=QuotientInfo(galois_order=w, generic_fiber_degree=e // w),
+        generators=tuple(g for _, g in named),
+        generator_names=tuple(name for name, _ in named),
+        quotient_info=quotient_info,
     )
-
-
-def _expected_deflections(f: SmoothingFamily) -> list[tuple[str, str | None, IntVec]]:
-    e = f.params.e
-    if f.family == "mumford":
-        return [("deflection", None, IntVec((0, 0)))]
-    if f.family == "hopf":
-        return [("deflection", None, IntVec((0, e, 0)))]
-    if f.family == "elliptic":
-        return [("deflection", None, IntVec((0, 0, 0)))]
-    return [
-        ("deflection_m", "m", IntVec((0, e, 0, 0))),
-        ("deflection_n", "n", IntVec((0, 0, 0, 0))),
-    ]
-
-
-def _shift_plan(f: SmoothingFamily) -> list[tuple[str, int, tuple[int, int]]]:
-    # (check name, generator position, index step) for generators that shift,
-    # in window index coordinates.
-    if f.family == "rational":
-        return [("shift_m", 0, (1, 0)), ("shift_n", 1, (0, 1))]
-    return [("shift", 0, (1,))]
-
-
-def _fixing_generators(f: SmoothingFamily) -> list[tuple[str, int]]:
-    if f.family == "hopf":
-        return [("fiber_gluing_fixes_fan", 1)]
-    if f.family == "elliptic":
-        return [("base_twist_fixes_fan", 1)]
-    if f.family == "rational":
-        return [("horizontal_gluing_fixes_fan", 2)]
-    return []
-
-
-def _step(index, step):
-    if isinstance(index, tuple):
-        return tuple(i + s for i, s in zip(index, step))
-    return index + step[0]
 
 
 UNTESTED_COMMON = (
@@ -215,30 +233,29 @@ UNTESTED_COMMON = (
     "torus parameter labels are bookkeeping only and are never evaluated",
 )
 
-UNTESTED_BY_FAMILY = {
-    "mumford": (),
-    "hopf": (
-        "the chosen fibre-gluing parameter is replaced by a compatible primitive "
-        "w-th root when the covering group action is pushed down",
-    ),
-    "elliptic": (),
-    "rational": (
-        "the two birational modifications over the blown-up parameter plane "
-        "(blowup along the non-normal-crossing locus, contraction of one quadric "
-        "ruling) and the resulting honeycomb central fibre",
-        "which horizontal parameter value realizes a prescribed gluing",
-    ),
-}
-
 
 def verify_family(f: SmoothingFamily) -> VerificationReport:
     """Run the full fan-level verification battery over the family's window.
 
     Failures are report entries with a counterexample index, never exceptions.
+    The battery's shape follows the fan's axes: one shift and one deflection
+    check per axis (suffixed with the axis name when there are several), and
+    a fixing check for every generator after the shifts.
     """
     checks: list[CheckResult] = []
+    spec = FAMILIES[f.family]
+    kind, cones = f.kind, f.fan.cones
+    axes = kind.AXES
     indices = f.fan.indices()
-    index_set = set(indices)
+    coords = {i: axis_indices(kind, i) for i in indices}
+    index_of = {at: i for i, at in coords.items()}
+    suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
+    shifts = [(f"shift{s}", g) for s, g in zip(suffixes, f.generators)]
+
+    def along(i, axis: int, step: int = 1):
+        """The window index `step` steps from i along an axis, or None outside the window."""
+        at = coords[i]
+        return index_of.get(at[:axis] + (at[axis] + step,) + at[axis + 1 :])
 
     def run(name: str, failure_iter) -> None:
         failure = next(failure_iter, None)
@@ -246,15 +263,14 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
 
     run(
         "cones_smooth",
-        (str(i) for i in indices if not cone_is_smooth(f.fan.cones[i])),
+        (str(i) for i in indices if not cone_is_smooth(cones[i])),
     )
 
     def adjacency_failures():
-        steps = ((1, 0), (0, 1)) if f.family == "rational" else ((1,),)
         for i in indices:
-            for step in steps:
-                j = _step(i, step)
-                if j in index_set and not share_facet(f.fan.cones[i], f.fan.cones[j]):
+            for axis in range(len(axes)):
+                j = along(i, axis)
+                if j is not None and not share_facet(cones[i], cones[j]):
                     yield f"{i}~{j}"
 
     run("adjacent_cones_share_facet", adjacency_failures())
@@ -277,85 +293,67 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
 
     run("generators_commute", commutation_failures())
 
-    for name, pos, step in _shift_plan(f):
-        gen = f.generators[pos]
+    for axis, (name, gen) in enumerate(shifts):
 
-        def shift_failures(gen=gen, step=step):
+        def shift_failures(axis=axis, gen=gen):
             for i in indices:
-                j = _step(i, step)
-                if j in index_set and apply(gen, f.fan.cones[i]) != f.fan.cones[j]:
+                j = along(i, axis)
+                if j is not None and apply(gen, cones[i]) != cones[j]:
                     yield str(i)
 
         run(name, shift_failures())
 
-    for name, pos in _fixing_generators(f):
-        gen = f.generators[pos]
+    for name, gen in zip(f.generator_names[len(axes) :], f.generators[len(axes) :]):
 
         def fixing_failures(gen=gen):
             for i in indices:
-                cone = f.fan.cones[i]
-                if apply(gen, cone) != cone:
+                if apply(gen, cones[i]) != cones[i]:
                     yield str(i)
 
-        run(name, fixing_failures())
+        run(f"{name}_fixes_fan", fixing_failures())
 
-    for name, direction, expected in _expected_deflections(f):
+    directions = [None] if len(axes) == 1 else axes
+    for suffix, direction, expected in zip(suffixes, directions, spec.deflections(f.params.e)):
 
-        def deflection_failures(direction=direction, expected=expected):
+        def deflection_failures(direction=direction, expected=IntVec(expected)):
             for i in indices:
-                if deflection(f.kind, i, direction) != expected:
+                if deflection(kind, i, direction) != expected:
                     yield str(i)
 
-        run(name, deflection_failures())
+        run(f"deflection{suffix}", deflection_failures())
 
     def freeness_failures():
         # No nonzero power of a shifting generator may fix a window cone.
         span = max(hi - lo for lo, hi in f.fan.index_range)
-        for name, pos, _ in _shift_plan(f):
-            base = f.generators[pos].lattice_part
-            power = base
+        for name, gen in shifts:
+            power = base = gen.lattice_part
             for k in range(1, span + 1):
-                gen = GroupElement.from_matrix(power)
+                gen_k = GroupElement.from_matrix(power)
                 for i in indices:
-                    if apply(gen, f.fan.cones[i]) == f.fan.cones[i]:
+                    if apply(gen_k, cones[i]) == cones[i]:
                         yield f"{name}^{k} fixes {i}"
-                        return
                 power = power @ base
 
     run("freeness_proxy", freeness_failures())
 
     def transitivity_failures():
-        # Shift powers started at the least index must reach every window cone.
-        if f.family == "rational":
-            (mlo, mhi), (nlo, nhi) = f.fan.index_range
-            gm, gn = f.generators[0], f.generators[1]
-            cone = f.fan.cones[(mlo, nlo)]
-            row_start = cone
-            for m in range(mlo, mhi + 1):
-                cone = row_start
-                for n in range(nlo, nhi + 1):
-                    if cone != f.fan.cones[(m, n)]:
-                        yield f"({m},{n})"
-                        return
-                    cone = apply(gn, cone)
-                if m < mhi:
-                    row_start = apply(gm, row_start)
-        else:
-            (lo, hi) = f.fan.index_range[0]
-            cone = f.fan.cones[lo]
-            for m in range(lo, hi + 1):
-                if cone != f.fan.cones[m]:
-                    yield str(m)
-                    return
-                if m < hi:
-                    cone = apply(f.generators[0], cone)
+        # Shift powers started at the least index must reach every window
+        # cone: each cone is reached from one step back along the last axis
+        # that is above its lower bound.  Only the first failure is read, so
+        # every cone before it equals the cone the walk reached there.
+        lows = [lo for lo, _ in f.fan.index_range]
+        for i in indices[1:]:
+            axis = max(a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo)
+            if apply(shifts[axis][1], cones[along(i, axis, -1)]) != cones[i]:
+                # "3" on one axis, "(m,n)" with no space on two.
+                yield str(i).replace(" ", "")
 
     run("shift_orbit_transitive", transitivity_failures())
 
     return VerificationReport(
         family=f.family,
         checks=tuple(checks),
-        untested=UNTESTED_COMMON + UNTESTED_BY_FAMILY[f.family],
+        untested=UNTESTED_COMMON + spec.untested,
     )
 
 
@@ -369,15 +367,6 @@ class FamilyInvariants:
     verdict: Verdict
 
 
-_FIBER_BASE_LABELS = {
-    "hopf": ("C*/<alpha^w>", "C*/<t>"),
-    "elliptic": ("C*/<t>", "C*/<alpha>"),
-    "rational": ("C*/<t2>", "C*/<t1>"),
-}
-
-_SURFACE_TYPE = {"hopf": HOPF, "elliptic": ELLIPTIC_RULED, "rational": RATIONAL}
-
-
 def family_invariants(f: SmoothingFamily) -> FamilyInvariants:
     """Generic-fibre invariants of a verified surface family.
 
@@ -389,14 +378,15 @@ def family_invariants(f: SmoothingFamily) -> FamilyInvariants:
     e, w = f.params.e, f.params.w
     if w < 1 or e % w != 0:
         raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
-    fiber, base = _FIBER_BASE_LABELS[f.family]
+    spec = FAMILIES[f.family]
+    fiber, base = spec.fiber_base_labels
     return FamilyInvariants(
         pre_quotient_degree=e,
         galois_order=w,
         post_quotient_degree=e // w,
         fiber_label=fiber,
         base_label=base,
-        verdict=smoothing_verdict(_SURFACE_TYPE[f.family], e, w, True),
+        verdict=smoothing_verdict(spec.surface_type, e, w, True),
     )
 
 

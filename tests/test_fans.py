@@ -60,6 +60,8 @@ class TestConeAt:
             cone_at(HopfSmoothing(2), (0, 0))
         with pytest.raises(ArityMismatch):
             cone_at(RationalSmoothing(2), 0)
+        with pytest.raises(ArityMismatch):
+            cone_at(RationalSmoothing(2), (0, 0, 0))
 
     def test_rays_are_canonically_sorted(self):
         cone = cone_at(RationalSmoothing(1), (0, 0))
@@ -168,6 +170,8 @@ class TestDeflection:
     def test_direction_required_for_rational(self):
         with pytest.raises(ArityMismatch):
             deflection(RationalSmoothing(1), (0, 0))
+        with pytest.raises(ArityMismatch):
+            deflection(RationalSmoothing(1), (0, 0), "q")
 
     def test_direction_rejected_for_chain(self):
         with pytest.raises(ArityMismatch):
@@ -265,9 +269,9 @@ class TestFanWindow:
         assert window.cones[3] == cone_at(HopfSmoothing(2), 3)
 
     def test_rational_window_grid(self):
-        window = fan_window(RationalSmoothing(1), 2, 3)
-        assert window.index_range == ((-2, 2), (-3, 3))
-        assert len(window.cones) == 5 * 7
+        window = fan_window(RationalSmoothing(1), 2)
+        assert window.index_range == ((-2, 2), (-2, 2))
+        assert len(window.cones) == 5 * 5
 
     def test_adjacent_cones_share_facet(self):
         window = fan_window(EllipticSmoothing(), 6)

@@ -4,8 +4,7 @@ import pytest
 
 from kdl.classify import Verdict
 from kdl.errors import NotDivisible
-from kdl.fans import Cone, FanWindow, cone_at, hopf_shift
-from kdl.lattice import IntVec
+from kdl.fans import FanWindow, cone_at, hopf_shift
 from kdl.smoothing import (
     build_family,
     family_invariants,
@@ -89,19 +88,56 @@ class TestVerifyFamily:
         assert names["shift_m"].passed and names["shift_n"].passed
         assert names["deflection_m"].passed and names["deflection_n"].passed
 
+    # One window cone replaced by its neighbour's cone, per family: (family,
+    # e, w, window, planted index, source index, every check as (name,
+    # counterexample or None)).  Adjacency prints "i~j"; the rational
+    # transitivity walk prints "(m,n)" with no space, the other checks "(m, n)".
+    PLANTED = [
+        ("mumford", None, None, 3, 1, 2, [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "0~1"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "0"), ("deflection", None), ("freeness_proxy", None),
+            ("shift_orbit_transitive", "1"),
+        ]),
+        ("hopf", 2, 2, 4, 0, 1, [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "-1~0"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "-1"), ("fiber_gluing_fixes_fan", None), ("deflection", None),
+            ("freeness_proxy", None), ("shift_orbit_transitive", "0"),
+        ]),
+        ("elliptic", 4, 2, 3, -1, 0, [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "-2~-1"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "-2"), ("base_twist_fixes_fan", None), ("deflection", None),
+            ("freeness_proxy", None), ("shift_orbit_transitive", "-1"),
+        ]),
+        ("rational", 2, 1, 2, (1, 0), (1, 1), [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "(0, 0)~(1, 0)"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift_m", "(0, 0)"), ("shift_n", "(1, -1)"),
+            ("horizontal_gluing_fixes_fan", None), ("deflection_m", None),
+            ("deflection_n", None), ("freeness_proxy", None),
+            ("shift_orbit_transitive", "(1,0)"),
+        ]),
+    ]
+
     def test_tampered_ray_detected(self):
-        fam = build_family("hopf", e=2, w=2, window=4)
-        cones = dict(fam.fan.cones)
-        kind = fam.kind
-        cones[0] = Cone((kind.hinge_ray(0), IntVec((1, 1, 1))), 3)
-        tampered = dataclasses.replace(
-            fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones)
-        )
-        report = verify_family(tampered)
-        assert not report.all_pass
-        failed = [c for c in report.checks if not c.passed]
-        assert failed
-        assert any(c.counterexample is not None for c in failed)
+        for family, e, w, window, at, source, checks in self.PLANTED:
+            fam = build_family(family, e=e, w=w, window=window)
+            cones = dict(fam.fan.cones)
+            cones[at] = cone_at(fam.kind, source)
+            tampered = dataclasses.replace(
+                fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones)
+            )
+            assert report_payload(verify_family(tampered)) == {
+                "family": family,
+                "all_pass": False,
+                "checks": [
+                    {"name": name, "passed": failure is None, "counterexample": failure}
+                    for name, failure in checks
+                ],
+                "untested": report_payload(verify_family(fam))["untested"],
+            }, family
 
     def test_untested_metadata_present(self):
         report = verify_family(build_family("rational", e=1, w=1, window=3))
