@@ -137,6 +137,14 @@ class Cone:
         if rank_of([v.entries for v in rays]) != len(rays):
             raise ValueError("cone rays must be linearly independent")
 
+    @classmethod
+    def _trusted(cls, rays: tuple[IntVec, ...], rank: int) -> "Cone":
+        """A cone from rays already known primitive, independent and of the given rank; only sorts them."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", tuple(sorted(rays, key=lambda v: v.entries)))
+        object.__setattr__(cone, "rank", rank)
+        return cone
+
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
@@ -190,10 +198,16 @@ def apply(g: GroupElement, c: Cone) -> Cone:
     A matrix of dimension rank+1 acts through the embedding of the ambient
     lattice as the first rank coordinates; the action must preserve that
     sublattice.
+
+    The image skips the ``Cone`` validation: ``GroupElement`` keeps its
+    lattice part unimodular, and a unimodular map sends primitive,
+    independent rays to primitive, independent rays.  In the embedded case
+    (v, 0) is primitive in Z^(rank+1), so is its image, and an image whose
+    last coordinate is 0 is therefore primitive in Z^rank.
     """
     dim = g.lattice_part.dim
     if dim == c.rank:
-        return Cone(tuple(v.times(g.lattice_part) for v in c.rays), c.rank)
+        return Cone._trusted(tuple(v.times(g.lattice_part) for v in c.rays), c.rank)
     if dim == c.rank + 1:
         mapped = []
         for v in c.rays:
@@ -201,7 +215,7 @@ def apply(g: GroupElement, c: Cone) -> Cone:
             if image.entries[-1] != 0:
                 raise DimMismatch("action does not preserve the embedded sublattice")
             mapped.append(IntVec(image.entries[:-1]))
-        return Cone(tuple(mapped), c.rank)
+        return Cone._trusted(tuple(mapped), c.rank)
     raise DimMismatch(f"{dim}x{dim} matrix cannot act on cones of ambient rank {c.rank}")
 
 

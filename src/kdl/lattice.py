@@ -132,6 +132,12 @@ def is_unimodular(m: IntMatrix) -> bool:
     return det(m) in (1, -1)
 
 
+def is_unipotent(m: IntMatrix) -> bool:
+    """True when (m - I)^dim = 0, i.e. every eigenvalue of m is 1."""
+    shifted = IntMatrix(tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m.rows)))
+    return shifted**m.dim == IntMatrix(((0,) * m.dim,) * m.dim)
+
+
 def mod_inverse(a: int, n: int) -> int:
     """The inverse of a modulo n, as a residue in [0, n); for n = 1 this is 0.
 

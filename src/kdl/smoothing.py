@@ -17,7 +17,14 @@ an infinite periodic fan plus a group of lattice/torus automorphisms:
 smoothness of all cones, facet adjacency, index shifts, deflection values,
 special-linearity and commutation of the generators, and a combinatorial
 freeness proxy.  Analytic facts with no finite certificate in the fan data
-are listed as untested metadata, never silently assumed.
+are listed as untested metadata, never silently assumed.  Each shift image
+of a window cone is computed once and shared by the shift, freeness and
+transitivity checks.
+
+The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
+For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
+each ray v; unipotence then gives v(g - I) = 0, so g fixes the cone already.
+Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 
 ``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
 per family holds its minimum degree, fan kind, named generators, parameter
@@ -37,6 +44,7 @@ from typing import Callable
 from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, Verdict, smoothing_verdict
 from .errors import NotDivisible
 from .fans import (
+    Cone,
     EllipticSmoothing,
     FanKind,
     FanWindow,
@@ -58,7 +66,7 @@ from .fans import (
     share_facet,
     window_payload,
 )
-from .lattice import IntVec, det
+from .lattice import IntVec, det, is_unipotent
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,9 @@ class FamilySpec:
     ``min_degree`` is None for the curve family, which takes no degree or
     warp.  ``generators`` maps (e, w) to named group elements: the first
     ``len(kind.AXES)`` shift one step along each axis of the fan, and every
-    later one must fix the fan.  ``deflections`` maps e to the expected
+    later one must fix the fan.  The shifts are unipotent, which a test
+    checks for every row; a shift that is not makes ``verify_family`` try
+    every power in its freeness check.  ``deflections`` maps e to the expected
     deflection along each axis.
     """
 
@@ -257,6 +267,14 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         at = coords[i]
         return index_of.get(at[:axis] + (at[axis] + step,) + at[axis + 1 :])
 
+    images: dict = {}
+
+    def image(axis: int, i) -> Cone:
+        """The shift along an axis applied to the cone at i, computed on first use."""
+        if (axis, i) not in images:
+            images[axis, i] = apply(shifts[axis][1], cones[i])
+        return images[axis, i]
+
     def run(name: str, failure_iter) -> None:
         failure = next(failure_iter, None)
         checks.append(CheckResult(name, failure is None, failure))
@@ -293,12 +311,12 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
 
     run("generators_commute", commutation_failures())
 
-    for axis, (name, gen) in enumerate(shifts):
+    for axis, (name, _) in enumerate(shifts):
 
-        def shift_failures(axis=axis, gen=gen):
+        def shift_failures(axis=axis):
             for i in indices:
                 j = along(i, axis)
-                if j is not None and apply(gen, cones[i]) != cones[j]:
+                if j is not None and image(axis, i) != cones[j]:
                     yield str(i)
 
         run(name, shift_failures())
@@ -323,14 +341,17 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         run(f"deflection{suffix}", deflection_failures())
 
     def freeness_failures():
-        # No nonzero power of a shifting generator may fix a window cone.
+        # No nonzero power of a shifting generator may fix a window cone.  If
+        # g is unipotent and g^k fixes a cone, a power of g fixes each ray v,
+        # so v(g - I) = 0 and g fixes the cone: k = 1 gives the first failure.
+        # A generator that is not unipotent tries every k up to the span.
         span = max(hi - lo for lo, hi in f.fan.index_range)
-        for name, gen in shifts:
+        for axis, (name, gen) in enumerate(shifts):
             power = base = gen.lattice_part
-            for k in range(1, span + 1):
+            for k in range(1, (1 if is_unipotent(base) else span) + 1):
                 gen_k = GroupElement.from_matrix(power)
                 for i in indices:
-                    if apply(gen_k, cones[i]) == cones[i]:
+                    if (image(axis, i) if k == 1 else apply(gen_k, cones[i])) == cones[i]:
                         yield f"{name}^{k} fixes {i}"
                 power = power @ base
 
@@ -344,7 +365,7 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         lows = [lo for lo, _ in f.fan.index_range]
         for i in indices[1:]:
             axis = max(a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo)
-            if apply(shifts[axis][1], cones[along(i, axis, -1)]) != cones[i]:
+            if image(axis, along(i, axis, -1)) != cones[i]:
                 # "3" on one axis, "(m,n)" with no space on two.
                 yield str(i).replace(" ", "")
 

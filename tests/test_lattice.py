@@ -14,6 +14,7 @@ from kdl.lattice import (
     elementary_divisors,
     extends_to_basis,
     is_unimodular,
+    is_unipotent,
     mod_inverse,
     rank_of,
 )
@@ -207,6 +208,31 @@ class TestUnimodular:
 
     def test_not_unimodular(self):
         assert not is_unimodular(IntMatrix(((2, 0), (0, 1))))
+
+
+class TestUnipotent:
+    def test_identity_and_jordan_blocks(self):
+        assert is_unipotent(IntMatrix.identity(3))
+        assert is_unipotent(IntMatrix(((1, 1, 0), (0, 1, 1), (0, 0, 1))))
+
+    def test_rational_shift_is_unipotent(self):
+        # (g - I)^2 != 0, so a test of the square alone would reject it.
+        m = IntMatrix(
+            (
+                (1, 2, 0, 0, 0),
+                (0, 1, 0, 0, 0),
+                (1, 0, 1, 0, 0),
+                (0, 0, 0, 1, 0),
+                (0, 1, 0, 0, 1),
+            )
+        )
+        assert is_unipotent(m)
+
+    @pytest.mark.parametrize(
+        "rows", [((-1, 0), (0, -1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (0, 2))]
+    )
+    def test_not_unipotent(self, rows):
+        assert not is_unipotent(IntMatrix(rows))
 
 
 class TestElementaryDivisors:

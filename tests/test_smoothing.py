@@ -1,11 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kdl.smoothing
 from kdl.classify import Verdict
 from kdl.errors import NotDivisible
-from kdl.fans import FanWindow, cone_at, hopf_shift
+from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, hopf_shift
+from kdl.lattice import IntMatrix, IntVec, is_unipotent
 from kdl.smoothing import (
+    FAMILIES,
+    FAMILY_NAMES,
     build_family,
     family_invariants,
     family_payload,
@@ -88,10 +94,12 @@ class TestVerifyFamily:
         assert names["shift_m"].passed and names["shift_n"].passed
         assert names["deflection_m"].passed and names["deflection_n"].passed
 
-    # One window cone replaced by its neighbour's cone, per family: (family,
-    # e, w, window, planted index, source index, every check as (name,
-    # counterexample or None)).  Adjacency prints "i~j"; the rational
-    # transitivity walk prints "(m,n)" with no space, the other checks "(m, n)".
+    # One window cone replaced, per family: (family, e, w, window, planted
+    # index, planted cone, every check as (name, counterexample or None)).
+    # The planted cone is a neighbour's, given by its index, or one whose rays
+    # (a list) lie in ker(shift - I), so the shift fixes it and freeness fails.
+    # Adjacency prints "i~j"; the rational transitivity walk prints "(m,n)"
+    # with no space, the other checks "(m, n)".
     PLANTED = [
         ("mumford", None, None, 3, 1, 2, [
             ("cones_smooth", None), ("adjacent_cones_share_facet", "0~1"),
@@ -119,13 +127,42 @@ class TestVerifyFamily:
             ("deflection_n", None), ("freeness_proxy", None),
             ("shift_orbit_transitive", "(1,0)"),
         ]),
+        ("mumford", None, None, 3, 1, [(1, 0)], [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "0~1"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "0"), ("deflection", None), ("freeness_proxy", "shift^1 fixes 1"),
+            ("shift_orbit_transitive", "1"),
+        ]),
+        ("hopf", 2, 2, 4, 0, [(0, 1, 0)], [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "-1~0"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "-1"), ("fiber_gluing_fixes_fan", None), ("deflection", None),
+            ("freeness_proxy", "shift^1 fixes 0"), ("shift_orbit_transitive", "0"),
+        ]),
+        ("elliptic", 4, 2, 3, -1, [(1, 0, 0), (0, 1, 0)], [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "-2~-1"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "-2"), ("base_twist_fixes_fan", "-1"), ("deflection", None),
+            ("freeness_proxy", "shift^1 fixes -1"), ("shift_orbit_transitive", "-1"),
+        ]),
+        ("rational", 2, 1, 2, (1, 0), [(0, 1, 0, 0), (0, 0, 0, 1)], [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", "(0, 0)~(1, 0)"),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift_m", "(0, 0)"), ("shift_n", "(1, -1)"),
+            ("horizontal_gluing_fixes_fan", None), ("deflection_m", None),
+            ("deflection_n", None), ("freeness_proxy", "shift_m^1 fixes (1, 0)"),
+            ("shift_orbit_transitive", "(1,0)"),
+        ]),
     ]
 
     def test_tampered_ray_detected(self):
-        for family, e, w, window, at, source, checks in self.PLANTED:
+        for family, e, w, window, at, plant, checks in self.PLANTED:
             fam = build_family(family, e=e, w=w, window=window)
             cones = dict(fam.fan.cones)
-            cones[at] = cone_at(fam.kind, source)
+            if isinstance(plant, list):
+                cones[at] = Cone(tuple(map(IntVec, plant)), fam.kind.AMBIENT_RANK)
+            else:
+                cones[at] = cone_at(fam.kind, plant)
             tampered = dataclasses.replace(
                 fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones)
             )
@@ -138,6 +175,37 @@ class TestVerifyFamily:
                 ],
                 "untested": report_payload(verify_family(fam))["untested"],
             }, family
+
+    def test_non_unipotent_shift_tries_every_power(self):
+        # -I fixes no cone, but its square fixes every one.
+        fam = build_family("mumford", window=3)
+        minus_one = GroupElement.from_matrix(IntMatrix(((-1, 0), (0, -1))))
+        report = verify_family(dataclasses.replace(fam, generators=(minus_one,)))
+        assert [(c.name, c.counterexample) for c in report.checks] == [
+            ("cones_smooth", None), ("adjacent_cones_share_facet", None),
+            ("generators_special_linear", None), ("generators_commute", None),
+            ("shift", "-3"), ("deflection", None), ("freeness_proxy", "shift^2 fixes -3"),
+            ("shift_orbit_transitive", "-2"),
+        ]
+
+    def test_apply_calls_per_cone(self, monkeypatch):
+        # Each shift image of a cone is computed once and shared by the shift,
+        # freeness and transitivity checks; each fixing generator adds one.
+        calls = []
+
+        def counting_apply(g, c):
+            calls.append(c)
+            return apply(g, c)
+
+        monkeypatch.setattr(kdl.smoothing, "apply", counting_apply)
+        for family, e, w, window in [
+            ("mumford", None, None, 8), ("hopf", 3, 1, 8), ("elliptic", 4, 2, 8), ("rational", 2, 1, 4),
+        ]:
+            fam = build_family(family, e=e, w=w, window=window)
+            calls.clear()
+            assert verify_family(fam).all_pass
+            fixing = len(fam.generators) - len(fam.kind.AXES)
+            assert len(calls) <= (len(fam.kind.AXES) + fixing) * len(fam.fan.cones), family
 
     def test_untested_metadata_present(self):
         report = verify_family(build_family("rational", e=1, w=1, window=3))
@@ -155,6 +223,43 @@ class TestVerifyFamily:
         for e in range(1, 6):
             report = verify_family(build_family("rational", e=e, w=1, window=12))
             assert report.all_pass, e
+
+
+def family_params(family):
+    """Every (e, w) of a family with e <= 8 and w | e (w <= 8 when e = 0)."""
+    low = FAMILIES[family].min_degree
+    if low is None:
+        return [(None, None)]
+    return [(e, w) for e in range(low, 9) for w in range(1, 9) if e % w == 0]
+
+
+class TestFamilyTable:
+    def test_shift_generators_are_unipotent(self):
+        # verify_family's freeness proxy tries only k = 1 for a unipotent shift.
+        for family, spec in FAMILIES.items():
+            for e, w in family_params(family):
+                named = spec.generators(e, w)[: len(spec.kind(e).AXES)]
+                for name, g in named:
+                    assert is_unipotent(g.lattice_part), (family, e, w, name)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_images_pass_cone_validation(self, data):
+        # apply builds its image without re-validating it; the validating
+        # constructor must accept the same rays and give an equal cone.
+        family = data.draw(st.sampled_from(FAMILY_NAMES))
+        e, w = data.draw(st.sampled_from(family_params(family)))
+        spec = FAMILIES[family]
+        kind = spec.kind(e)
+        at = tuple(data.draw(st.integers(-12, 12)) for _ in kind.AXES)
+        cone = cone_at(kind, at if len(at) > 1 else at[0])
+        gens = [g.lattice_part for _, g in spec.generators(e, w)]
+        lattice = IntMatrix.identity(gens[0].dim)
+        for k in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=5)):
+            lattice = lattice @ gens[k]
+        pad = (0,) * (lattice.dim - cone.rank)
+        image_rays = tuple(IntVec(IntVec(v.entries + pad).times(lattice).entries[: cone.rank]) for v in cone.rays)
+        assert apply(GroupElement.from_matrix(lattice), cone) == Cone(image_rays, cone.rank)
 
 
 class TestFamilyInvariants:
