@@ -39,7 +39,7 @@ from .graphs import (
     gluing_morphism,
     pullback_rank,
 )
-from .smoothing import FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
+from .smoothing import FAMILIES, FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
 
 SCHEMA = "kdl/1"
 
@@ -166,14 +166,13 @@ def _cmd_classify(args) -> int:
 
 def _family_args(args, need_w: bool) -> tuple:
     family = args.family
-    if family == "mumford":
+    min_degree = FAMILIES[family].min_degree
+    if min_degree is None:
         if args.e is not None or args.w is not None:
-            raise MalformedInput("the mumford family takes no --e or --w")
+            raise MalformedInput(f"the {family} family takes no --e or --w")
         return family, None, None
-    if family == "elliptic" and args.e is None:
-        raise MalformedInput("the elliptic family needs --e (0 is allowed)")
-    if family in ("hopf", "rational") and args.e is None:
-        raise MalformedInput(f"the {family} family needs --e")
+    if args.e is None:
+        raise MalformedInput(f"the {family} family needs --e" + (" (0 is allowed)" if min_degree == 0 else ""))
     if need_w and args.w is None:
         raise MalformedInput(f"the {family} family needs --w here")
     return family, args.e, args.w if args.w is not None else 1

@@ -26,7 +26,7 @@ Matrices act on row vectors from the right throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import ClassVar, Union
 
@@ -151,11 +151,14 @@ class GroupElement:
     """A lattice automorphism together with bookkeeping torus labels.
 
     ``torus_part`` records one opaque parameter label per coordinate (such as
-    "alpha" or "1"); labels are never evaluated.
+    "alpha" or "1"); labels are never evaluated.  ``_ray_images`` is the
+    memo ``apply`` keeps of each ray's image under this element; it takes no
+    part in equality, hashing or the repr.
     """
 
     lattice_part: IntMatrix
     torus_part: tuple[str, ...]
+    _ray_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "torus_part", tuple(str(s) for s in self.torus_part))
@@ -199,24 +202,35 @@ def apply(g: GroupElement, c: Cone) -> Cone:
     lattice as the first rank coordinates; the action must preserve that
     sublattice.
 
+    Each ray is mapped once per element: its image is kept in
+    ``g._ray_images``, so the neighbouring cones of a window that share the
+    ray reuse it.  A ray whose image leaves the embedded sublattice raises
+    ``DimMismatch`` and is not stored, so it raises on every call.
+
     The image skips the ``Cone`` validation: ``GroupElement`` keeps its
     lattice part unimodular, and a unimodular map sends primitive,
     independent rays to primitive, independent rays.  In the embedded case
     (v, 0) is primitive in Z^(rank+1), so is its image, and an image whose
     last coordinate is 0 is therefore primitive in Z^rank.
     """
-    dim = g.lattice_part.dim
-    if dim == c.rank:
-        return Cone._trusted(tuple(v.times(g.lattice_part) for v in c.rays), c.rank)
-    if dim == c.rank + 1:
-        mapped = []
-        for v in c.rays:
-            image = IntVec(v.entries + (0,)).times(g.lattice_part)
-            if image.entries[-1] != 0:
-                raise DimMismatch("action does not preserve the embedded sublattice")
-            mapped.append(IntVec(image.entries[:-1]))
-        return Cone._trusted(tuple(mapped), c.rank)
-    raise DimMismatch(f"{dim}x{dim} matrix cannot act on cones of ambient rank {c.rank}")
+    m = g.lattice_part
+    if m.dim != c.rank and m.dim != c.rank + 1:
+        raise DimMismatch(f"{m.dim}x{m.dim} matrix cannot act on cones of ambient rank {c.rank}")
+    memo = g._ray_images
+    mapped = []
+    for v in c.rays:
+        image = memo.get(v)
+        if image is None:
+            if m.dim == c.rank:
+                image = v.times(m)
+            else:
+                padded = IntVec._trusted(v.entries + (0,)).times(m)
+                if padded.entries[-1] != 0:
+                    raise DimMismatch("action does not preserve the embedded sublattice")
+                image = IntVec._trusted(padded.entries[:-1])
+            memo[v] = image
+        mapped.append(image)
+    return Cone._trusted(tuple(mapped), c.rank)
 
 
 def share_facet(c1: Cone, c2: Cone) -> bool:

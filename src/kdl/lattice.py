@@ -10,7 +10,8 @@ Values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import NotAUnit, RankMismatch
@@ -18,7 +19,13 @@ from .errors import NotAUnit, RankMismatch
 
 @dataclass(frozen=True, slots=True)
 class IntVec:
-    """An integer row vector; ``rank`` is its length."""
+    """An integer row vector; ``rank`` is its length.
+
+    ``IntVec(...)`` converts every entry with ``int`` and rejects an empty
+    tuple.  Results computed from entries that are already ints (``times``,
+    ``+``, ``-``) are built with the private ``_trusted`` instead, which
+    stores the tuple as it is.
+    """
 
     entries: tuple[int, ...]
 
@@ -26,6 +33,13 @@ class IntVec:
         object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
         if len(self.entries) == 0:
             raise ValueError("IntVec needs at least one entry")
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...]) -> "IntVec":
+        """A vector from a nonempty tuple of ints, stored without conversion or checks."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "entries", entries)
+        return vec
 
     @property
     def rank(self) -> int:
@@ -38,12 +52,12 @@ class IntVec:
     def __add__(self, other: "IntVec") -> "IntVec":
         if self.rank != other.rank:
             raise RankMismatch(f"cannot add vectors of rank {self.rank} and {other.rank}")
-        return IntVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntVec._trusted(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntVec") -> "IntVec":
         if self.rank != other.rank:
             raise RankMismatch(f"cannot subtract vectors of rank {self.rank} and {other.rank}")
-        return IntVec(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntVec._trusted(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def scaled(self, k: int) -> "IntVec":
         return IntVec(tuple(k * a for a in self.entries))
@@ -52,15 +66,19 @@ class IntVec:
         """Right action: the row vector self @ m."""
         if self.rank != m.dim:
             raise RankMismatch(f"vector of rank {self.rank} cannot act on a {m.dim}x{m.dim} matrix")
-        cols = range(m.dim)
-        return IntVec(tuple(sum(self.entries[i] * m.rows[i][j] for i in range(m.dim)) for j in cols))
+        return IntVec._trusted(tuple([sum(map(mul, self.entries, col)) for col in m.cols]))
 
 
 @dataclass(frozen=True, slots=True)
 class IntMatrix:
-    """A square integer matrix, stored row-major."""
+    """A square integer matrix, stored row-major.
+
+    ``cols`` holds the columns, computed once on construction for the
+    products; it takes no part in equality, hashing or the repr.
+    """
 
     rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
@@ -70,6 +88,7 @@ class IntMatrix:
             raise ValueError("IntMatrix needs at least one row")
         if any(len(row) != n for row in rows):
             raise ValueError("IntMatrix must be square")
+        object.__setattr__(self, "cols", tuple(zip(*rows)))
 
     @property
     def dim(self) -> int:
@@ -82,13 +101,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise RankMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
-        n = self.dim
-        return IntMatrix(
-            tuple(
-                tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in other.cols) for row in self.rows))
 
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:

@@ -19,7 +19,7 @@ special-linearity and commutation of the generators, and a combinatorial
 freeness proxy.  Analytic facts with no finite certificate in the fan data
 are listed as untested metadata, never silently assumed.  Each shift image
 of a window cone is computed once and shared by the shift, freeness and
-transitivity checks.
+transitivity checks, and each deflection once per coordinate along its axis.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -331,11 +331,18 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         run(f"{name}_fixes_fan", fixing_failures())
 
     directions = [None] if len(axes) == 1 else axes
-    for suffix, direction, expected in zip(suffixes, directions, spec.deflections(f.params.e)):
+    deflections = zip(suffixes, directions, spec.deflections(f.params.e))
+    for axis, (suffix, direction, expected) in enumerate(deflections):
 
-        def deflection_failures(direction=direction, expected=IntVec(expected)):
+        def deflection_failures(axis=axis, direction=direction, expected=IntVec(expected)):
+            # A deflection depends on the index's coordinate along its axis
+            # only, so each coordinate is evaluated once.
+            wrong: dict[int, bool] = {}
             for i in indices:
-                if deflection(kind, i, direction) != expected:
+                x = coords[i][axis]
+                if x not in wrong:
+                    wrong[x] = deflection(kind, i, direction) != expected
+                if wrong[x]:
                     yield str(i)
 
         run(f"deflection{suffix}", deflection_failures())

@@ -128,6 +128,22 @@ class TestFanCommand:
         code, _, _ = run_cli(["fan", "--family", "rational"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fan", "--family", "mumford", "--w", "1"], "the mumford family takes no --e or --w"),
+            (["fan", "--family", "elliptic"], "the elliptic family needs --e (0 is allowed)"),
+            (["fan", "--family", "hopf"], "the hopf family needs --e"),
+            (["verify", "--family", "rational", "--w", "1"], "the rational family needs --e"),
+            (["verify", "--family", "hopf", "--e", "2"], "the hopf family needs --w here"),
+        ],
+    )
+    def test_family_rule_errors(self, argv, message):
+        # The family rules come from each family's minimum degree.
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"schema": "kdl/1", "error": "MalformedInput", "message": message}) + "\n"
+
 
 class TestVerifyCommand:
     def test_passing_family_exits_zero(self):

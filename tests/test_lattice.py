@@ -290,3 +290,32 @@ class TestVecMatrixConventions:
         m = IntMatrix(((1, 1), (0, 1)))
         assert (m**5).rows == ((1, 5), (0, 1))
         assert (m**0) == IntMatrix.identity(2)
+
+    @given(small_matrices.flatmap(lambda rows: st.tuples(
+        st.just(rows),
+        st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)),
+        st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)),
+    )))
+    @settings(max_examples=200)
+    def test_exact_results_equal_validated_vectors(self, case):
+        # times, + and - store their int tuples without re-conversion; each
+        # must equal, and hash like, the validating IntVec of the same entries.
+        rows, a, b = case
+        m, u, v = IntMatrix(tuple(map(tuple, rows))), IntVec(a), IntVec(b)
+        n = len(rows)
+        expected = [
+            (u.times(m), [sum(a[i] * rows[i][j] for i in range(n)) for j in range(n)]),
+            (u + v, [x + y for x, y in zip(a, b)]),
+            (u - v, [x - y for x, y in zip(a, b)]),
+        ]
+        for result, entries in expected:
+            assert result == IntVec(entries) and hash(result) == hash(IntVec(entries))
+            assert all(type(x) is int for x in result.entries)
+        assert all(type(x) is int for x in u.scaled(True).entries)
+
+    def test_cached_columns_are_not_compared(self):
+        m = IntMatrix(((1, 2), (3, 4)))
+        assert m.cols == ((1, 3), (2, 4))
+        assert repr(m) == "IntMatrix(rows=((1, 2), (3, 4)))"
+        assert m == IntMatrix([[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix([[1, 2], [3, 4]]))
+        assert (m @ m).rows == ((7, 10), (15, 22))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import kdl.smoothing
 from kdl.classify import Verdict
 from kdl.errors import NotDivisible
-from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, hopf_shift
+from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, deflection, hopf_shift
 from kdl.lattice import IntMatrix, IntVec, is_unipotent
 from kdl.smoothing import (
     FAMILIES,
@@ -188,6 +188,9 @@ class TestVerifyFamily:
             ("shift_orbit_transitive", "-2"),
         ]
 
+    # Each family's valid window: (family, e, w, window).
+    VALID = [("mumford", None, None, 8), ("hopf", 3, 1, 8), ("elliptic", 4, 2, 8), ("rational", 2, 1, 4)]
+
     def test_apply_calls_per_cone(self, monkeypatch):
         # Each shift image of a cone is computed once and shared by the shift,
         # freeness and transitivity checks; each fixing generator adds one.
@@ -198,14 +201,64 @@ class TestVerifyFamily:
             return apply(g, c)
 
         monkeypatch.setattr(kdl.smoothing, "apply", counting_apply)
-        for family, e, w, window in [
-            ("mumford", None, None, 8), ("hopf", 3, 1, 8), ("elliptic", 4, 2, 8), ("rational", 2, 1, 4),
-        ]:
+        for family, e, w, window in self.VALID:
             fam = build_family(family, e=e, w=w, window=window)
             calls.clear()
             assert verify_family(fam).all_pass
             fixing = len(fam.generators) - len(fam.kind.AXES)
             assert len(calls) <= (len(fam.kind.AXES) + fixing) * len(fam.fan.cones), family
+
+    def test_wrong_expected_deflection_detected(self, monkeypatch):
+        # Every expected deflection off by one: the first window index fails,
+        # "-W" on one axis and "(-W, -W)" on each axis of the rational fan.
+        for family, e, w, window in self.VALID:
+            spec = FAMILIES[family]
+            wrong = tuple((v[0] + 1,) + v[1:] for v in spec.deflections(e))
+            monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, deflections=lambda e, wrong=wrong: wrong))
+            fam = build_family(family, e=e, w=w, window=window)
+            first = str(fam.fan.indices()[0])
+            payload = report_payload(verify_family(fam))
+            monkeypatch.undo()
+            expected = report_payload(verify_family(fam))
+            for check in expected["checks"]:
+                if check["name"].startswith("deflection"):
+                    check.update(passed=False, counterexample=first)
+            expected["all_pass"] = False
+            assert payload == expected, family
+            assert first == (f"({-window}, {-window})" if family == "rational" else str(-window))
+
+    def test_deflection_calls_per_coordinate(self, monkeypatch):
+        # A deflection depends on one axis coordinate, so each is computed once.
+        calls = []
+
+        def counting_deflection(kind, index, direction=None):
+            calls.append(direction)
+            return deflection(kind, index, direction)
+
+        monkeypatch.setattr(kdl.smoothing, "deflection", counting_deflection)
+        for family, e, w, window in self.VALID:
+            fam = build_family(family, e=e, w=w, window=window)
+            calls.clear()
+            assert verify_family(fam).all_pass
+            assert len(calls) == len(fam.kind.AXES) * (2 * window + 1), family
+
+    def test_times_calls_per_ray_and_generator(self, monkeypatch):
+        # apply maps each window ray once per generator, however many cones
+        # share it.
+        calls = []
+        times = IntVec.times
+
+        def counting_times(v, m):
+            calls.append(v)
+            return times(v, m)
+
+        monkeypatch.setattr(IntVec, "times", counting_times)
+        for family, e, w, window in self.VALID:
+            fam = build_family(family, e=e, w=w, window=window)
+            rays = {v for cone in fam.fan.cones.values() for v in cone.rays}
+            calls.clear()
+            assert verify_family(fam).all_pass
+            assert len(calls) <= len(rays) * len(fam.generators), family
 
     def test_untested_metadata_present(self):
         report = verify_family(build_family("rational", e=1, w=1, window=3))
