@@ -21,6 +21,10 @@ index takes, along each axis, that axis's rays at i and i+1; ``cone_at``,
 ``deflection``, ``fan_window`` and ``window_payload`` are written once over
 the axes, so a new kind is one more class here.
 
+A window builds each of its rays once and its cones share them.  A ``Cone``
+validates its rays with one basis-extension test, which also decides its
+smoothness; the cone stores the answer, and ``apply`` hands it on to images.
+
 Matrices act on row vectors from the right throughout.
 """
 
@@ -119,11 +123,16 @@ class Cone:
     """A simplicial rational cone given by primitive, independent rays.
 
     The ray tuple is canonicalized to lexicographic order on construction, so
-    equal cones compare equal.
+    equal cones compare equal.  After the per-ray primitivity check one
+    basis-extension test of the rays both validates the cone and decides its
+    smoothness: rays that extend to a lattice basis are independent, so their
+    rank is computed only when the test fails.  ``smooth`` holds the answer;
+    it takes no part in equality, hashing or the repr.
     """
 
     rays: tuple[IntVec, ...]
     rank: int
+    smooth: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rays = tuple(sorted(self.rays, key=lambda v: v.entries))
@@ -134,15 +143,18 @@ class Cone:
             raise ValueError("all rays must live in the ambient lattice")
         if any(not v.is_primitive() for v in rays):
             raise ValueError("cone rays must be primitive")
-        if rank_of([v.entries for v in rays]) != len(rays):
+        smooth = len(rays) <= self.rank and extends_to_basis(rays)
+        if not smooth and rank_of([v.entries for v in rays]) != len(rays):
             raise ValueError("cone rays must be linearly independent")
+        object.__setattr__(self, "smooth", smooth)
 
     @classmethod
-    def _trusted(cls, rays: tuple[IntVec, ...], rank: int) -> "Cone":
-        """A cone from rays already known primitive, independent and of the given rank; only sorts them."""
+    def _trusted(cls, rays: tuple[IntVec, ...], rank: int, smooth: bool) -> "Cone":
+        """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", tuple(sorted(rays, key=lambda v: v.entries)))
         object.__setattr__(cone, "rank", rank)
+        object.__setattr__(cone, "smooth", smooth)
         return cone
 
 
@@ -180,19 +192,26 @@ def _ray(kind: FanKind, axis: str):
     return getattr(kind, f"ray_{axis}")
 
 
-def cone_at(kind: FanKind, index) -> Cone:
-    """The cone of the infinite fan at the given index, straight from the generator formula.
+def _cone(kind: FanKind, at: tuple[int, ...], rays) -> Cone:
+    """The cone at the per-axis integers ``at``; ``rays[a](i)`` is ray i of axis a.
 
     Along each axis the cone takes that axis's rays at i and i+1.
     """
-    at = axis_indices(kind, index)
-    rays = tuple(_ray(kind, axis)(i + k) for axis, i in zip(kind.AXES, at) for k in (0, 1))
-    return Cone(rays, kind.AMBIENT_RANK)
+    return Cone(tuple(ray(i + k) for ray, i in zip(rays, at) for k in (0, 1)), kind.AMBIENT_RANK)
+
+
+def cone_at(kind: FanKind, index) -> Cone:
+    """The cone of the infinite fan at the given index, straight from the generator formula."""
+    return _cone(kind, axis_indices(kind, index), [_ray(kind, axis) for axis in kind.AXES])
 
 
 def cone_is_smooth(c: Cone) -> bool:
-    """Smoothness of the associated toric chart: the rays extend to a lattice basis."""
-    return extends_to_basis(c.rays)
+    """Smoothness of the associated toric chart: the rays extend to a lattice basis.
+
+    ``Cone`` decides this once when it validates its rays, and ``apply``
+    carries it over to the image, so this reads the stored ``smooth``.
+    """
+    return c.smooth
 
 
 def apply(g: GroupElement, c: Cone) -> Cone:
@@ -207,11 +226,15 @@ def apply(g: GroupElement, c: Cone) -> Cone:
     ray reuse it.  A ray whose image leaves the embedded sublattice raises
     ``DimMismatch`` and is not stored, so it raises on every call.
 
-    The image skips the ``Cone`` validation: ``GroupElement`` keeps its
-    lattice part unimodular, and a unimodular map sends primitive,
-    independent rays to primitive, independent rays.  In the embedded case
-    (v, 0) is primitive in Z^(rank+1), so is its image, and an image whose
-    last coordinate is 0 is therefore primitive in Z^rank.
+    The image skips the ``Cone`` validation and takes the source cone's
+    ``smooth``: ``GroupElement`` keeps its lattice part unimodular, and a
+    unimodular map sends primitive, independent rays to primitive,
+    independent rays, and rays that extend to a lattice basis to rays that
+    do.  In the embedded case (v, 0) is primitive in Z^(rank+1), so is its
+    image, and an image whose last coordinate is 0 is therefore primitive in
+    Z^rank.  Smoothness carries over too: rays v_i extend to a basis of Z^rank
+    exactly when the (v_i, 0) extend to a basis of Z^(rank+1) (the quotient
+    gains a free summand Z), which the map preserves.
     """
     m = g.lattice_part
     if m.dim != c.rank and m.dim != c.rank + 1:
@@ -230,7 +253,7 @@ def apply(g: GroupElement, c: Cone) -> Cone:
                 image = IntVec._trusted(padded.entries[:-1])
             memo[v] = image
         mapped.append(image)
-    return Cone._trusted(tuple(mapped), c.rank)
+    return Cone._trusted(tuple(mapped), c.rank, c.smooth)
 
 
 def share_facet(c1: Cone, c2: Cone) -> bool:
@@ -284,12 +307,18 @@ class FanWindow:
 
 
 def fan_window(kind: FanKind, bound: int = 16) -> FanWindow:
-    """Materialize the window of all cone indices with |index| <= bound on every axis."""
+    """Materialize the window of all cone indices with |index| <= bound on every axis.
+
+    Each ray of the window is built once, the 2*bound + 2 rays -bound..bound+1
+    per axis, and shared by every cone that holds it.
+    """
     if bound < 1:
         raise ValueError("window bound must be at least 1")
     span = range(-bound, bound + 1)
     indices = span if len(kind.AXES) == 1 else product(span, repeat=len(kind.AXES))
-    cones = {index: cone_at(kind, index) for index in indices}
+    ends = range(-bound, bound + 2)
+    rays = [{i: _ray(kind, axis)(i) for i in ends}.__getitem__ for axis in kind.AXES]
+    cones = {index: _cone(kind, axis_indices(kind, index), rays) for index in indices}
     return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), cones)
 
 

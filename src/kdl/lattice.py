@@ -118,8 +118,13 @@ class IntMatrix:
 
 def det(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = m.dim
-    a = [list(row) for row in m.rows]
+    return _bareiss_det(m.rows)
+
+
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of square int rows by Bareiss elimination; every division is exact."""
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -270,7 +275,11 @@ def extends_to_basis(vectors: Iterable[IntVec]) -> bool:
     """True when the vectors generate a direct summand of the full lattice.
 
     Equivalently, all elementary divisors of the stacked matrix are 1, which
-    is what it takes for the vectors to extend to a Z-basis.
+    is what it takes for the vectors to extend to a Z-basis; a True answer
+    implies the vectors are primitive and linearly independent.  As many
+    vectors as the rank extend to a basis exactly when their determinant is
+    +1 or -1, which one Bareiss elimination of their entries decides; fewer
+    take the Smith form.
     """
     vecs = list(vectors)
     if not vecs:
@@ -280,5 +289,7 @@ def extends_to_basis(vectors: Iterable[IntVec]) -> bool:
         raise RankMismatch("vectors must share one ambient rank")
     if len(vecs) > rank:
         raise RankMismatch(f"{len(vecs)} vectors cannot be independent in rank {rank}")
-    divisors = elementary_divisors([v.entries for v in vecs])
-    return all(d == 1 for d in divisors)
+    rows = [v.entries for v in vecs]
+    if len(vecs) == rank:
+        return _bareiss_det(rows) in (1, -1)
+    return all(d == 1 for d in elementary_divisors(rows))

@@ -246,3 +246,11 @@ class TestDeterminism:
     def test_usage_error_exit_code(self):
         code, _, _ = run_cli(["classify", "--no-such-flag"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["fan", "--family", "k3"], ["verify"], ["no-such-command"]])
+    def test_usage_errors_print_argparse_usage(self, argv):
+        # Usage errors are argparse's own: plain usage text on stderr, not a
+        # JSON error object.
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: kdl")

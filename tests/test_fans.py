@@ -1,4 +1,9 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_lattice import maximal_minor_gcd
 
 from kdl.errors import ArityMismatch, DimMismatch, NotDivisible
 from kdl.fans import (
@@ -82,6 +87,38 @@ class TestConeValidation:
         b = Cone((IntVec((1, 1)), IntVec((0, 1))), 2)
         assert a == b
 
+    @given(
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda rank: st.tuples(
+                st.just(rank),
+                st.lists(
+                    st.lists(st.integers(min_value=-3, max_value=3), min_size=rank, max_size=rank),
+                    min_size=1,
+                    max_size=rank,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_one_basis_test_validates_and_decides_smoothness(self, drawn):
+        # Primitivity is checked ray by ray before independence, which holds
+        # exactly when some maximal minor is nonzero; a valid cone is smooth
+        # exactly when the maximal minors have gcd 1.
+        rank, rows = drawn
+        if any(math.gcd(*row) != 1 for row in rows):
+            expected = "cone rays must be primitive"
+        elif maximal_minor_gcd(rows) == 0:
+            expected = "cone rays must be linearly independent"
+        else:
+            expected = None
+        try:
+            cone = Cone(tuple(IntVec(tuple(row)) for row in rows), rank)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert cone_is_smooth(cone) == (abs(maximal_minor_gcd(rows)) == 1)
+
 
 class TestSmoothness:
     def test_hopf_origin_cone(self):
@@ -92,6 +129,12 @@ class TestSmoothness:
 
     def test_index_two_cone(self):
         assert not cone_is_smooth(Cone((IntVec((1, 0)), IntVec((1, 2))), 2))
+
+    def test_smoothness_leaves_equality_and_hash_alone(self):
+        cone = cone_at(HopfSmoothing(2), 0)
+        flipped = Cone._trusted(cone.rays, cone.rank, not cone.smooth)
+        assert cone.smooth and not flipped.smooth
+        assert cone == flipped and hash(cone) == hash(flipped) and repr(cone) == repr(flipped)
 
 
 class TestApply:
@@ -298,6 +341,15 @@ class TestFanWindow:
         window = fan_window(HopfSmoothing(2), 4)
         assert window.indices() == list(range(-4, 5))
         assert window.cones[3] == cone_at(HopfSmoothing(2), 3)
+
+    @pytest.mark.parametrize("kind", [MumfordNeron(), HopfSmoothing(3), EllipticSmoothing(), RationalSmoothing(2)])
+    def test_cones_share_the_window_rays(self, kind):
+        # Each ray -W..W+1 of each axis is built once and held by every cone
+        # that contains it.
+        window = fan_window(kind, 3)
+        assert all(cone == cone_at(kind, index) for index, cone in window.cones.items())
+        rays = {id(v) for cone in window.cones.values() for v in cone.rays}
+        assert len(rays) == len(kind.AXES) * (2 * 3 + 2)
 
     def test_rational_window_grid(self):
         window = fan_window(RationalSmoothing(1), 2)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdl.fans
 import kdl.smoothing
 from kdl.classify import Verdict
 from kdl.errors import NotDivisible
-from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, deflection, hopf_shift
+from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, cone_is_smooth, deflection, hopf_shift
 from kdl.lattice import IntMatrix, IntVec, is_unipotent
 from kdl.smoothing import (
     FAMILIES,
@@ -242,6 +243,40 @@ class TestVerifyFamily:
             assert verify_family(fam).all_pass
             assert len(calls) == len(fam.kind.AXES) * (2 * window + 1), family
 
+    def test_one_basis_test_per_cone(self, monkeypatch):
+        # A window cone's validation decides its smoothness with one basis
+        # test; the rank is computed only for rays that fail it.
+        calls = {"extends_to_basis": 0, "rank_of": 0}
+        for name in calls:
+
+            def counting(*args, name=name, original=getattr(kdl.fans, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(kdl.fans, name, counting)
+        for family, e, w, window in self.VALID:
+            calls.update(dict.fromkeys(calls, 0))
+            fam = build_family(family, e=e, w=w, window=window)
+            assert verify_family(fam).all_pass
+            assert calls == {"extends_to_basis": len(fam.fan.cones), "rank_of": 0}, family
+
+    def test_ray_formulas_once_per_window_ray(self, monkeypatch):
+        # The window evaluates each ray_<axis> formula once per ray -W..W+1,
+        # however many cones hold the ray.
+        for family, e, w, window in self.VALID:
+            kind = type(FAMILIES[family].kind(e))
+            calls = []
+            for axis in kind.AXES:
+
+                def counting(self, i, axis=axis, formula=getattr(kind, f"ray_{axis}")):
+                    calls.append((axis, i))
+                    return formula(self, i)
+
+                monkeypatch.setattr(kind, f"ray_{axis}", counting)
+            build_family(family, e=e, w=w, window=window)
+            monkeypatch.undo()
+            assert sorted(calls) == [(axis, i) for axis in kind.AXES for i in range(-window, window + 2)], family
+
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
         # apply maps each window ray once per generator, however many cones
         # share it.
@@ -298,21 +333,29 @@ class TestFamilyTable:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_images_pass_cone_validation(self, data):
-        # apply builds its image without re-validating it; the validating
-        # constructor must accept the same rays and give an equal cone.
+        # apply builds its image without re-validating it and hands on the
+        # source's smoothness; the validating constructor must accept the
+        # same rays and give an equal cone of the same smoothness.  Half the
+        # sources are made non-smooth by doubling one ray into its neighbour.
         family = data.draw(st.sampled_from(FAMILY_NAMES))
         e, w = data.draw(st.sampled_from(family_params(family)))
         spec = FAMILIES[family]
         kind = spec.kind(e)
         at = tuple(data.draw(st.integers(-12, 12)) for _ in kind.AXES)
         cone = cone_at(kind, at if len(at) > 1 else at[0])
+        bent = IntVec(tuple(2 * a + b for a, b in zip(cone.rays[0].entries, cone.rays[1].entries)))
+        if data.draw(st.booleans()) and bent.is_primitive():
+            cone = Cone((bent,) + cone.rays[1:], cone.rank)
+            assert not cone_is_smooth(cone)
         gens = [g.lattice_part for _, g in spec.generators(e, w)]
         lattice = IntMatrix.identity(gens[0].dim)
         for k in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=5)):
             lattice = lattice @ gens[k]
         pad = (0,) * (lattice.dim - cone.rank)
         image_rays = tuple(IntVec(IntVec(v.entries + pad).times(lattice).entries[: cone.rank]) for v in cone.rays)
-        assert apply(GroupElement.from_matrix(lattice), cone) == Cone(image_rays, cone.rank)
+        image, validated = apply(GroupElement.from_matrix(lattice), cone), Cone(image_rays, cone.rank)
+        assert image == validated
+        assert cone_is_smooth(image) == cone_is_smooth(validated) == cone_is_smooth(cone)
 
 
 class TestFamilyInvariants:
