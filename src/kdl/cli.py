@@ -53,6 +53,8 @@ def _load_json(text: str) -> dict:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("input is nested too deeply") from None
     if not isinstance(value, dict):
         raise MalformedInput("input must be a JSON object")
     return value
@@ -286,7 +288,18 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call: parsing leaves no state in it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _make_parser()
+    return _PARSER
+
+
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdl",
         description="Classify degenerations of primary Kodaira surfaces and verify their toric smoothing families.",

@@ -1,15 +1,21 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from kdl.cli import main
+from kdl import cli
+from kdl.cli import build_parser, main
 
 
 def run_cli(argv):
+    # stdin is empty, so a request that falls back to reading it is answered
+    # the same way in every run.
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", io.StringIO("")):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -254,3 +260,187 @@ class TestDeterminism:
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert err.startswith("usage: kdl")
+
+
+NESTED_ERROR = json.dumps({"schema": "kdl/1", "error": "MalformedInput", "message": "input is nested too deeply"}) + "\n"
+
+
+class TestNestedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--type", "hopf", "--data", "[" * 100_000],
+            ["graph", "--betti", "[" * 100_000],
+            ["graph", "--gluing", "[" * 100_000],
+            ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2,"alpha_label":' + "[" * 100_000 + "}"],
+        ],
+        ids=["classify", "graph-betti", "graph-gluing", "alpha-label"],
+    )
+    def test_deep_nesting_is_malformed_input(self, argv):
+        # The JSON decoder gives up with a RecursionError; the CLI answers it
+        # like any other malformed document.
+        assert run_cli(argv) == (2, "", NESTED_ERROR)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_leaves_help_and_usage_bytes_alone(self):
+        with mock.patch.object(cli, "_PARSER", None):
+            help_first = run_cli(["--help"])
+            usage_first = run_cli(["fan", "--family", "k3"])
+            parser = build_parser()
+            run_cli(["verify"])
+            run_cli(["classify", "--type", "hopf", "--data", "{oops"])
+            run_cli(["fan", "--help"])
+            assert run_cli(["--help"]) == help_first
+            assert run_cli(["fan", "--family", "k3"]) == usage_first
+            assert build_parser() is parser
+        assert help_first[0] == 0 and help_first[1].startswith("usage: kdl") and help_first[2] == ""
+        assert usage_first[:2] == (2, "") and usage_first[2].startswith("usage: kdl")
+
+
+# Requests for the contract test.  Every one finishes in milliseconds: no
+# selftest, no --enumerate, and small windows.
+VALID_REQUESTS = [
+    ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2}'],
+    ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2,"matrix":[0,-1,1,0]}'],
+    ["classify", "--data", '{"type":"rational","e":3,"w":2,"untwisted":true}'],
+    ["classify", "--type", "elliptic", "--data", '{"e":4,"w":2,"translation":true}'],
+    ["fan", "--family", "hopf", "--e", "3", "--window", "2"],
+    ["fan", "--family", "elliptic", "--e", "4", "--w", "2", "--window", "1", "--full"],
+    ["verify", "--family", "mumford", "--window", "2"],
+    ["verify", "--family", "rational", "--e", "1", "--w", "1", "--window", "1"],
+    ["graph", "--betti", '{"white":["a"],"black":["p"],"edges":[["a","p"],["a","p"]]}'],
+    ["graph", "--gluing", '{"components":[0,1,2,0,1,2],"nodes":[0,1,0,1,0,1]}'],
+    ["boundary", "--degree", "2", "--max-warp", "2"],
+    ["boundary", "--degree", "1", "--max-warp", "2", "--format", "dot"],
+]
+JSON_REQUESTS = [argv for argv in VALID_REQUESTS if argv[-1].startswith("{")]
+NESTING_ENTRIES = [
+    ("classify", "--type", "hopf", "--data"),
+    ("graph", "--betti"),
+    ("graph", "--gluing"),
+]
+USAGE_ERRORS = [
+    [],
+    ["fan"],
+    ["fan", "--family", "k3"],
+    ["verify"],
+    ["no-such-command"],
+    ["classify", "--no-such-flag"],
+    ["classify", "--type", "k3", "--data", "{}"],
+    ["fan", "--family", "hopf", "--window", "abc"],
+    ["boundary", "--degree", "1"],
+    ["boundary", "--degree", "1", "--max-warp", "1", "--format", "svg"],
+    ["graph", "--betti"],
+]
+HELP_REQUESTS = [["--help"], ["-h"]] + [[name, "--help"] for name in ("classify", "fan", "verify", "graph", "boundary", "selftest")]
+ARGV_TOKENS = ["--help", "--window", "-1", "0", "abc", "--e", "--w", "--full", "--format", "dot", "k3", "{}", "--file", "--data"]
+
+
+@st.composite
+def mutated_json(draw):
+    argv = list(draw(st.sampled_from(JSON_REQUESTS)))
+    text = argv[-1]
+    at = draw(st.integers(0, len(text)))
+    piece = draw(st.sampled_from(["", "{", "}", "[", "]", ",", ":", '"', "0", "-1", "true", "null", ' "x":1,']))
+    cut = draw(st.integers(0, 3))
+    argv[-1] = text[:at] + piece + text[at + cut :]
+    return argv
+
+
+@st.composite
+def nested_json(draw):
+    depth = draw(st.one_of(st.integers(0, 1200), st.sampled_from([5_000, 100_000])))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
+    body = opener * depth + ("0" + closer * depth if draw(st.booleans()) else "")
+    if draw(st.booleans()):
+        return ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2,"alpha_label":' + (body or "0") + "}"]
+    return [*draw(st.sampled_from(NESTING_ENTRIES)), body]
+
+
+@st.composite
+def out_of_range(draw):
+    small = st.integers(-3, 12).map(str)
+    kind = draw(st.sampled_from(["fan", "verify", "boundary", "hopf", "elliptic", "rational"]))
+    if kind in ("fan", "verify"):
+        argv = [kind, "--family", draw(st.sampled_from(["mumford", "hopf", "elliptic", "rational"]))]
+        argv += ["--window", draw(st.integers(-2, 3).map(str))]
+        for flag in ("--e", "--w"):
+            if draw(st.booleans()):
+                argv += [flag, draw(small)]
+        return argv
+    if kind == "boundary":
+        return ["boundary", "--degree", draw(st.integers(-2, 4).map(str)), "--max-warp", draw(st.integers(-2, 4).map(str))]
+    ints = st.integers(-3, 9)
+    if kind == "hopf":
+        datum = {k: draw(ints) for k in ("n", "n1", "n2", "b")}
+    else:
+        flag = "translation" if kind == "elliptic" else "untwisted"
+        datum = {"e": draw(ints), "w": draw(ints), flag: draw(st.booleans())}
+    return ["classify", "--type", kind, "--data", json.dumps(datum)]
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(draw(st.sampled_from(VALID_REQUESTS)))
+    at = draw(st.integers(0, len(argv) - 1))
+    token = draw(st.sampled_from(ARGV_TOKENS))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "replace":
+        argv[at] = token
+    elif edit == "insert":
+        argv.insert(at, token)
+    else:
+        del argv[at]
+    return argv
+
+
+REQUESTS = st.one_of(
+    st.sampled_from(VALID_REQUESTS),
+    mutated_json(),
+    nested_json(),
+    out_of_range(),
+    st.sampled_from(USAGE_ERRORS),
+    mutated_argv(),
+    st.sampled_from(HELP_REQUESTS),
+)
+
+
+def assert_one_of_three_outcomes(argv, code, out, err):
+    if code == 0:
+        assert err == ""
+        if out.startswith("usage: kdl"):
+            assert "--help" in argv or "-h" in argv
+        elif out.startswith("graph moduli_boundary {"):
+            assert argv[0] == "boundary" and "dot" in argv
+        else:
+            assert json.loads(out)["schema"] == "kdl/1"
+    elif code == 1:
+        assert err == "" and json.loads(out)["all_pass"] is False
+    else:
+        assert code == 2 and out == ""
+        if not err.startswith("usage: kdl"):
+            assert err.endswith("\n") and err.count("\n") == 1
+            error = json.loads(err)
+            assert set(error) == {"schema", "error", "message"} and error["schema"] == "kdl/1"
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(REQUESTS, min_size=1, max_size=6))
+    @example(VALID_REQUESTS + HELP_REQUESTS + USAGE_ERRORS)
+    def test_every_request_ends_in_one_of_three_outcomes(self, requests):
+        # One process serves the whole sequence on its one parser; each answer
+        # must equal the answer of a freshly built parser, so no request leaves
+        # state behind in the reused one.
+        reused = build_parser()
+        for argv in requests:
+            result = run_cli(argv)
+            assert_one_of_three_outcomes(argv, *result)
+            with mock.patch.object(cli, "_PARSER", None):
+                assert run_cli(argv) == result
+                assert build_parser() is not reused
+            assert build_parser() is reused
