@@ -23,12 +23,10 @@ from .classify import (
     Verdict,
     classify,
     cohomology_table,
-    commutator_scale,
     hopf_dsemistable,
     hopf_dsemistable_oracle,
     hopf_invariants,
     hopf_kx_zero,
-    quotient_degree,
     ruled_dsemistable,
     smoothing_verdict,
     tangent_table,
@@ -63,7 +61,6 @@ from .fans import (
 )
 from .graphs import (
     BicolouredGraph,
-    CurveConfig,
     GluingClass,
     GraphMorphism,
     PolygonGluing,
@@ -72,16 +69,13 @@ from .graphs import (
     enumerate_gluings,
     enumerate_rational_models,
     gluing_morphism,
-    neron_component_check,
     pullback_rank,
-    triple_point_consistent,
 )
 from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unimodular, mod_inverse
 from .smoothing import (
     SmoothingFamily,
     VerificationReport,
     build_family,
-    family_invariants,
     verify_family,
 )
 

@@ -21,17 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-HOPF_STRATUM = "hopf"
-RATIONAL_STRATUM = "rational"
-ELLIPTIC_RULED_STRATUM = "elliptic_ruled"
+from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, TYPES
 
-STRATA = (HOPF_STRATUM, RATIONAL_STRATUM, ELLIPTIC_RULED_STRATUM)
-
-PARAM_SPACES = {
-    HOPF_STRATUM: "PuncturedDisk",
-    RATIONAL_STRATUM: "CStar",
-    ELLIPTIC_RULED_STRATUM: "ComplexLine",
-}
+# One stratum per surface type, in the order the boundary documents list them.
+STRATA = (HOPF, RATIONAL, ELLIPTIC_RULED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +43,9 @@ class StratumComponent:
             raise ValueError("degree and warp must be positive")
         if self.degree % self.warp != 0:
             raise ValueError("warp must divide degree on a boundary component")
-        if self.param_space != PARAM_SPACES[self.stratum]:
-            raise ValueError(f"{self.stratum} components have parameter space {PARAM_SPACES[self.stratum]}")
+        expected = TYPES[self.stratum].param_space
+        if self.param_space != expected:
+            raise ValueError(f"{self.stratum} components have parameter space {expected}")
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -80,7 +74,7 @@ def enumerate_components(d: int, w_max: int) -> list[StratumComponent]:
     if d < 1 or w_max < 1:
         raise ValueError("degree and maximal warp must be positive")
     return [
-        StratumComponent(stratum, degree=d * w, warp=w, param_space=PARAM_SPACES[stratum])
+        StratumComponent(stratum, degree=d * w, warp=w, param_space=TYPES[stratum].param_space)
         for stratum in STRATA
         for w in range(1, w_max + 1)
     ]
@@ -96,10 +90,10 @@ def adjacency_edges(components: Iterable[StratumComponent]) -> list[AdjacencyEdg
     present = {c.key for c in components}
     edges = []
     for stratum, e, w in sorted(present):
-        if stratum == ELLIPTIC_RULED_STRATUM and (HOPF_STRATUM, e, w) in present:
+        if stratum == ELLIPTIC_RULED and (HOPF, e, w) in present:
             edges.append(
                 AdjacencyEdge(
-                    endpoints=((ELLIPTIC_RULED_STRATUM, e, w), (HOPF_STRATUM, e, w)),
+                    endpoints=((ELLIPTIC_RULED, e, w), (HOPF, e, w)),
                     witness="X1Family",
                     witness_ref=(
                         f"one quadrupel point; nearby fibres are d-semistable of degree {e} "
@@ -108,10 +102,10 @@ def adjacency_edges(components: Iterable[StratumComponent]) -> list[AdjacencyEdg
                     ),
                 )
             )
-        if stratum == RATIONAL_STRATUM and w == 1 and (ELLIPTIC_RULED_STRATUM, 2 * e, 2) in present:
+        if stratum == RATIONAL and w == 1 and (ELLIPTIC_RULED, 2 * e, 2) in present:
             edges.append(
                 AdjacencyEdge(
-                    endpoints=((RATIONAL_STRATUM, e, 1), (ELLIPTIC_RULED_STRATUM, 2 * e, 2)),
+                    endpoints=((RATIONAL, e, 1), (ELLIPTIC_RULED, 2 * e, 2)),
                     witness="X2Family",
                     witness_ref=(
                         f"two quadrupel points; deforms to rational normalization of degree {e} "

@@ -16,6 +16,11 @@ d-semistability, the invariants degree e and warp w, and produces the
 published cohomology/tangent dimensions, the smoothing verdict, and the shape
 of the versal deformation base.
 
+``TYPES`` is the one place per-type data lives: one ``TypeSpec`` row per
+type holds its datum class, input names, decision rule, published tables,
+criteria text and boundary parameter space.  Everything here, and the type
+handling of ``kdl.cli`` and ``kdl.boundary``, reads that row.
+
 Warp convention: order 0 encodes an infinite-order gluing, and plain integer
 divisibility with "0 divides only 0" then states every d-semistability
 criterion uniformly.  Continuous parameters (alpha, j, specific roots of
@@ -26,21 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
-from .errors import InconsistentData, NotDivisible, NotSL2
-from .lattice import IntMatrix, det, mod_inverse
+from .errors import InconsistentData, NotSL2
+from .lattice import mod_inverse
 
 HOPF = "hopf"
 ELLIPTIC_RULED = "elliptic_ruled"
 RATIONAL = "rational"
-
-SURFACE_TYPES = (HOPF, ELLIPTIC_RULED, RATIONAL)
-
-
-def _check_type(surface_type: str) -> None:
-    if surface_type not in SURFACE_TYPES:
-        raise ValueError(f"unknown surface type {surface_type!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,6 +149,9 @@ class TangentDims:
     t1: int
     t2: int
 
+    def payload(self) -> dict:
+        return {"T0": self.t0, "T1": self.t1, "T2": self.t2}
+
 
 @dataclass(frozen=True, slots=True)
 class TangentUnavailable:
@@ -159,11 +160,17 @@ class TangentUnavailable:
 
     dim_t1: int = 4
 
+    def payload(self) -> dict:
+        return {"unavailable": True, "dimT1": self.dim_t1}
+
 
 @dataclass(frozen=True, slots=True)
 class SmoothBaseWithCurve:
     dim_base: int = 2
     dim_locally_trivial: int = 1
+
+    def payload(self) -> dict:
+        return {"shape": "SmoothBaseWithCurve", "dimV": self.dim_base, "dimLocTriv": self.dim_locally_trivial}
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,11 +179,22 @@ class TwoSmoothSurfaces:
     dim_v2: int = 2
     dim_intersection: int = 1
 
+    def payload(self) -> dict:
+        return {
+            "shape": "TwoSmoothSurfaces",
+            "dimV1": self.dim_v1,
+            "dimV2": self.dim_v2,
+            "dimIntersection": self.dim_intersection,
+        }
+
 
 @dataclass(frozen=True, slots=True)
 class SmoothFourfold:
     dim_base: int = 4
     dim_locally_trivial: int = 3
+
+    def payload(self) -> dict:
+        return {"shape": "SmoothFourfold", "dimV": self.dim_base, "dimLocTriv": self.dim_locally_trivial}
 
 
 VersalDescriptor = Union[SmoothBaseWithCurve, TwoSmoothSurfaces, SmoothFourfold]
@@ -252,35 +270,9 @@ def ruled_dsemistable(e: int, w: int) -> bool:
     return e % w == 0
 
 
-def cohomology_table(surface_type: str, e: int) -> tuple[int, int, int]:
-    """Dimensions (h0, h1, h2) of the cohomology of the tangent sheaf."""
-    _check_type(surface_type)
-    if surface_type == HOPF:
-        return (1, 1, 0)
-    if surface_type == ELLIPTIC_RULED:
-        return (1, 2, 1) if e > 0 else (2, 3, 1)
-    return (1, 2, 0) if e > 0 else (2, 3, 0)
-
-
-def tangent_table(surface_type: str, e: int) -> TangentDims | TangentUnavailable:
-    """Published tangent-cohomology dimensions (T0, T1, T2).
-
-    For degree 0 in the ruled cases only dim T^1 = 4 is known (the versal base
-    is a smooth 4-fold); that is reported as TangentUnavailable metadata
-    rather than an invented triple.
-    """
-    _check_type(surface_type)
-    if surface_type == HOPF:
-        return TangentDims(1, 2, 1)
-    if e > 0:
-        return TangentDims(1, 3, 2)
-    return TangentUnavailable(dim_t1=4)
-
-
-def smoothing_verdict(surface_type: str, e: int, w: int, d_semistable: bool) -> Verdict:
+def smoothing_verdict(e: int, w: int, d_semistable: bool) -> Verdict:
     """What the surface deforms to: a Kodaira surface of degree e/w, a complex
     torus (degree 0; never a Kodaira surface), or nothing smooth."""
-    _check_type(surface_type)
     if not d_semistable:
         return Verdict.no_smoothing()
     if e == 0:
@@ -290,31 +282,115 @@ def smoothing_verdict(surface_type: str, e: int, w: int, d_semistable: bool) -> 
     return Verdict.kodaira_surface(e // w)
 
 
+def _decide_hopf(h: HopfDatum, matrix: GluingMatrix | None) -> tuple[bool, bool, int, int]:
+    admissible = hopf_kx_zero(matrix if matrix is not None else GluingMatrix(1, h.b, 0, 1))
+    e, w = hopf_invariants(h)
+    return admissible, admissible and hopf_dsemistable(h), e, w
+
+
+def _decide_ruled(admissible: bool, e: int, w: int, matrix: GluingMatrix | None) -> tuple[bool, bool, int, int]:
+    if matrix is not None:
+        raise ValueError("gluing matrices apply only to Hopf data")
+    return admissible, admissible and ruled_dsemistable(e, w), e, w
+
+
+@dataclass(frozen=True, slots=True)
+class Tables:
+    """The published tables of one type at one sign of the degree."""
+
+    cohomology: tuple[int, int, int]
+    tangent: TangentDims | TangentUnavailable
+    versal: VersalDescriptor
+
+
+@dataclass(frozen=True)
+class TypeSpec:
+    """Everything one normalization type adds to the classification.
+
+    ``names`` select the type on input.  ``decide`` maps a datum and an
+    optional gluing matrix to (admissible, d_semistable, e, w).  ``positive``
+    and ``zero`` hold the tables for e > 0 and e = 0; ``param_space`` is that
+    of the type's boundary stratum.
+    """
+
+    datum: type
+    names: tuple[str, ...]
+    decide: Callable[[SurfaceDatum, GluingMatrix | None], tuple[bool, bool, int, int]]
+    positive: Tables
+    zero: Tables
+    criteria: dict[str, str]
+    param_space: str
+
+
+TYPES = {
+    HOPF: TypeSpec(
+        datum=HopfDatum,
+        names=("hopf",),
+        decide=_decide_hopf,
+        positive=Tables((1, 1, 0), TangentDims(1, 2, 1), SmoothBaseWithCurve()),
+        zero=Tables((1, 1, 0), TangentDims(1, 2, 1), SmoothBaseWithCurve()),
+        criteria={
+            "admissibility": "gluing matrix has a = d = 1 and c = 0 (identity homothety)",
+            "d_semistability": "(n1-n2)^2 = 0 and b*(n1-n2) = 0 in Z/n",
+        },
+        param_space="PuncturedDisk",
+    ),
+    ELLIPTIC_RULED: TypeSpec(
+        datum=EllipticRuledDatum,
+        names=("elliptic", "elliptic_ruled"),
+        decide=lambda d, matrix: _decide_ruled(d.translation, d.e, d.w, matrix),
+        positive=Tables((1, 2, 1), TangentDims(1, 3, 2), TwoSmoothSurfaces()),
+        zero=Tables((2, 3, 1), TangentUnavailable(dim_t1=4), SmoothFourfold()),
+        criteria={
+            "admissibility": "the gluing automorphism of the base is a translation",
+            "d_semistability": "warp divides degree (0 divides only 0)",
+        },
+        param_space="ComplexLine",
+    ),
+    RATIONAL: TypeSpec(
+        datum=RationalDatum,
+        names=("rational",),
+        decide=lambda d, matrix: _decide_ruled(d.untwisted, d.e, d.w, matrix),
+        positive=Tables((1, 2, 0), TangentDims(1, 3, 2), TwoSmoothSurfaces()),
+        zero=Tables((2, 3, 0), TangentUnavailable(dim_t1=4), SmoothFourfold()),
+        criteria={
+            "admissibility": "the 6-gon gluing is untwisted",
+            "d_semistability": "warp divides degree (0 divides only 0)",
+        },
+        param_space="CStar",
+    ),
+}
+
+# Every input name of a type, in table order, mapped to the type's key.
+TYPE_NAMES = {name: key for key, spec in TYPES.items() for name in spec.names}
+_TYPE_OF_DATUM = {spec.datum: key for key, spec in TYPES.items()}
+
+
+def _tables(surface_type: str, e: int) -> Tables:
+    spec = TYPES.get(surface_type) if isinstance(surface_type, str) else None
+    if spec is None:
+        raise ValueError(f"unknown surface type {surface_type!r}")
+    return spec.positive if e > 0 else spec.zero
+
+
+def cohomology_table(surface_type: str, e: int) -> tuple[int, int, int]:
+    """Dimensions (h0, h1, h2) of the cohomology of the tangent sheaf."""
+    return _tables(surface_type, e).cohomology
+
+
+def tangent_table(surface_type: str, e: int) -> TangentDims | TangentUnavailable:
+    """Published tangent-cohomology dimensions (T0, T1, T2).
+
+    For degree 0 in the ruled cases only dim T^1 = 4 is known (the versal base
+    is a smooth 4-fold); that is reported as TangentUnavailable metadata
+    rather than an invented triple.
+    """
+    return _tables(surface_type, e).tangent
+
+
 def versal_descriptor(surface_type: str, e: int) -> VersalDescriptor:
     """Shape of the base of the semiuniversal deformation."""
-    _check_type(surface_type)
-    if surface_type == HOPF:
-        return SmoothBaseWithCurve()
-    if e > 0:
-        return TwoSmoothSurfaces()
-    return SmoothFourfold()
-
-
-def commutator_scale(m: IntMatrix) -> int:
-    """det of a 2x2 basis-change matrix; scales the commutator generator, so a
-    degree computed in an index-w sublattice multiplies by this factor."""
-    if m.dim != 2:
-        raise ValueError("commutator scaling applies to 2x2 matrices")
-    return det(m)
-
-
-def quotient_degree(d: int, w: int) -> int:
-    """Degree of the quotient bundle by a free action of order w: d / w."""
-    if d < 1 or w < 1:
-        raise ValueError("degree and group order must be positive")
-    if d % w != 0:
-        raise NotDivisible(f"group order {w} does not divide degree {d}")
-    return d // w
+    return _tables(surface_type, e).versal
 
 
 def classify(datum: SurfaceDatum, matrix: GluingMatrix | None = None) -> SurfaceClass:
@@ -324,90 +400,23 @@ def classify(datum: SurfaceDatum, matrix: GluingMatrix | None = None) -> Surface
     (1, datum.b, 0, 1), the only shape compatible with an identity homothety.
     Non-Hopf data take no matrix.
     """
-    if isinstance(datum, HopfDatum):
-        mat = matrix if matrix is not None else GluingMatrix(1, datum.b, 0, 1)
-        admissible = hopf_kx_zero(mat)
-        e, w = hopf_invariants(datum)
-        d_semistable = admissible and hopf_dsemistable(datum)
-        surface_type = HOPF
-    elif isinstance(datum, EllipticRuledDatum):
-        if matrix is not None:
-            raise ValueError("gluing matrices apply only to Hopf data")
-        admissible = datum.translation
-        e, w = datum.e, datum.w
-        d_semistable = admissible and ruled_dsemistable(e, w)
-        surface_type = ELLIPTIC_RULED
-    elif isinstance(datum, RationalDatum):
-        if matrix is not None:
-            raise ValueError("gluing matrices apply only to Hopf data")
-        admissible = datum.untwisted
-        e, w = datum.e, datum.w
-        d_semistable = admissible and ruled_dsemistable(e, w)
-        surface_type = RATIONAL
-    else:
+    surface_type = _TYPE_OF_DATUM.get(type(datum))
+    if surface_type is None:
         raise TypeError(f"not a surface datum: {type(datum).__name__}")
-
+    spec = TYPES[surface_type]
+    admissible, d_semistable, e, w = spec.decide(datum, matrix)
+    tables = spec.positive if e > 0 else spec.zero
     return SurfaceClass(
         surface_type=surface_type,
         admissible=admissible,
         d_semistable=d_semistable,
         degree=e,
         warp=w,
-        verdict=smoothing_verdict(surface_type, e, w, d_semistable),
-        cohomology=cohomology_table(surface_type, e) if admissible else None,
-        tangent=tangent_table(surface_type, e) if admissible else None,
-        versal=versal_descriptor(surface_type, e) if admissible else None,
+        verdict=smoothing_verdict(e, w, d_semistable),
+        cohomology=tables.cohomology if admissible else None,
+        tangent=tables.tangent if admissible else None,
+        versal=tables.versal if admissible else None,
     )
-
-
-# Canonical JSON encodings (stable field order throughout).
-
-
-def _tangent_payload(tangent) -> dict | None:
-    if tangent is None:
-        return None
-    if isinstance(tangent, TangentDims):
-        return {"T0": tangent.t0, "T1": tangent.t1, "T2": tangent.t2}
-    return {"unavailable": True, "dimT1": tangent.dim_t1}
-
-
-def _versal_payload(versal) -> dict | None:
-    if versal is None:
-        return None
-    if isinstance(versal, SmoothBaseWithCurve):
-        return {
-            "shape": "SmoothBaseWithCurve",
-            "dimV": versal.dim_base,
-            "dimLocTriv": versal.dim_locally_trivial,
-        }
-    if isinstance(versal, TwoSmoothSurfaces):
-        return {
-            "shape": "TwoSmoothSurfaces",
-            "dimV1": versal.dim_v1,
-            "dimV2": versal.dim_v2,
-            "dimIntersection": versal.dim_intersection,
-        }
-    return {
-        "shape": "SmoothFourfold",
-        "dimV": versal.dim_base,
-        "dimLocTriv": versal.dim_locally_trivial,
-    }
-
-
-CRITERIA = {
-    HOPF: {
-        "admissibility": "gluing matrix has a = d = 1 and c = 0 (identity homothety)",
-        "d_semistability": "(n1-n2)^2 = 0 and b*(n1-n2) = 0 in Z/n",
-    },
-    ELLIPTIC_RULED: {
-        "admissibility": "the gluing automorphism of the base is a translation",
-        "d_semistability": "warp divides degree (0 divides only 0)",
-    },
-    RATIONAL: {
-        "admissibility": "the 6-gon gluing is untwisted",
-        "d_semistability": "warp divides degree (0 divides only 0)",
-    },
-}
 
 
 def surface_class_payload(sc: SurfaceClass) -> dict:
@@ -422,8 +431,7 @@ def surface_class_payload(sc: SurfaceClass) -> dict:
         "cohomology": None
         if sc.cohomology is None
         else {"h0": sc.cohomology[0], "h1": sc.cohomology[1], "h2": sc.cohomology[2]},
-        "tangent": _tangent_payload(sc.tangent),
-        "versal": _versal_payload(sc.versal),
-        "criteria": CRITERIA[sc.surface_type],
+        "tangent": None if sc.tangent is None else sc.tangent.payload(),
+        "versal": None if sc.versal is None else sc.versal.payload(),
+        "criteria": TYPES[sc.surface_type].criteria,
     }
-

@@ -20,6 +20,7 @@ from .classify import (
     ELLIPTIC_RULED,
     HOPF,
     RATIONAL,
+    TYPE_NAMES,
     EllipticRuledDatum,
     GluingMatrix,
     HopfDatum,
@@ -95,7 +96,7 @@ def _datum_text(args) -> str:
     return sys.stdin.read()
 
 
-def _parse_hopf(data: dict) -> tuple[HopfDatum, GluingMatrix | None]:
+def _parse_hopf(data: dict) -> HopfDatum:
     _check_keys(
         data,
         required={"n", "n1", "n2", "b"},
@@ -106,13 +107,7 @@ def _parse_hopf(data: dict) -> tuple[HopfDatum, GluingMatrix | None]:
     datum = HopfDatum(n, n1, n2, b, alpha_label=str(data.get("alpha_label", "alpha")))
     if math.gcd(n1, n) != 1 or math.gcd(n2, n) != 1:
         raise MalformedInput("n1 and n2 must be units modulo n")
-    matrix = None
-    if "matrix" in data:
-        entries = data["matrix"]
-        if not (isinstance(entries, list) and len(entries) == 4 and all(type(x) is int for x in entries)):
-            raise MalformedInput("field 'matrix' must be a list [a, b, c, d] of four integers")
-        matrix = GluingMatrix(*entries)
-    return datum, matrix
+    return datum
 
 
 def _parse_elliptic(data: dict) -> EllipticRuledDatum:
@@ -140,29 +135,35 @@ def _parse_rational(data: dict) -> RationalDatum:
     )
 
 
-_TYPE_ALIASES = {"hopf": HOPF, "elliptic": ELLIPTIC_RULED, "elliptic_ruled": ELLIPTIC_RULED, "rational": RATIONAL}
+def _parse_matrix(data: dict) -> GluingMatrix | None:
+    # Only Hopf data may carry a matrix: the other parsers reject the field.
+    if "matrix" not in data:
+        return None
+    entries = data["matrix"]
+    if not (isinstance(entries, list) and len(entries) == 4 and all(type(x) is int for x in entries)):
+        raise MalformedInput("field 'matrix' must be a list [a, b, c, d] of four integers")
+    return GluingMatrix(*entries)
+
+
+_PARSERS = {HOPF: _parse_hopf, ELLIPTIC_RULED: _parse_elliptic, RATIONAL: _parse_rational}
 
 
 def _cmd_classify(args) -> int:
     data = _load_json(_datum_text(args))
     declared = data.get("type")
-    surface_type = _TYPE_ALIASES.get(args.type) if args.type else None
+    surface_type = TYPE_NAMES.get(args.type)
     if declared is not None:
-        if declared not in _TYPE_ALIASES.values():
+        # A JSON array or object is not hashable, so only strings are looked up.
+        named = TYPE_NAMES.get(declared) if isinstance(declared, str) else None
+        if named is None:
             raise MalformedInput(f"unknown surface type {declared!r}")
-        if surface_type is not None and declared != surface_type:
+        if surface_type is not None and named != surface_type:
             raise MalformedInput(f"--type {surface_type} contradicts datum type {declared!r}")
-        surface_type = declared
+        surface_type = named
     if surface_type is None:
         raise MalformedInput("no surface type: pass --type or a 'type' field")
-    if surface_type == HOPF:
-        datum, matrix = _parse_hopf(data)
-        result = classify(datum, matrix)
-    elif surface_type == ELLIPTIC_RULED:
-        result = classify(_parse_elliptic(data))
-    else:
-        result = classify(_parse_rational(data))
-    _emit(surface_class_payload(result))
+    datum = _PARSERS[surface_type](data)
+    _emit(surface_class_payload(classify(datum, _parse_matrix(data))))
     return 0
 
 
@@ -307,7 +308,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a surface datum (JSON via --data, --file, or stdin)")
-    p.add_argument("--type", choices=list(_TYPE_ALIASES))
+    p.add_argument("--type", choices=list(TYPE_NAMES))
     p.add_argument("--data", help="datum as a JSON string")
     p.add_argument("--file", help="path to a datum JSON file")
     p.set_defaults(handler=_cmd_classify)

@@ -66,15 +66,6 @@ class BicolouredGraph:
                 parent[rw] = rb
         return len({find(v) for v in parent})
 
-    def min_black_valence(self) -> int:
-        """Smallest branch count through a singular point; >= 2 for curve graphs."""
-        if not self.black:
-            return 0
-        valence = {b: 0 for b in self.black}
-        for _, b in self.edges:
-            valence[b] += 1
-        return min(valence.values())
-
 
 def betti1(g: BicolouredGraph) -> int:
     """dim H^1 of the graph: edges - vertices + connected components."""
@@ -112,10 +103,6 @@ class GraphMorphism:
                 raise MalformedMorphism(
                     f"edge ({w}, {b}) does not map compatibly with its endpoints"
                 )
-
-    @classmethod
-    def identity(cls, g: BicolouredGraph) -> "GraphMorphism":
-        return cls(g, g, {w: w for w in g.white}, {b: b for b in g.black}, tuple(range(len(g.edges))))
 
 
 def _coboundary_rows(g: BicolouredGraph) -> list[list[int]]:
@@ -320,37 +307,6 @@ def enumerate_gluings(up_to_symmetry: bool = False) -> GluingSurvey:
         orbit_counts=orbit_counts,
         results=tuple(results),
     )
-
-
-@dataclass(frozen=True, slots=True)
-class CurveConfig:
-    """Numerical data of one double curve and of a connected singular locus."""
-
-    sq1: int
-    sq2: int
-    triple_points: int
-    components: int = 0
-    singularities: int = 0
-
-    def __post_init__(self):
-        if self.triple_points < 0 or self.components < 0 or self.singularities < 0:
-            raise ValueError("counts must be nonnegative")
-
-
-def triple_point_consistent(cfg: CurveConfig) -> bool:
-    """Triple point formula: the two preimage self-intersections of a double
-    curve sum to minus its triple point count."""
-    return -cfg.sq1 - cfg.sq2 == cfg.triple_points
-
-
-def neron_component_check(c: int, s: int) -> bool:
-    """Whether a connected singular locus with c components and s singular
-    points pulls back to polygons (2c components, 3s nodes, and the two
-    counts agree), forcing the preimage component count to be a multiple of 6.
-    """
-    if c < 1 or s < 1:
-        raise ValueError("counts must be positive")
-    return 2 * c == 3 * s
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,13 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .boundary import (
-    ELLIPTIC_RULED_STRATUM,
-    HOPF_STRATUM,
-    RATIONAL_STRATUM,
-    adjacency_edges,
-    enumerate_components,
-)
+from .boundary import adjacency_edges, enumerate_components
 from .classify import (
     ELLIPTIC_RULED,
     HOPF,
@@ -289,7 +283,7 @@ def criterion_rational_models() -> CriterionResult:
 def criterion_boundary_structure(d_max: int = 3, w_max: int = 4) -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
-    param = {HOPF_STRATUM: "PuncturedDisk", RATIONAL_STRATUM: "CStar", ELLIPTIC_RULED_STRATUM: "ComplexLine"}
+    param = {HOPF: "PuncturedDisk", RATIONAL: "CStar", ELLIPTIC_RULED: "ComplexLine"}
     for d in range(1, d_max + 1):
         for wm in range(1, w_max + 1):
             components = enumerate_components(d, wm)
@@ -300,19 +294,19 @@ def criterion_boundary_structure(d_max: int = 3, w_max: int = 4) -> CriterionRes
             edges = adjacency_edges(components)
             x1 = {e.endpoints for e in edges if e.witness == "X1Family"}
             want_x1 = {
-                ((ELLIPTIC_RULED_STRATUM, d * w, w), (HOPF_STRATUM, d * w, w))
+                ((ELLIPTIC_RULED, d * w, w), (HOPF, d * w, w))
                 for w in range(1, wm + 1)
             }
             if x1 != want_x1:
                 failures.append(f"X1 edges d={d} w_max={wm}")
             x2 = {e.endpoints for e in edges if e.witness == "X2Family"}
             want_x2 = (
-                {((RATIONAL_STRATUM, d, 1), (ELLIPTIC_RULED_STRATUM, 2 * d, 2))} if wm >= 2 else set()
+                {((RATIONAL, d, 1), (ELLIPTIC_RULED, 2 * d, 2))} if wm >= 2 else set()
             )
             if x2 != want_x2:
                 failures.append(f"X2 edges d={d} w_max={wm}")
             for e in edges:
-                if {e.endpoints[0][0], e.endpoints[1][0]} == {HOPF_STRATUM, RATIONAL_STRATUM}:
+                if {e.endpoints[0][0], e.endpoints[1][0]} == {HOPF, RATIONAL}:
                     failures.append(f"hopf-rational edge d={d} w_max={wm}")
     ok = not failures
     detail = f"d <= {d_max}, w_max <= {w_max}: counts, labels, X1/X2 edges, no hopf-rational edge"

@@ -28,9 +28,8 @@ Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 
 ``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
 per family holds its minimum degree, fan kind, named generators, parameter
-labels, expected deflection per axis, untested notes, fibre/base labels and
-surface type.  ``build_family``, ``verify_family`` and ``family_invariants``
-read that row and derive everything else from the kind's ``AXES``.  Adding a
+labels, expected deflection per axis and untested notes.  ``build_family``
+and ``verify_family`` read that row and derive everything else from the kind's ``AXES``.  Adding a
 family takes one fan kind in ``kdl.fans`` (its ``AXES`` and one ``ray_<axis>``
 formula per axis), the lattice parts of its generators, and one row here,
 with one shift generator per axis listed first.
@@ -41,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, Verdict, smoothing_verdict
 from .errors import NotDivisible
 from .fans import (
     Cone,
@@ -88,8 +86,6 @@ class FamilySpec:
     labels: dict[str, str]
     deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
     untested: tuple[str, ...] = ()
-    fiber_base_labels: tuple[str, str] | None = None
-    surface_type: str | None = None
 
 
 FAMILIES = {
@@ -113,8 +109,6 @@ FAMILIES = {
             "the chosen fibre-gluing parameter is replaced by a compatible primitive "
             "w-th root when the covering group action is pushed down",
         ),
-        fiber_base_labels=("C*/<alpha^w>", "C*/<t>"),
-        surface_type=HOPF,
     ),
     "elliptic": FamilySpec(
         min_degree=0,
@@ -125,8 +119,6 @@ FAMILIES = {
         ),
         labels={"alpha_label": "alpha"},
         deflections=lambda e: ((0, 0, 0),),
-        fiber_base_labels=("C*/<t>", "C*/<alpha>"),
-        surface_type=ELLIPTIC_RULED,
     ),
     "rational": FamilySpec(
         min_degree=1,
@@ -144,8 +136,6 @@ FAMILIES = {
             "ruling) and the resulting honeycomb central fibre",
             "which horizontal parameter value realizes a prescribed gluing",
         ),
-        fiber_base_labels=("C*/<t2>", "C*/<t1>"),
-        surface_type=RATIONAL,
     ),
 }
 
@@ -385,39 +375,6 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyInvariants:
-    pre_quotient_degree: int
-    galois_order: int
-    post_quotient_degree: int
-    fiber_label: str
-    base_label: str
-    verdict: Verdict
-
-
-def family_invariants(f: SmoothingFamily) -> FamilyInvariants:
-    """Generic-fibre invariants of a verified surface family.
-
-    The covering family has fibres of degree e; dividing by the order-w group
-    gives degree e/w.
-    """
-    if f.quotient_info is None:
-        raise ValueError("the mumford family smooths a curve; it has no surface invariants")
-    e, w = f.params.e, f.params.w
-    if w < 1 or e % w != 0:
-        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
-    spec = FAMILIES[f.family]
-    fiber, base = spec.fiber_base_labels
-    return FamilyInvariants(
-        pre_quotient_degree=e,
-        galois_order=w,
-        post_quotient_degree=e // w,
-        fiber_label=fiber,
-        base_label=base,
-        verdict=smoothing_verdict(spec.surface_type, e, w, True),
-    )
-
-
 def family_payload(f: SmoothingFamily) -> dict:
     """JSON-ready encoding of a smoothing family."""
     payload = {
@@ -459,13 +416,3 @@ def report_payload(report: VerificationReport) -> dict:
         "untested": list(report.untested),
     }
 
-
-def invariants_payload(inv: FamilyInvariants) -> dict:
-    return {
-        "pre_quotient_degree": inv.pre_quotient_degree,
-        "galois_order": inv.galois_order,
-        "post_quotient_degree": inv.post_quotient_degree,
-        "fiber_label": inv.fiber_label,
-        "base_label": inv.base_label,
-        "verdict": str(inv.verdict),
-    }

@@ -1,9 +1,6 @@
 import pytest
 
 from kdl.boundary import (
-    ELLIPTIC_RULED_STRATUM,
-    HOPF_STRATUM,
-    RATIONAL_STRATUM,
     AdjacencyEdge,
     StratumComponent,
     adjacency_edges,
@@ -12,6 +9,16 @@ from kdl.boundary import (
     local_model,
     render_dot,
 )
+from kdl.classify import (
+    ELLIPTIC_RULED,
+    HOPF,
+    RATIONAL,
+    EllipticRuledDatum,
+    RationalDatum,
+    Verdict,
+    classify,
+    smoothing_verdict,
+)
 
 
 class TestComponents:
@@ -19,7 +26,7 @@ class TestComponents:
         components = enumerate_components(1, 2)
         assert len(components) == 6
         assert {(c.stratum, c.degree, c.warp) for c in components} == {
-            (s, w, w) for s in (HOPF_STRATUM, RATIONAL_STRATUM, ELLIPTIC_RULED_STRATUM) for w in (1, 2)
+            (s, w, w) for s in (HOPF, RATIONAL, ELLIPTIC_RULED) for w in (1, 2)
         }
 
     def test_degree_two_warp_one(self):
@@ -30,9 +37,9 @@ class TestComponents:
     def test_param_spaces(self):
         spaces = {c.stratum: c.param_space for c in enumerate_components(1, 1)}
         assert spaces == {
-            HOPF_STRATUM: "PuncturedDisk",
-            RATIONAL_STRATUM: "CStar",
-            ELLIPTIC_RULED_STRATUM: "ComplexLine",
+            HOPF: "PuncturedDisk",
+            RATIONAL: "CStar",
+            ELLIPTIC_RULED: "ComplexLine",
         }
 
     def test_count_is_three_per_warp(self):
@@ -47,38 +54,22 @@ class TestComponents:
                 assert c.degree // c.warp == d
 
     def test_components_classify_to_the_right_degree(self):
-        from kdl.classify import (
-            ELLIPTIC_RULED,
-            HOPF,
-            RATIONAL,
-            EllipticRuledDatum,
-            RationalDatum,
-            Verdict,
-            classify,
-            smoothing_verdict,
-        )
-
-        type_of = {
-            HOPF_STRATUM: HOPF,
-            RATIONAL_STRATUM: RATIONAL,
-            ELLIPTIC_RULED_STRATUM: ELLIPTIC_RULED,
-        }
         for d in (1, 2, 3):
             for c in enumerate_components(d, 4):
-                verdict = smoothing_verdict(type_of[c.stratum], c.degree, c.warp, True)
+                verdict = smoothing_verdict(c.degree, c.warp, True)
                 assert verdict == Verdict.kodaira_surface(d)
-                if c.stratum == RATIONAL_STRATUM:
+                if c.stratum == RATIONAL:
                     sc = classify(RationalDatum(c.degree, c.warp, untwisted=True))
                     assert sc.verdict == Verdict.kodaira_surface(d)
-                elif c.stratum == ELLIPTIC_RULED_STRATUM:
+                elif c.stratum == ELLIPTIC_RULED:
                     sc = classify(EllipticRuledDatum(c.degree, c.warp, translation=True))
                     assert sc.verdict == Verdict.kodaira_surface(d)
 
     def test_invalid_component_rejected(self):
         with pytest.raises(ValueError):
-            StratumComponent(HOPF_STRATUM, degree=3, warp=2, param_space="PuncturedDisk")
+            StratumComponent(HOPF, degree=3, warp=2, param_space="PuncturedDisk")
         with pytest.raises(ValueError):
-            StratumComponent(HOPF_STRATUM, degree=2, warp=1, param_space="CStar")
+            StratumComponent(HOPF, degree=2, warp=1, param_space="CStar")
 
 
 class TestEdges:
@@ -87,15 +78,15 @@ class TestEdges:
         keys = {(e.witness, e.endpoints) for e in edges}
         assert (
             "X1Family",
-            ((ELLIPTIC_RULED_STRATUM, 1, 1), (HOPF_STRATUM, 1, 1)),
+            ((ELLIPTIC_RULED, 1, 1), (HOPF, 1, 1)),
         ) in keys
         assert (
             "X1Family",
-            ((ELLIPTIC_RULED_STRATUM, 2, 2), (HOPF_STRATUM, 2, 2)),
+            ((ELLIPTIC_RULED, 2, 2), (HOPF, 2, 2)),
         ) in keys
         assert (
             "X2Family",
-            ((RATIONAL_STRATUM, 1, 1), (ELLIPTIC_RULED_STRATUM, 2, 2)),
+            ((RATIONAL, 1, 1), (ELLIPTIC_RULED, 2, 2)),
         ) in keys
         assert len(edges) == 3
 
@@ -104,8 +95,8 @@ class TestEdges:
             for w_max in (1, 2, 3, 4):
                 for e in adjacency_edges(enumerate_components(d, w_max)):
                     strata = {e.endpoints[0][0], e.endpoints[1][0]}
-                    assert strata != {HOPF_STRATUM, RATIONAL_STRATUM}
-                    assert ELLIPTIC_RULED_STRATUM in strata
+                    assert strata != {HOPF, RATIONAL}
+                    assert ELLIPTIC_RULED in strata
 
     def test_x1_edge_count(self):
         # every (e, w) pair contributes one X1 edge
@@ -123,15 +114,15 @@ class TestEdges:
         # exactly 1, so a warp-2 rational component gains no X2 edge even
         # when the matching elliptic component exists
         components = [
-            StratumComponent(RATIONAL_STRATUM, degree=4, warp=2, param_space="CStar"),
-            StratumComponent(ELLIPTIC_RULED_STRATUM, degree=8, warp=2, param_space="ComplexLine"),
+            StratumComponent(RATIONAL, degree=4, warp=2, param_space="CStar"),
+            StratumComponent(ELLIPTIC_RULED, degree=8, warp=2, param_space="ComplexLine"),
         ]
         assert adjacency_edges(components) == []
 
     def test_degenerate_edge_rejected(self):
         with pytest.raises(ValueError):
             AdjacencyEdge(
-                endpoints=((HOPF_STRATUM, 1, 1), (HOPF_STRATUM, 1, 1)),
+                endpoints=((HOPF, 1, 1), (HOPF, 1, 1)),
                 witness="X1Family",
                 witness_ref="x",
             )

@@ -18,20 +18,17 @@ from kdl.classify import (
     Verdict,
     classify,
     cohomology_table,
-    commutator_scale,
     hopf_dsemistable,
     hopf_dsemistable_oracle,
     hopf_invariants,
     hopf_kx_zero,
-    quotient_degree,
     ruled_dsemistable,
     smoothing_verdict,
     surface_class_payload,
     tangent_table,
     versal_descriptor,
 )
-from kdl.errors import InconsistentData, NotAUnit, NotDivisible, NotSL2
-from kdl.lattice import IntMatrix
+from kdl.errors import InconsistentData, NotAUnit, NotSL2
 
 
 class TestKxZero:
@@ -164,27 +161,27 @@ class TestTables:
 
 class TestVerdict:
     def test_kodaira_surface(self):
-        assert smoothing_verdict(HOPF, 2, 2, True) == Verdict.kodaira_surface(1)
+        assert smoothing_verdict(2, 2, True) == Verdict.kodaira_surface(1)
         assert str(Verdict.kodaira_surface(1)) == "KodairaSurface(1)"
 
     def test_complex_torus(self):
-        assert smoothing_verdict(ELLIPTIC_RULED, 0, 1, True) == Verdict.complex_torus()
+        assert smoothing_verdict(0, 1, True) == Verdict.complex_torus()
 
     def test_no_smoothing(self):
-        assert smoothing_verdict(RATIONAL, 3, 2, False) == Verdict.no_smoothing()
+        assert smoothing_verdict(3, 2, False) == Verdict.no_smoothing()
 
     def test_rational_degree_six_warp_three(self):
-        assert smoothing_verdict(RATIONAL, 6, 3, True) == Verdict.kodaira_surface(2)
+        assert smoothing_verdict(6, 3, True) == Verdict.kodaira_surface(2)
 
     def test_inconsistent_data(self):
         with pytest.raises(InconsistentData):
-            smoothing_verdict(HOPF, 3, 2, True)
+            smoothing_verdict(3, 2, True)
         with pytest.raises(InconsistentData):
-            smoothing_verdict(ELLIPTIC_RULED, 3, 0, True)
+            smoothing_verdict(3, 0, True)
 
     def test_degree_zero_never_kodaira(self):
         for w in range(0, 5):
-            verdict = smoothing_verdict(ELLIPTIC_RULED, 0, w, True)
+            verdict = smoothing_verdict(0, w, True)
             assert verdict.kind != "KodairaSurface"
 
 
@@ -193,31 +190,6 @@ class TestVersal:
         assert versal_descriptor(HOPF, 2) == SmoothBaseWithCurve(2, 1)
         assert versal_descriptor(RATIONAL, 2) == TwoSmoothSurfaces(2, 2, 1)
         assert versal_descriptor(ELLIPTIC_RULED, 0) == SmoothFourfold(4, 3)
-
-
-class TestQuotientArithmetic:
-    def test_commutator_scale(self):
-        assert commutator_scale(IntMatrix.identity(2)) == 1
-        assert commutator_scale(IntMatrix(((1, 0), (0, 2)))) == 2
-
-    def test_commutator_scale_needs_2x2(self):
-        with pytest.raises(ValueError):
-            commutator_scale(IntMatrix.identity(3))
-
-    def test_quotient_degree(self):
-        assert quotient_degree(4, 2) == 2
-        assert quotient_degree(6, 3) == 2
-
-    def test_quotient_degree_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            quotient_degree(5, 2)
-
-    def test_quotient_predicts_total_degree(self):
-        # a basis change of determinant w turns a sublattice degree d' into w*d'
-        for w in range(1, 7):
-            m = IntMatrix(((1, 0), (0, w)))
-            d_prime = 3
-            assert commutator_scale(m) * d_prime == w * d_prime
 
 
 class TestClassify:

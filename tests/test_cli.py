@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -106,6 +107,75 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["admissible"] is False
         assert payload["verdict"] == "NoSmoothing"
+
+
+def error_line(message):
+    return '{"schema": "kdl/1", "error": "MalformedInput", "message": "%s"}\n' % message
+
+
+ELLIPTIC_DATUM = '"e":4,"w":2,"translation":true'
+
+
+class TestTypeNames:
+    # The datum's "type" field and --type resolve through the same name map.
+    @pytest.mark.parametrize("name", ["elliptic", "elliptic_ruled"])
+    def test_datum_type_takes_every_type_option_name(self, name):
+        by_option = run_cli(["classify", "--type", "elliptic", "--data", "{" + ELLIPTIC_DATUM + "}"])
+        assert by_option[0] == 0 and json.loads(by_option[1])["type"] == "elliptic_ruled"
+        datum = '{"type":"%s",%s}' % (name, ELLIPTIC_DATUM)
+        assert run_cli(["classify", "--data", datum]) == by_option
+        for option in ("elliptic", "elliptic_ruled"):
+            assert run_cli(["classify", "--type", option, "--data", datum]) == by_option
+
+    def test_contradiction_names_the_datum_type_as_written(self):
+        argv = ["classify", "--type", "rational", "--data", '{"type":"elliptic",%s}' % ELLIPTIC_DATUM]
+        assert run_cli(argv) == (2, "", error_line("--type rational contradicts datum type 'elliptic'"))
+
+    @pytest.mark.parametrize("option", [[], ["--type", "hopf"]], ids=["no-option", "type-hopf"])
+    @pytest.mark.parametrize(
+        "declared, message",
+        [(["hopf"], "unknown surface type ['hopf']"), ({"a": 1}, "unknown surface type {'a': 1}")],
+        ids=["list", "object"],
+    )
+    def test_non_string_type_is_unknown(self, option, declared, message):
+        data = json.dumps({"type": declared, "n": 4, "n1": 1, "n2": 3, "b": 2})
+        assert run_cli(["classify", *option, "--data", data]) == (2, "", error_line(message))
+
+
+CLASSIFY_USAGE = (
+    "usage: kdl classify [-h] [--type {hopf,elliptic,elliptic_ruled,rational}]\n"
+    "                    [--data DATA] [--file FILE]\n"
+)
+
+
+class TestClassifyHelpBytes:
+    # argparse wraps its text to the terminal width, which it reads from COLUMNS.
+    @pytest.fixture(autouse=True)
+    def eighty_columns(self):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            yield
+
+    def test_help(self):
+        assert run_cli(["classify", "--help"]) == (
+            0,
+            CLASSIFY_USAGE
+            + "\n"
+            + "options:\n"
+            + "  -h, --help            show this help message and exit\n"
+            + "  --type {hopf,elliptic,elliptic_ruled,rational}\n"
+            + "  --data DATA           datum as a JSON string\n"
+            + "  --file FILE           path to a datum JSON file\n",
+            "",
+        )
+
+    def test_unknown_type_usage_error(self):
+        assert run_cli(["classify", "--type", "k3"]) == (
+            2,
+            "",
+            CLASSIFY_USAGE
+            + "kdl classify: error: argument --type: invalid choice: 'k3' "
+            + "(choose from 'hopf', 'elliptic', 'elliptic_ruled', 'rational')\n",
+        )
 
 
 class TestFanCommand:

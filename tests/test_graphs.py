@@ -3,7 +3,6 @@ import pytest
 from kdl.errors import MalformedMorphism
 from kdl.graphs import (
     BicolouredGraph,
-    CurveConfig,
     GluingClass,
     GraphMorphism,
     PolygonGluing,
@@ -15,11 +14,9 @@ from kdl.graphs import (
     enumerate_gluings,
     enumerate_rational_models,
     gluing_morphism,
-    neron_component_check,
     neron_polygon_graph,
     pullback_rank,
     triple_line_graph,
-    triple_point_consistent,
 )
 
 UNTWISTED = PolygonGluing((0, 1, 2, 0, 1, 2), (0, 1, 0, 1, 0, 1))
@@ -52,7 +49,10 @@ class TestBetti:
             g = neron_polygon_graph(k)
             assert len(g.edges) == 2 * len(g.black) == 2 * len(g.white)
             assert betti1(g) == 1
-            assert g.min_black_valence() == 2
+            branches = {b: 0 for b in g.black}
+            for _, b in g.edges:
+                branches[b] += 1
+            assert set(branches.values()) == {2}
 
     def test_additive_over_components(self):
         a = neron_polygon_graph(3)
@@ -65,7 +65,10 @@ class TestBetti:
 class TestMorphism:
     def test_identity_pullback_rank_is_betti1(self):
         for g in (neron_polygon_graph(6), triple_line_graph(), neron_polygon_graph(2)):
-            assert pullback_rank(GraphMorphism.identity(g)) == betti1(g)
+            identity = GraphMorphism(
+                g, g, {w: w for w in g.white}, {b: b for b in g.black}, tuple(range(len(g.edges)))
+            )
+            assert pullback_rank(identity) == betti1(g)
 
     def test_incidence_violation_rejected(self):
         g = neron_polygon_graph(2)
@@ -157,26 +160,6 @@ class TestExhaustiveTheoremCheck:
     def test_canonical_is_idempotent(self):
         for p, _ in enumerate_gluings(up_to_symmetry=True).results:
             assert canonical_gluing(p) == p
-
-
-class TestCurveCounts:
-    def test_triple_point_formula_cases(self):
-        assert triple_point_consistent(CurveConfig(-1, -1, 2))
-        assert triple_point_consistent(CurveConfig(-3, 3, 0))
-        assert not triple_point_consistent(CurveConfig(0, -1, 2))
-
-    def test_neron_component_check(self):
-        assert neron_component_check(3, 2)
-        assert not neron_component_check(1, 1)
-        assert neron_component_check(6, 4)
-
-    def test_neron_component_check_requires_positive_counts(self):
-        with pytest.raises(ValueError):
-            neron_component_check(0, 1)
-
-    def test_curve_config_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            CurveConfig(-1, -1, -2)
 
 
 class TestRationalModels:

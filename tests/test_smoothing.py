@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import kdl.fans
 import kdl.smoothing
-from kdl.classify import Verdict
+from kdl.classify import Verdict, smoothing_verdict
 from kdl.errors import NotDivisible
 from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, cone_is_smooth, deflection, hopf_shift
 from kdl.lattice import IntMatrix, IntVec, is_unipotent
@@ -14,9 +14,7 @@ from kdl.smoothing import (
     FAMILIES,
     FAMILY_NAMES,
     build_family,
-    family_invariants,
     family_payload,
-    invariants_payload,
     report_payload,
     verify_family,
 )
@@ -359,32 +357,32 @@ class TestFamilyTable:
 
 
 class TestFamilyInvariants:
+    # The quotient of a covering family of degree e by its order-w group has
+    # generic fibres of degree e/w, which is what classification predicts.
     def test_hopf_six_three(self):
-        inv = family_invariants(build_family("hopf", e=6, w=3, window=4))
-        assert inv.post_quotient_degree == 2
-        assert inv.verdict == Verdict.kodaira_surface(2)
-        assert inv.post_quotient_degree * inv.galois_order == inv.pre_quotient_degree
+        info = build_family("hopf", e=6, w=3, window=4).quotient_info
+        assert (info.galois_order, info.generic_fiber_degree) == (3, 2)
+        assert smoothing_verdict(6, 3, True) == Verdict.kodaira_surface(info.generic_fiber_degree)
 
     def test_elliptic_degree_zero_torus(self):
-        inv = family_invariants(build_family("elliptic", e=0, w=1, window=4))
-        assert inv.post_quotient_degree == 0
-        assert inv.verdict == Verdict.complex_torus()
+        info = build_family("elliptic", e=0, w=1, window=4).quotient_info
+        assert info.generic_fiber_degree == 0
+        assert smoothing_verdict(0, 1, True) == Verdict.complex_torus()
 
     def test_rational_identity_quotient(self):
-        inv = family_invariants(build_family("rational", e=1, w=1, window=3))
-        assert inv.post_quotient_degree == 1
+        info = build_family("rational", e=1, w=1, window=3).quotient_info
+        assert (info.galois_order, info.generic_fiber_degree) == (1, 1)
 
     def test_mumford_has_no_invariants(self):
-        with pytest.raises(ValueError):
-            family_invariants(build_family("mumford", window=4))
+        assert build_family("mumford", window=4).quotient_info is None
 
     def test_quotient_relation_across_divisors(self):
         for e in range(1, 9):
             for w in range(1, e + 1):
                 if e % w:
                     continue
-                inv = family_invariants(build_family("hopf", e=e, w=w, window=3))
-                assert inv.post_quotient_degree * w == e
+                info = build_family("hopf", e=e, w=w, window=3).quotient_info
+                assert (info.galois_order, info.generic_fiber_degree * w) == (w, e)
 
 
 class TestPayloads:
@@ -402,6 +400,5 @@ class TestPayloads:
         assert all(set(c) == {"name", "passed", "counterexample"} for c in payload["checks"])
 
     def test_invariants_payload(self):
-        payload = invariants_payload(family_invariants(build_family("hopf", e=4, w=2, window=2)))
-        assert payload["post_quotient_degree"] == 2
-        assert payload["verdict"] == "KodairaSurface(2)"
+        payload = family_payload(build_family("hopf", e=4, w=2, window=2))
+        assert payload["quotient"] == {"galois_order": 2, "generic_fiber_degree": 2}
