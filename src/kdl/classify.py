@@ -21,6 +21,16 @@ type holds its datum class, input names, decision rule, published tables,
 criteria text and boundary parameter space.  Everything here, and the type
 handling of ``kdl.cli`` and ``kdl.boundary``, reads that row.
 
+Every record here is a tuple subclass with named read-only fields: a
+``namedtuple`` base gives the fields and the ``Name(field=value, ...)`` repr,
+and the record is built by one ``tuple.__new__`` call, after its validation
+where it has one (the three data records).  A record cannot be changed after
+it is built.  ``_Record`` makes equality and hashing depend on the type: a
+record equals only a record of its own type with equal fields, never a plain
+tuple or a record of another type (a tuple subclass defined elsewhere still
+compares by tuple rules when it is the left operand of ``==``), and
+``_replace`` validates like the constructor.
+
 Warp convention: order 0 encodes an infinite-order gluing, and plain integer
 divisibility with "0 divides only 0" then states every d-semistability
 criterion uniformly.  Continuous parameters (alpha, j, specific roots of
@@ -30,8 +40,8 @@ unity) are carried as opaque labels and never evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from collections import namedtuple
+from typing import Union
 
 from .errors import InconsistentData, NotSL2
 from .lattice import mod_inverse
@@ -41,41 +51,50 @@ ELLIPTIC_RULED = "elliptic_ruled"
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True, slots=True)
-class GluingMatrix:
+class _Record:
+    """Type-distinct equality and hashing, and a validating ``_replace``,
+    for the tuple-built records of this module (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):
     """Integer 2x2 matrix recording how the gluing homothety maps one period
     lattice onto the other; admissible gluings have a = d = 1, c = 0."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
 
-@dataclass(frozen=True, slots=True)
-class HopfDatum:
+class HopfDatum(_Record, namedtuple("HopfDatum", "n n1 n2 b alpha_label")):
     """Discrete data of a degeneration with nonalgebraic normalization."""
 
-    n: int
-    n1: int
-    n2: int
-    b: int
-    alpha_label: str = "alpha"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, n1: int, n2: int, b: int, alpha_label: str = "alpha"):
+        if n < 1:
             raise ValueError("torsion order n must be positive")
-        if self.n > 1 and not (
-            0 <= self.n1 < self.n and 0 <= self.n2 < self.n and 0 <= self.b < self.n
-        ):
+        if n > 1 and not (0 <= n1 < n and 0 <= n2 < n and 0 <= b < n):
             raise ValueError("n1, n2, b must be residues in [0, n)")
+        return tuple.__new__(cls, (n, n1, n2, b, alpha_label))
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticRuledDatum:
+class EllipticRuledDatum(_Record, namedtuple("EllipticRuledDatum", "e w translation j_label")):
     """Discrete data of a degeneration with elliptic ruled normalization.
 
     e is minus the minimal section self-intersection; w the order of the
@@ -83,18 +102,15 @@ class EllipticRuledDatum:
     the gluing automorphism is a translation at all.
     """
 
-    e: int
-    w: int
-    translation: bool
-    j_label: str = "j"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e < 0 or self.w < 0:
+    def __new__(cls, e: int, w: int, translation: bool, j_label: str = "j"):
+        if e < 0 or w < 0:
             raise ValueError("degree and warp must be nonnegative")
+        return tuple.__new__(cls, (e, w, translation, j_label))
 
 
-@dataclass(frozen=True, slots=True)
-class RationalDatum:
+class RationalDatum(_Record, namedtuple("RationalDatum", "e w untwisted horizontal_labels")):
     """Discrete data of a degeneration with rational normalization.
 
     e is the Hirzebruch degree; w the order of the vertical gluing parameter
@@ -102,28 +118,24 @@ class RationalDatum:
     6-gon onto the triple-line curve.
     """
 
-    e: int
-    w: int
-    untwisted: bool
-    horizontal_labels: tuple[str, str] = ("h1", "h2")
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizontal_labels", tuple(self.horizontal_labels))
-        if self.e < 0 or self.w < 0:
+    def __new__(cls, e: int, w: int, untwisted: bool, horizontal_labels: tuple[str, str] = ("h1", "h2")):
+        horizontal_labels = tuple(horizontal_labels)
+        if e < 0 or w < 0:
             raise ValueError("degree and warp must be nonnegative")
-        if len(self.horizontal_labels) != 2:
+        if len(horizontal_labels) != 2:
             raise ValueError("exactly two horizontal gluing labels")
+        return tuple.__new__(cls, (e, w, untwisted, horizontal_labels))
 
 
 SurfaceDatum = Union[HopfDatum, EllipticRuledDatum, RationalDatum]
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(_Record, namedtuple("Verdict", "kind degree", defaults=(None,))):
     """Smoothing outcome: KodairaSurface(d), ComplexTorus, or NoSmoothing."""
 
-    kind: str
-    degree: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "KodairaSurface":
@@ -132,52 +144,49 @@ class Verdict:
 
     @classmethod
     def kodaira_surface(cls, degree: int) -> "Verdict":
-        return cls("KodairaSurface", degree)
+        return tuple.__new__(cls, ("KodairaSurface", degree))
 
-    @classmethod
-    def complex_torus(cls) -> "Verdict":
-        return cls("ComplexTorus")
+    @staticmethod
+    def complex_torus() -> "Verdict":
+        return _COMPLEX_TORUS
 
-    @classmethod
-    def no_smoothing(cls) -> "Verdict":
-        return cls("NoSmoothing")
+    @staticmethod
+    def no_smoothing() -> "Verdict":
+        return _NO_SMOOTHING
 
 
-@dataclass(frozen=True, slots=True)
-class TangentDims:
-    t0: int
-    t1: int
-    t2: int
+_COMPLEX_TORUS = Verdict("ComplexTorus")
+_NO_SMOOTHING = Verdict("NoSmoothing")
+
+
+class TangentDims(_Record, namedtuple("TangentDims", "t0 t1 t2")):
+    __slots__ = ()
 
     def payload(self) -> dict:
         return {"T0": self.t0, "T1": self.t1, "T2": self.t2}
 
 
-@dataclass(frozen=True, slots=True)
-class TangentUnavailable:
+class TangentUnavailable(_Record, namedtuple("TangentUnavailable", "dim_t1", defaults=(4,))):
     """No published tangent triple; only the embedding dimension of the versal
     base (= dim T^1) is known."""
 
-    dim_t1: int = 4
+    __slots__ = ()
 
     def payload(self) -> dict:
         return {"unavailable": True, "dimT1": self.dim_t1}
 
 
-@dataclass(frozen=True, slots=True)
-class SmoothBaseWithCurve:
-    dim_base: int = 2
-    dim_locally_trivial: int = 1
+class SmoothBaseWithCurve(_Record, namedtuple("SmoothBaseWithCurve", "dim_base dim_locally_trivial", defaults=(2, 1))):
+    __slots__ = ()
 
     def payload(self) -> dict:
         return {"shape": "SmoothBaseWithCurve", "dimV": self.dim_base, "dimLocTriv": self.dim_locally_trivial}
 
 
-@dataclass(frozen=True, slots=True)
-class TwoSmoothSurfaces:
-    dim_v1: int = 2
-    dim_v2: int = 2
-    dim_intersection: int = 1
+class TwoSmoothSurfaces(
+    _Record, namedtuple("TwoSmoothSurfaces", "dim_v1 dim_v2 dim_intersection", defaults=(2, 2, 1))
+):
+    __slots__ = ()
 
     def payload(self) -> dict:
         return {
@@ -188,10 +197,8 @@ class TwoSmoothSurfaces:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SmoothFourfold:
-    dim_base: int = 4
-    dim_locally_trivial: int = 3
+class SmoothFourfold(_Record, namedtuple("SmoothFourfold", "dim_base dim_locally_trivial", defaults=(4, 3))):
+    __slots__ = ()
 
     def payload(self) -> dict:
         return {"shape": "SmoothFourfold", "dimV": self.dim_base, "dimLocTriv": self.dim_locally_trivial}
@@ -200,8 +207,12 @@ class SmoothFourfold:
 VersalDescriptor = Union[SmoothBaseWithCurve, TwoSmoothSurfaces, SmoothFourfold]
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceClass:
+class SurfaceClass(
+    _Record,
+    namedtuple(
+        "SurfaceClass", "surface_type admissible d_semistable degree warp verdict cohomology tangent versal"
+    ),
+):
     """Full classification output for one surface datum.
 
     When the surface is not admissible (nontrivial canonical class) the
@@ -209,15 +220,7 @@ class SurfaceClass:
     tables are proved only under K = 0.
     """
 
-    surface_type: str
-    admissible: bool
-    d_semistable: bool
-    degree: int
-    warp: int
-    verdict: Verdict
-    cohomology: tuple[int, int, int] | None
-    tangent: TangentDims | TangentUnavailable | None
-    versal: VersalDescriptor | None
+    __slots__ = ()
 
 
 def hopf_kx_zero(m: GluingMatrix) -> bool:
@@ -233,8 +236,8 @@ def hopf_kx_zero(m: GluingMatrix) -> bool:
 
 def hopf_dsemistable(h: HopfDatum) -> bool:
     """d-semistability congruences: (n1-n2)^2 = 0 and b(n1-n2) = 0 in Z/n."""
-    d = h.n1 - h.n2
-    return d * d % h.n == 0 and h.b * d % h.n == 0
+    n, d = h.n, h.n1 - h.n2
+    return d * d % n == 0 and h.b * d % n == 0
 
 
 def hopf_dsemistable_oracle(h: HopfDatum) -> bool:
@@ -246,10 +249,10 @@ def hopf_dsemistable_oracle(h: HopfDatum) -> bool:
     the twisted period).  Agrees with hopf_dsemistable everywhere; the two
     sides are kept separate as a machine check.
     """
-    n = h.n
-    m1 = mod_inverse(h.n1, n)
-    m2 = mod_inverse(h.n2, n)
-    return (m2 * h.n1 + m1 * h.n2 - 2) % n == 0 and (h.b * m1 * h.n2 - h.b) % n == 0
+    n, n1, n2, b = h.n, h.n1, h.n2, h.b
+    m1 = mod_inverse(n1, n)
+    m2 = mod_inverse(n2, n)
+    return (m2 * n1 + m1 * n2 - 2) % n == 0 and (b * m1 * n2 - b) % n == 0
 
 
 def hopf_invariants(h: HopfDatum) -> tuple[int, int]:
@@ -258,9 +261,8 @@ def hopf_invariants(h: HopfDatum) -> tuple[int, int]:
     e is the torsion order of the fundamental group of the covering bundle,
     w the order of its cyclic Galois group.
     """
-    e = math.gcd(h.n, h.n1 - h.n2)
-    w = h.n // math.gcd(h.n, h.n1 - h.n2, h.b)
-    return e, w
+    n, d = h.n, h.n1 - h.n2
+    return math.gcd(n, d), n // math.gcd(n, d, h.b)
 
 
 def ruled_dsemistable(e: int, w: int) -> bool:
@@ -283,7 +285,8 @@ def smoothing_verdict(e: int, w: int, d_semistable: bool) -> Verdict:
 
 
 def _decide_hopf(h: HopfDatum, matrix: GluingMatrix | None) -> tuple[bool, bool, int, int]:
-    admissible = hopf_kx_zero(matrix if matrix is not None else GluingMatrix(1, h.b, 0, 1))
+    # The default matrix (1, b, 0, 1) is in SL2 with a = d = 1 and c = 0.
+    admissible = matrix is None or hopf_kx_zero(matrix)
     e, w = hopf_invariants(h)
     return admissible, admissible and hopf_dsemistable(h), e, w
 
@@ -294,32 +297,24 @@ def _decide_ruled(admissible: bool, e: int, w: int, matrix: GluingMatrix | None)
     return admissible, admissible and ruled_dsemistable(e, w), e, w
 
 
-@dataclass(frozen=True, slots=True)
-class Tables:
-    """The published tables of one type at one sign of the degree."""
+class Tables(_Record, namedtuple("Tables", "cohomology tangent versal")):
+    """The published tables of one type at one sign of the degree: the
+    cohomology triple, a tangent record and a versal record."""
 
-    cohomology: tuple[int, int, int]
-    tangent: TangentDims | TangentUnavailable
-    versal: VersalDescriptor
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TypeSpec:
+class TypeSpec(_Record, namedtuple("TypeSpec", "datum names decide positive zero criteria param_space")):
     """Everything one normalization type adds to the classification.
 
-    ``names`` select the type on input.  ``decide`` maps a datum and an
-    optional gluing matrix to (admissible, d_semistable, e, w).  ``positive``
-    and ``zero`` hold the tables for e > 0 and e = 0; ``param_space`` is that
-    of the type's boundary stratum.
+    ``datum`` is the type's data record and ``names`` select the type on
+    input.  ``decide`` maps a datum and an optional gluing matrix to
+    (admissible, d_semistable, e, w).  ``positive`` and ``zero`` hold the
+    ``Tables`` for e > 0 and e = 0; ``criteria`` is the text of the type's
+    two criteria and ``param_space`` that of its boundary stratum.
     """
 
-    datum: type
-    names: tuple[str, ...]
-    decide: Callable[[SurfaceDatum, GluingMatrix | None], tuple[bool, bool, int, int]]
-    positive: Tables
-    zero: Tables
-    criteria: dict[str, str]
-    param_space: str
+    __slots__ = ()
 
 
 TYPES = {
@@ -364,6 +359,7 @@ TYPES = {
 # Every input name of a type, in table order, mapped to the type's key.
 TYPE_NAMES = {name: key for key, spec in TYPES.items() for name in spec.names}
 _TYPE_OF_DATUM = {spec.datum: key for key, spec in TYPES.items()}
+_NO_TABLES = (None, None, None)
 
 
 def _tables(surface_type: str, e: int) -> Tables:
@@ -405,18 +401,10 @@ def classify(datum: SurfaceDatum, matrix: GluingMatrix | None = None) -> Surface
         raise TypeError(f"not a surface datum: {type(datum).__name__}")
     spec = TYPES[surface_type]
     admissible, d_semistable, e, w = spec.decide(datum, matrix)
-    tables = spec.positive if e > 0 else spec.zero
-    return SurfaceClass(
-        surface_type=surface_type,
-        admissible=admissible,
-        d_semistable=d_semistable,
-        degree=e,
-        warp=w,
-        verdict=smoothing_verdict(e, w, d_semistable),
-        cohomology=tables.cohomology if admissible else None,
-        tangent=tables.tangent if admissible else None,
-        versal=tables.versal if admissible else None,
-    )
+    tables = (spec.positive if e > 0 else spec.zero) if admissible else _NO_TABLES
+    verdict = smoothing_verdict(e, w, d_semistable)
+    # A Tables record holds the last three fields of a SurfaceClass, in order.
+    return tuple.__new__(SurfaceClass, (surface_type, admissible, d_semistable, e, w, verdict, *tables))
 
 
 def surface_class_payload(sc: SurfaceClass) -> dict:
@@ -433,5 +421,5 @@ def surface_class_payload(sc: SurfaceClass) -> dict:
         else {"h0": sc.cohomology[0], "h1": sc.cohomology[1], "h2": sc.cohomology[2]},
         "tangent": None if sc.tangent is None else sc.tangent.payload(),
         "versal": None if sc.versal is None else sc.versal.payload(),
-        "criteria": TYPES[sc.surface_type].criteria,
+        "criteria": TYPES[sc.surface_type].criteria.copy(),
     }

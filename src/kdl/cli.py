@@ -10,6 +10,7 @@ malformed input (with a JSON error object on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,19 +302,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    # Help and usage text wrap at the width argparse picks for an 80-column
+    # terminal, whatever COLUMNS or the terminal says.
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="kdl",
         description="Classify degenerations of primary Kodaira surfaces and verify their toric smoothing families.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("classify", help="classify a surface datum (JSON via --data, --file, or stdin)")
+    p = add_parser("classify", help="classify a surface datum (JSON via --data, --file, or stdin)")
     p.add_argument("--type", choices=list(TYPE_NAMES))
     p.add_argument("--data", help="datum as a JSON string")
     p.add_argument("--file", help="path to a datum JSON file")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("fan", help="emit a fan window (or the full family with --full)")
+    p = add_parser("fan", help="emit a fan window (or the full family with --full)")
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--e", type=int, help="degree (hopf/rational/elliptic)")
     p.add_argument("--w", type=int, help="warp (used by --full and the elliptic twist)")
@@ -321,27 +327,27 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="emit generators and quotient data too")
     p.set_defaults(handler=_cmd_fan)
 
-    p = sub.add_parser("verify", help="run the verification battery; exit 0 iff all checks pass")
+    p = add_parser("verify", help="run the verification battery; exit 0 iff all checks pass")
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--e", type=int)
     p.add_argument("--w", type=int)
     p.add_argument("--window", type=int, default=16)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("graph", help="graph cohomology and 6-gon gluing classification")
+    p = add_parser("graph", help="graph cohomology and 6-gon gluing classification")
     p.add_argument("--betti", help="bicoloured graph JSON; prints its first Betti number")
     p.add_argument("--gluing", help="polygon gluing JSON; prints class and pullback rank")
     p.add_argument("--enumerate", action="store_true", help="stream every candidate gluing as JSON lines")
     p.add_argument("--up-to-symmetry", action="store_true", help="one gluing per dihedral orbit")
     p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("boundary", help="enumerate moduli boundary components and adjacencies")
+    p = add_parser("boundary", help="enumerate moduli boundary components and adjacencies")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-warp", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(handler=_cmd_boundary)
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria; exit 0 iff all pass")
+    p = add_parser("selftest", help="run the acceptance criteria; exit 0 iff all pass")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

@@ -1,20 +1,32 @@
+import copy
+import hashlib
+import json
 import math
+import pickle
+import sys
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdl.classify import (
     ELLIPTIC_RULED,
     HOPF,
     RATIONAL,
+    TYPES,
     EllipticRuledDatum,
     GluingMatrix,
     HopfDatum,
     RationalDatum,
     SmoothBaseWithCurve,
     SmoothFourfold,
+    SurfaceClass,
+    Tables,
     TangentDims,
     TangentUnavailable,
     TwoSmoothSurfaces,
+    TypeSpec,
     Verdict,
     classify,
     cohomology_table,
@@ -251,6 +263,40 @@ class TestClassify:
             "criteria",
         ]
 
+    def test_payload_criteria_is_a_fresh_dict(self):
+        first = surface_class_payload(classify(HopfDatum(4, 1, 3, 2)))
+        first["criteria"]["admissibility"] = "changed"
+        later = surface_class_payload(classify(HopfDatum(4, 1, 3, 2)))
+        assert later["criteria"] == TYPES[HOPF].criteria
+        assert later["criteria"]["admissibility"] != "changed"
+        assert later["criteria"] is not TYPES[HOPF].criteria
+
+
+def _golden_payloads():
+    """Every valid Hopf tuple with n <= 12 (default matrix), then every
+    elliptic ruled and rational datum with e, w <= 6 and either flag."""
+    for n in range(1, 13):
+        units = [a for a in range(n) if math.gcd(a, n) == 1]
+        for n1 in units:
+            for n2 in units:
+                for b in range(n):
+                    yield surface_class_payload(classify(HopfDatum(n, n1, n2, b)))
+    for e in range(7):
+        for w in range(7):
+            for flag in (False, True):
+                yield surface_class_payload(classify(EllipticRuledDatum(e, w, translation=flag)))
+                yield surface_class_payload(classify(RationalDatum(e, w, untwisted=flag)))
+
+
+def test_golden_payload_digest():
+    # Compact JSON of the payload list, keys in the payload's own order.
+    payloads = list(_golden_payloads())
+    text = json.dumps(payloads, separators=(",", ":"))
+    assert len(payloads) == 2487
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "02b7104925fce39732277a810680ab4ff098671746876fe22a0d0ff8d9eb0346"
+    )
+
 
 class TestDatumValidation:
     def test_residues_must_be_reduced(self):
@@ -260,3 +306,170 @@ class TestDatumValidation:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             EllipticRuledDatum(-1, 0, translation=True)
+
+
+# -- the record contract ----------------------------------------------------
+
+# Each record type's field names, in constructor order.
+RECORD_FIELDS = {
+    GluingMatrix: ("a", "b", "c", "d"),
+    HopfDatum: ("n", "n1", "n2", "b", "alpha_label"),
+    EllipticRuledDatum: ("e", "w", "translation", "j_label"),
+    RationalDatum: ("e", "w", "untwisted", "horizontal_labels"),
+    Verdict: ("kind", "degree"),
+    TangentDims: ("t0", "t1", "t2"),
+    TangentUnavailable: ("dim_t1",),
+    SmoothBaseWithCurve: ("dim_base", "dim_locally_trivial"),
+    TwoSmoothSurfaces: ("dim_v1", "dim_v2", "dim_intersection"),
+    SmoothFourfold: ("dim_base", "dim_locally_trivial"),
+    SurfaceClass: (
+        "surface_type", "admissible", "d_semistable", "degree", "warp", "verdict", "cohomology", "tangent", "versal",
+    ),
+    Tables: ("cohomology", "tangent", "versal"),
+    TypeSpec: ("datum", "names", "decide", "positive", "zero", "criteria", "param_space"),
+}
+
+small = st.integers(-3, 12)
+labels = st.text(max_size=3)
+hopf_data = st.integers(1, 12).flatmap(
+    lambda n: st.builds(HopfDatum, st.just(n), *[st.integers(0, n - 1)] * 3, alpha_label=labels)
+)
+ruled_data = st.one_of(
+    st.builds(EllipticRuledDatum, st.integers(0, 8), st.integers(0, 8), translation=st.booleans(), j_label=labels),
+    st.builds(
+        RationalDatum, st.integers(0, 8), st.integers(0, 8), untwisted=st.booleans(),
+        horizontal_labels=st.lists(labels, min_size=2, max_size=2),
+    ),
+)
+tangents = st.one_of(st.builds(TangentDims, small, small, small), st.builds(TangentUnavailable, small))
+versals = st.one_of(
+    st.builds(SmoothBaseWithCurve, small, small),
+    st.builds(TwoSmoothSurfaces, small, small, small),
+    st.builds(SmoothFourfold, small, small),
+)
+records = st.one_of(
+    st.builds(GluingMatrix, small, small, small, small),
+    hopf_data,
+    ruled_data,
+    st.builds(Verdict, st.sampled_from(["KodairaSurface", "ComplexTorus", "NoSmoothing"]), st.none() | small),
+    tangents,
+    versals,
+    st.builds(classify, hopf_data | ruled_data),
+    st.builds(Tables, st.tuples(small, small, small), tangents, versals),
+    st.sampled_from(list(TYPES.values())),
+)
+
+
+class TestRecordContract:
+    def test_every_record_type_is_covered(self):
+        module = sys.modules["kdl.classify"]
+        public_classes = {
+            obj for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and not name.startswith("_")
+        }
+        assert public_classes == set(RECORD_FIELDS)
+
+    @given(records)
+    @settings(max_examples=300)
+    def test_fields_are_read_only(self, record):
+        before = repr(record)
+        for name in RECORD_FIELDS[type(record)]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        assert repr(record) == before
+
+    @given(records)
+    @settings(max_examples=300)
+    def test_equality_and_hash_depend_on_the_type(self, record):
+        cls, fields = type(record), RECORD_FIELDS[type(record)]
+        values = [getattr(record, name) for name in fields]
+        rebuilt = cls(**dict(zip(fields, values)))
+        subclass = type(cls.__name__, (cls,), {"__slots__": ()})(*values)
+        twin = namedtuple(cls.__name__, fields)(*values)
+        others = [tuple(values), subclass]
+        for other_cls, other_fields in RECORD_FIELDS.items():
+            if other_cls is not cls and len(other_fields) == len(fields):
+                try:
+                    others.append(other_cls(*values))
+                except (TypeError, ValueError):
+                    pass
+        assert rebuilt == record and not rebuilt != record
+        for other in others:
+            assert record != other and other != record
+            assert not record == other and not other == record
+        # A tuple subclass from elsewhere compares by tuple rules only as the left operand.
+        assert record != twin and not record == twin
+        assert copy.deepcopy(record) == record
+        try:
+            plain_hash = hash(tuple(values))
+        except TypeError:  # a TypeSpec holds its criteria dict
+            with pytest.raises(TypeError):
+                hash(record)
+            return
+        assert hash(rebuilt) == hash(record) != plain_hash
+        assert len({record, rebuilt, tuple(values), subclass}) == 3
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    @given(records)
+    @settings(max_examples=300)
+    def test_repr_names_every_field(self, record):
+        fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in RECORD_FIELDS[type(record)])
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_defaults(self):
+        assert HopfDatum(4, 1, 3, 2).alpha_label == "alpha"
+        assert EllipticRuledDatum(1, 1, True).j_label == "j"
+        assert RationalDatum(1, 1, True).horizontal_labels == ("h1", "h2")
+        assert RationalDatum(1, 1, True, ["a", "b"]).horizontal_labels == ("a", "b")
+        assert Verdict("NoSmoothing").degree is None
+        assert TangentUnavailable().dim_t1 == 4
+        assert SmoothBaseWithCurve() == SmoothBaseWithCurve(2, 1)
+        assert TwoSmoothSurfaces() == TwoSmoothSurfaces(2, 2, 1)
+        assert SmoothFourfold() == SmoothFourfold(4, 3)
+
+    def test_verdict_constants_are_shared(self):
+        assert Verdict.no_smoothing() is Verdict.no_smoothing() == Verdict("NoSmoothing")
+        assert Verdict.complex_torus() is Verdict.complex_torus() == Verdict("ComplexTorus")
+
+    @given(small, small, small, small)
+    def test_hopf_validation_order(self, n, n1, n2, b):
+        if n < 1:
+            message = "torsion order n must be positive"
+        elif n > 1 and not all(0 <= x < n for x in (n1, n2, b)):
+            message = "n1, n2, b must be residues in [0, n)"
+        else:
+            assert HopfDatum(n, n1, n2, b) == HopfDatum(n=n, n1=n1, n2=n2, b=b, alpha_label="alpha")
+            return
+        with pytest.raises(ValueError) as caught:
+            HopfDatum(n, n1, n2, b)
+        assert str(caught.value) == message
+
+    @given(small, small, st.booleans(), st.one_of(st.integers(), st.lists(labels, max_size=3), st.text(max_size=3)))
+    def test_ruled_validation_order(self, e, w, flag, horizontal_labels):
+        if e < 0 or w < 0:
+            with pytest.raises(ValueError, match="^degree and warp must be nonnegative$"):
+                EllipticRuledDatum(e, w, translation=flag)
+        else:
+            assert EllipticRuledDatum(e, w, translation=flag) == EllipticRuledDatum(e, w, flag, "j")
+        if isinstance(horizontal_labels, int):  # not iterable: rejected before the numbers are looked at
+            with pytest.raises(TypeError):
+                RationalDatum(e, w, flag, horizontal_labels)
+            return
+        if e < 0 or w < 0:
+            message = "degree and warp must be nonnegative"
+        elif len(horizontal_labels) != 2:
+            message = "exactly two horizontal gluing labels"
+        else:
+            assert RationalDatum(e, w, flag, horizontal_labels).horizontal_labels == tuple(horizontal_labels)
+            return
+        with pytest.raises(ValueError) as caught:
+            RationalDatum(e, w, flag, horizontal_labels)
+        assert str(caught.value) == message
+
+    def test_replace_validates(self):
+        assert HopfDatum(4, 1, 3, 2)._replace(b=0) == HopfDatum(4, 1, 3, 0)
+        with pytest.raises(ValueError, match="residues"):
+            HopfDatum(4, 1, 3, 2)._replace(n1=7)
+        assert RationalDatum(1, 1, True)._replace(horizontal_labels=["a", "b"]).horizontal_labels == ("a", "b")

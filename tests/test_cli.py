@@ -149,7 +149,7 @@ CLASSIFY_USAGE = (
 
 
 class TestClassifyHelpBytes:
-    # argparse wraps its text to the terminal width, which it reads from COLUMNS.
+    # Pinned at COLUMNS=80, the width argparse would otherwise take from the terminal.
     @pytest.fixture(autouse=True)
     def eighty_columns(self):
         with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -176,6 +176,15 @@ class TestClassifyHelpBytes:
             + "kdl classify: error: argument --type: invalid choice: 'k3' "
             + "(choose from 'hopf', 'elliptic', 'elliptic_ruled', 'rational')\n",
         )
+
+    @pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+    def test_bytes_do_not_depend_on_columns(self, columns):
+        pinned = [run_cli(["classify", "--help"]), run_cli(["classify", "--type", "k3"])]
+        with mock.patch.dict(os.environ):
+            os.environ.pop("COLUMNS")
+            if columns is not None:
+                os.environ["COLUMNS"] = columns
+            assert [run_cli(["classify", "--help"]), run_cli(["classify", "--type", "k3"])] == pinned
 
 
 class TestFanCommand:
