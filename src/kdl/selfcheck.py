@@ -2,8 +2,10 @@
 
 Each criterion is one function returning a CriterionResult; the CLI selftest
 and the pytest acceptance module both drive these, so the checked statements
-live in exactly one place.  Everything is exact integer arithmetic; criteria
-with a stated time budget fail when they exceed it.
+live in exactly one place.  The fan criteria 3-5 run ``kdl.smoothing``'s
+verification battery over their stated ranges rather than restating its
+checks.  Everything is exact integer arithmetic; criteria with a stated time
+budget fail when they exceed it.
 """
 
 from __future__ import annotations
@@ -26,28 +28,9 @@ from .classify import (
     hopf_invariants,
     tangent_table,
 )
-from .fans import (
-    EllipticSmoothing,
-    GroupElement,
-    HopfSmoothing,
-    IntVec,
-    MumfordNeron,
-    RationalSmoothing,
-    apply,
-    cone_at,
-    cone_is_smooth,
-    deflection,
-    elliptic_shift,
-    elliptic_twist,
-    hopf_shift,
-    mumford_shift,
-    rational_shift_m,
-    rational_shift_n,
-)
 from .graphs import (
     GluingClass,
     betti1,
-    classify_gluing,
     enumerate_gluings,
     enumerate_rational_models,
     gluing_morphism,
@@ -55,7 +38,7 @@ from .graphs import (
     pullback_rank,
     triple_line_graph,
 )
-from .lattice import det
+from .smoothing import build_family, verify_family
 
 
 @dataclass
@@ -136,89 +119,35 @@ def criterion_warp_divides_degree(n_max: int = 60) -> CriterionResult:
     )
 
 
-def criterion_fan_battery_hopf(e_max: int = 8, window: int = 32) -> CriterionResult:
+def _battery(number: int, name: str, bound: float, scope: str, runs) -> CriterionResult:
+    """Build and verify each (family, e, w, window) of runs; pass iff every check passes."""
     t0 = time.perf_counter()
-    failures = []
-    for e in range(1, e_max + 1):
-        kind = HopfSmoothing(e)
-        if det(hopf_shift(e)) != 1:
-            failures.append(f"det e={e}")
-        shift = GroupElement.from_matrix(hopf_shift(e))
-        expected = IntVec((0, e, 0))
-        cones = {m: cone_at(kind, m) for m in range(-window, window + 1)}
-        for m in range(-window, window + 1):
-            if not cone_is_smooth(cones[m]):
-                failures.append(f"smooth e={e} m={m}")
-            if deflection(kind, m) != expected:
-                failures.append(f"deflection e={e} m={m}")
-            if m < window and apply(shift, cones[m]) != cones[m + 1]:
-                failures.append(f"shift e={e} m={m}")
-    ok = not failures
-    detail = f"e in 1..{e_max}, |m| <= {window}: smoothness, shift, det, deflection"
+    checks, failures = 0, []
+    for family, e, w, window in runs:
+        for c in verify_family(build_family(family, e=e, w=w, window=window)).checks:
+            checks += 1
+            if not c.passed:
+                failures.append(f"{family} e={e} w={w} {c.name} at {c.counterexample}")
+    detail = f"{scope}: {checks} battery checks"
     if failures:
         detail += f"; first failure {failures[0]}"
-    return _result(3, "fan_battery_hopf", t0, ok, detail, bound=2.0)
+    return _result(number, name, t0, not failures, detail, bound=bound)
+
+
+def criterion_fan_battery_hopf(e_max: int = 8, window: int = 32) -> CriterionResult:
+    runs = [("hopf", e, w, window) for e in range(1, e_max + 1) for w in range(1, e + 1) if e % w == 0]
+    return _battery(3, "fan_battery_hopf", 2.0, f"hopf e in 1..{e_max}, every w | e, |m| <= {window}", runs)
 
 
 def criterion_fan_battery_rational(e_max: int = 5, window: int = 12) -> CriterionResult:
-    t0 = time.perf_counter()
-    failures = []
-    for e in range(1, e_max + 1):
-        kind = RationalSmoothing(e)
-        phi, psi = rational_shift_m(e), rational_shift_n()
-        if det(phi) != 1 or det(psi) != 1:
-            failures.append(f"det e={e}")
-        if phi @ psi != psi @ phi:
-            failures.append(f"commute e={e}")
-        gm, gn = GroupElement.from_matrix(phi), GroupElement.from_matrix(psi)
-        cones = {
-            (m, n): cone_at(kind, (m, n))
-            for m in range(-window, window + 1)
-            for n in range(-window, window + 1)
-        }
-        for (m, n), cone in cones.items():
-            if not cone_is_smooth(cone):
-                failures.append(f"smooth e={e} ({m},{n})")
-            if m < window and apply(gm, cone) != cones[(m + 1, n)]:
-                failures.append(f"shift_m e={e} ({m},{n})")
-            if n < window and apply(gn, cone) != cones[(m, n + 1)]:
-                failures.append(f"shift_n e={e} ({m},{n})")
-    ok = not failures
-    detail = f"e in 1..{e_max}, |m|,|n| <= {window}: unimodularity, shifts, commutation, SL5"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(4, "fan_battery_rational", t0, ok, detail, bound=5.0)
+    runs = [("rational", e, 1, window) for e in range(1, e_max + 1)]
+    return _battery(4, "fan_battery_rational", 5.0, f"rational e in 1..{e_max}, w = 1, |m|,|n| <= {window}", runs)
 
 
 def criterion_fan_battery_elliptic_mumford(window: int = 16) -> CriterionResult:
-    t0 = time.perf_counter()
-    failures = []
-    elliptic = EllipticSmoothing()
-    shift = GroupElement.from_matrix(elliptic_shift())
-    zero3 = IntVec((0, 0, 0))
-    for n in range(-window, window + 1):
-        cone = cone_at(elliptic, n)
-        if n < window and apply(shift, cone) != cone_at(elliptic, n + 1):
-            failures.append(f"elliptic shift n={n}")
-        if deflection(elliptic, n) != zero3:
-            failures.append(f"elliptic deflection n={n}")
-        for e, w in ((0, 1), (4, 2), (6, 3)):
-            twist = elliptic_twist(e, w)
-            if any(ray.times(twist) != ray for ray in cone.rays):
-                failures.append(f"twist fixes rays e={e} w={w} n={n}")
-    mumford = MumfordNeron()
-    mshift = GroupElement.from_matrix(mumford_shift())
-    zero2 = IntVec((0, 0))
-    for m in range(-window, window + 1):
-        if m < window and apply(mshift, cone_at(mumford, m)) != cone_at(mumford, m + 1):
-            failures.append(f"mumford shift m={m}")
-        if deflection(mumford, m) != zero2:
-            failures.append(f"mumford deflection m={m}")
-    ok = not failures
-    detail = f"|index| <= {window}: shifts, ray-fixing twist, zero deflection"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(5, "fan_battery_elliptic_mumford", t0, ok, detail, bound=1.0)
+    runs = [("elliptic", e, w, window) for e, w in ((0, 1), (4, 2), (6, 3))] + [("mumford", None, None, window)]
+    scope = f"elliptic (e, w) in (0, 1), (4, 2), (6, 3) and mumford, |index| <= {window}"
+    return _battery(5, "fan_battery_elliptic_mumford", 1.0, scope, runs)
 
 
 def criterion_graph_theorem() -> CriterionResult:

@@ -16,10 +16,13 @@ an infinite periodic fan plus a group of lattice/torus automorphisms:
 ``verify_family`` runs every fan-level claim over the materialized window:
 smoothness of all cones, facet adjacency, index shifts, deflection values,
 special-linearity and commutation of the generators, and a combinatorial
-freeness proxy.  Analytic facts with no finite certificate in the fan data
-are listed as untested metadata, never silently assumed.  Each shift image
-of a window cone is computed once and shared by the shift, freeness and
-transitivity checks, and each deflection once per coordinate along its axis.
+freeness proxy.  Each claim is one public ``check_*`` function that returns
+its first counterexample, or None, and ``verify_family`` is the ordered list
+of report names and check calls.  The checks share one private ``_Walk`` of
+the window, which computes each shift image of a window cone once for the
+shift, freeness and transitivity checks.  Analytic facts with no finite
+certificate in the fan data are listed as untested metadata, never silently
+assumed.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -29,10 +32,10 @@ Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 ``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
 per family holds its minimum degree, fan kind, named generators, parameter
 labels, expected deflection per axis and untested notes.  ``build_family``
-and ``verify_family`` read that row and derive everything else from the kind's ``AXES``.  Adding a
-family takes one fan kind in ``kdl.fans`` (its ``AXES`` and one ``ray_<axis>``
-formula per axis), the lattice parts of its generators, and one row here,
-with one shift generator per axis listed first.
+and ``verify_family`` read that row and derive everything else from the
+kind's ``AXES``.  Adding a family takes one fan kind in ``kdl.fans`` (its
+``AXES`` and one ``ray_<axis>`` formula per axis), the lattice parts of its
+generators, and one row here, with one shift generator per axis listed first.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ FAMILIES = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FamilyParams:
     e: int | None = None
     w: int | None = None
@@ -150,7 +153,7 @@ class FamilyParams:
     zeta_label: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class QuotientInfo:
     galois_order: int
     generic_fiber_degree: int
@@ -169,7 +172,7 @@ class SmoothingFamily:
     quotient_info: QuotientInfo | None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -234,143 +237,158 @@ UNTESTED_COMMON = (
 )
 
 
+class _Walk:
+    """A family's window as the checks walk it.
+
+    Holds the sorted indices, each index's per-axis integers, its neighbours
+    one step up (``next``) and down (``prev``) each axis inside the window, and
+    each shift image of a window cone, computed once and shared by the shift,
+    freeness and transitivity checks.
+    """
+
+    def __init__(self, f: SmoothingFamily):
+        axes = f.kind.AXES
+        self.family, self.cones, self.indices = f, f.fan.cones, f.fan.indices()
+        self.coords = {i: axis_indices(f.kind, i) for i in self.indices}
+        index_of = {at: i for i, at in self.coords.items()}
+        self.next = []
+        for axis in range(len(axes)):
+            up = {i: index_of.get(at[:axis] + (at[axis] + 1,) + at[axis + 1 :]) for i, at in self.coords.items()}
+            self.next.append({i: j for i, j in up.items() if j is not None})
+        self.prev = [{j: i for i, j in step.items()} for step in self.next]
+        self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
+        self.images: dict = {}
+
+    def image(self, axis: int, i) -> Cone:
+        """The shift along an axis applied to the cone at i, computed on first use."""
+        if (axis, i) not in self.images:
+            self.images[axis, i] = apply(self.family.generators[axis], self.cones[i])
+        return self.images[axis, i]
+
+
+def check_cones_smooth(walk: _Walk) -> str | None:
+    """The first window index whose cone is not smooth."""
+    return next((str(i) for i in walk.indices if not cone_is_smooth(walk.cones[i])), None)
+
+
+def check_adjacent_cones_share_facet(walk: _Walk) -> str | None:
+    """The first pair "i~j" of neighbouring window cones that share no facet."""
+    for i in walk.indices:
+        for step in walk.next:
+            j = step.get(i)
+            if j is not None and not share_facet(walk.cones[i], walk.cones[j]):
+                return f"{i}~{j}"
+    return None
+
+
+def check_generators_special_linear(walk: _Walk) -> str | None:
+    """The first generator whose lattice part has a determinant other than 1."""
+    f = walk.family
+    return next((name for name, g in zip(f.generator_names, f.generators) if det(g.lattice_part) != 1), None)
+
+
+def check_generators_commute(walk: _Walk) -> str | None:
+    """The first pair "a*b" of generators whose lattice parts do not commute."""
+    names, gens = walk.family.generator_names, [g.lattice_part for g in walk.family.generators]
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            if gens[a] @ gens[b] != gens[b] @ gens[a]:
+                return f"{names[a]}*{names[b]}"
+    return None
+
+
+def check_shift(walk: _Walk, axis: int) -> str | None:
+    """The first window index whose cone the shift along an axis does not move to the next one."""
+    for i, j in walk.next[axis].items():
+        if walk.image(axis, i) != walk.cones[j]:
+            return str(i)
+    return None
+
+
+def check_fixes_fan(walk: _Walk, gen: GroupElement) -> str | None:
+    """The first window index whose cone a generator does not fix."""
+    cones = walk.cones
+    return next((str(i) for i in walk.indices if apply(gen, cones[i]) != cones[i]), None)
+
+
+def check_deflection(walk: _Walk, axis: int, direction: str | None, expected: IntVec) -> str | None:
+    """The first window index whose deflection along an axis is not `expected`; one evaluation per axis coordinate."""
+    wrong: dict[int, bool] = {}
+    for i in walk.indices:
+        x = walk.coords[i][axis]
+        if x not in wrong:
+            wrong[x] = deflection(walk.family.kind, i, direction) != expected
+        if wrong[x]:
+            return str(i)
+    return None
+
+
+def check_freeness_proxy(walk: _Walk) -> str | None:
+    """The first "shift^k fixes i": no power k >= 1 of a shift may fix a window cone.
+
+    k = 1 decides it for a unipotent shift (module docstring); a shift that
+    is not unipotent tries every k up to the window's span.
+    """
+    f = walk.family
+    span = max(hi - lo for lo, hi in f.fan.index_range)
+    for axis, suffix in enumerate(walk.suffixes):
+        power = base = f.generators[axis].lattice_part
+        for k in range(1, (1 if is_unipotent(base) else span) + 1):
+            gen_k = None if k == 1 else GroupElement.from_matrix(power)
+            for i in walk.indices:
+                if (walk.image(axis, i) if k == 1 else apply(gen_k, walk.cones[i])) == walk.cones[i]:
+                    return f"shift{suffix}^{k} fixes {i}"
+            power = power @ base
+    return None
+
+
+def check_shift_orbit_transitive(walk: _Walk) -> str | None:
+    """The first window index that shift powers started at the least index do not reach.
+
+    Each cone is reached from one step back along the last axis that is above
+    its lower bound.  Only the first failure is read, so every cone before it
+    equals the cone the walk reached there.  The index prints as "3" on one
+    axis and as "(m,n)", with no space, on two.
+    """
+    lows = [lo for lo, _ in walk.family.fan.index_range]
+    for i in walk.indices[1:]:
+        axis = max(a for a, (x, lo) in enumerate(zip(walk.coords[i], lows)) if x > lo)
+        if walk.image(axis, walk.prev[axis][i]) != walk.cones[i]:
+            return str(i).replace(" ", "")
+    return None
+
+
 def verify_family(f: SmoothingFamily) -> VerificationReport:
     """Run the full fan-level verification battery over the family's window.
 
     Failures are report entries with a counterexample index, never exceptions.
     The battery's shape follows the fan's axes: one shift and one deflection
     check per axis (suffixed with the axis name when there are several), and
-    a fixing check for every generator after the shifts.
+    a fixing check for every generator after the shifts.  Each check is called
+    through its module global, so whoever rebinds one sees every call.
     """
-    checks: list[CheckResult] = []
-    spec = FAMILIES[f.family]
-    kind, cones = f.kind, f.fan.cones
-    axes = kind.AXES
-    indices = f.fan.indices()
-    coords = {i: axis_indices(kind, i) for i in indices}
-    index_of = {at: i for i, at in coords.items()}
-    suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
-    shifts = [(f"shift{s}", g) for s, g in zip(suffixes, f.generators)]
-
-    def along(i, axis: int, step: int = 1):
-        """The window index `step` steps from i along an axis, or None outside the window."""
-        at = coords[i]
-        return index_of.get(at[:axis] + (at[axis] + step,) + at[axis + 1 :])
-
-    images: dict = {}
-
-    def image(axis: int, i) -> Cone:
-        """The shift along an axis applied to the cone at i, computed on first use."""
-        if (axis, i) not in images:
-            images[axis, i] = apply(shifts[axis][1], cones[i])
-        return images[axis, i]
-
-    def run(name: str, failure_iter) -> None:
-        failure = next(failure_iter, None)
-        checks.append(CheckResult(name, failure is None, failure))
-
-    run(
-        "cones_smooth",
-        (str(i) for i in indices if not cone_is_smooth(cones[i])),
-    )
-
-    def adjacency_failures():
-        for i in indices:
-            for axis in range(len(axes)):
-                j = along(i, axis)
-                if j is not None and not share_facet(cones[i], cones[j]):
-                    yield f"{i}~{j}"
-
-    run("adjacent_cones_share_facet", adjacency_failures())
-
-    run(
-        "generators_special_linear",
-        (
-            name
-            for name, g in zip(f.generator_names, f.generators)
-            if det(g.lattice_part) != 1
-        ),
-    )
-
-    def commutation_failures():
-        for a in range(len(f.generators)):
-            for b in range(a + 1, len(f.generators)):
-                ga, gb = f.generators[a].lattice_part, f.generators[b].lattice_part
-                if ga @ gb != gb @ ga:
-                    yield f"{f.generator_names[a]}*{f.generator_names[b]}"
-
-    run("generators_commute", commutation_failures())
-
-    for axis, (name, _) in enumerate(shifts):
-
-        def shift_failures(axis=axis):
-            for i in indices:
-                j = along(i, axis)
-                if j is not None and image(axis, i) != cones[j]:
-                    yield str(i)
-
-        run(name, shift_failures())
-
-    for name, gen in zip(f.generator_names[len(axes) :], f.generators[len(axes) :]):
-
-        def fixing_failures(gen=gen):
-            for i in indices:
-                if apply(gen, cones[i]) != cones[i]:
-                    yield str(i)
-
-        run(f"{name}_fixes_fan", fixing_failures())
-
+    spec, walk = FAMILIES[f.family], _Walk(f)
+    axes = f.kind.AXES
+    fixing = zip(f.generator_names[len(axes) :], f.generators[len(axes) :])
     directions = [None] if len(axes) == 1 else axes
-    deflections = zip(suffixes, directions, spec.deflections(f.params.e))
-    for axis, (suffix, direction, expected) in enumerate(deflections):
-
-        def deflection_failures(axis=axis, direction=direction, expected=IntVec(expected)):
-            # A deflection depends on the index's coordinate along its axis
-            # only, so each coordinate is evaluated once.
-            wrong: dict[int, bool] = {}
-            for i in indices:
-                x = coords[i][axis]
-                if x not in wrong:
-                    wrong[x] = deflection(kind, i, direction) != expected
-                if wrong[x]:
-                    yield str(i)
-
-        run(f"deflection{suffix}", deflection_failures())
-
-    def freeness_failures():
-        # No nonzero power of a shifting generator may fix a window cone.  If
-        # g is unipotent and g^k fixes a cone, a power of g fixes each ray v,
-        # so v(g - I) = 0 and g fixes the cone: k = 1 gives the first failure.
-        # A generator that is not unipotent tries every k up to the span.
-        span = max(hi - lo for lo, hi in f.fan.index_range)
-        for axis, (name, gen) in enumerate(shifts):
-            power = base = gen.lattice_part
-            for k in range(1, (1 if is_unipotent(base) else span) + 1):
-                gen_k = GroupElement.from_matrix(power)
-                for i in indices:
-                    if (image(axis, i) if k == 1 else apply(gen_k, cones[i])) == cones[i]:
-                        yield f"{name}^{k} fixes {i}"
-                power = power @ base
-
-    run("freeness_proxy", freeness_failures())
-
-    def transitivity_failures():
-        # Shift powers started at the least index must reach every window
-        # cone: each cone is reached from one step back along the last axis
-        # that is above its lower bound.  Only the first failure is read, so
-        # every cone before it equals the cone the walk reached there.
-        lows = [lo for lo, _ in f.fan.index_range]
-        for i in indices[1:]:
-            axis = max(a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo)
-            if image(axis, along(i, axis, -1)) != cones[i]:
-                # "3" on one axis, "(m,n)" with no space on two.
-                yield str(i).replace(" ", "")
-
-    run("shift_orbit_transitive", transitivity_failures())
-
+    deflections = zip(walk.suffixes, directions, spec.deflections(f.params.e))
+    checks = [
+        ("cones_smooth", check_cones_smooth(walk)),
+        ("adjacent_cones_share_facet", check_adjacent_cones_share_facet(walk)),
+        ("generators_special_linear", check_generators_special_linear(walk)),
+        ("generators_commute", check_generators_commute(walk)),
+        *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
+        *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
+        *(
+            (f"deflection{suffix}", check_deflection(walk, axis, direction, IntVec(expected)))
+            for axis, (suffix, direction, expected) in enumerate(deflections)
+        ),
+        ("freeness_proxy", check_freeness_proxy(walk)),
+        ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),
+    ]
     return VerificationReport(
         family=f.family,
-        checks=tuple(checks),
+        checks=tuple(CheckResult(name, failure is None, failure) for name, failure in checks),
         untested=UNTESTED_COMMON + spec.untested,
     )
 

@@ -2,11 +2,13 @@
 pass/fail line (visible with pytest -s; the CLI selftest prints the same
 lines)."""
 
+import dataclasses
 import time
 
 import pytest
 
 from kdl import selfcheck
+from kdl.smoothing import FAMILIES
 
 
 def _run(criterion):
@@ -41,6 +43,25 @@ def test_criterion_04_fan_battery_rational():
 def test_criterion_05_fan_battery_elliptic_mumford():
     result = _run(selfcheck.criterion_fan_battery_elliptic_mumford)
     assert result.elapsed < 1.0
+
+
+@pytest.mark.parametrize("criterion, family, first", [
+    (selfcheck.criterion_fan_battery_hopf, "hopf", "hopf e=1 w=1 deflection at -32"),
+    (selfcheck.criterion_fan_battery_rational, "rational", "rational e=1 w=1 deflection_m at (-12, -12)"),
+    (selfcheck.criterion_fan_battery_elliptic_mumford, "elliptic", "elliptic e=0 w=1 deflection at -16"),
+])
+def test_fan_criterion_fails_with_its_first_failing_check(monkeypatch, criterion, family, first):
+    # Every expected deflection of one family off by one: the criterion fails
+    # and names the family, e, w, check and counterexample of its first failure.
+    spec = FAMILIES[family]
+
+    def wrong(e):
+        return tuple((v[0] + 1,) + v[1:] for v in spec.deflections(e))
+
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, deflections=wrong))
+    result = criterion()
+    assert not result.passed
+    assert result.detail.endswith(f"; first failure {first}"), result.detail
 
 
 def test_criterion_06_graph_theorem():

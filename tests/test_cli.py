@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kdl import cli
+from kdl import cli, selfcheck
 from kdl.cli import build_parser, main
 
 
@@ -252,6 +252,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--family", "mumford", "--window", "6"])
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+
+class TestSelftestCommand:
+    # One line per criterion, then the summary; exit 1 unless every criterion passes.
+    PASS = selfcheck.CriterionResult(1, "passing", True, "fine", 0.0)
+    FAIL = selfcheck.CriterionResult(2, "failing", False, "broken", 0.0)
+
+    @pytest.mark.parametrize("results, code, summary", [
+        ([PASS, FAIL], 1, "passed 1/2 criteria"),
+        ([PASS, PASS], 0, "passed 2/2 criteria"),
+    ])
+    def test_exit_code_and_summary(self, monkeypatch, results, code, summary):
+        monkeypatch.setattr(selfcheck, "run_all", lambda: results)
+        lines = [r.line() for r in results] + [summary]
+        assert run_cli(["selftest"]) == (code, "\n".join(lines) + "\n", "")
 
 
 class TestGraphCommand:

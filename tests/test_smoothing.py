@@ -293,22 +293,41 @@ class TestVerifyFamily:
             assert verify_family(fam).all_pass
             assert len(calls) <= len(rays) * len(fam.generators), family
 
+    def test_checks_are_called_through_module_globals(self, monkeypatch):
+        # A tracer sees each check by rebinding its kdl.smoothing name, so
+        # verify_family looks every check up there at call time: once per
+        # single check, once per axis for shift and deflection, once per
+        # fixing generator.
+        names = sorted(name for name in vars(kdl.smoothing) if name.startswith("check_"))
+        for family, e, w, window in self.VALID:
+            fam = build_family(family, e=e, w=w, window=window)
+            expected = report_payload(verify_family(fam))
+            calls = dict.fromkeys(names, 0)
+            for name in names:
+
+                def counting(*args, name=name, original=getattr(kdl.smoothing, name)):
+                    calls[name] += 1
+                    return original(*args)
+
+                monkeypatch.setattr(kdl.smoothing, name, counting)
+            assert report_payload(verify_family(fam)) == expected, family
+            monkeypatch.undo()
+            axes = len(fam.kind.AXES)
+            assert calls == {
+                "check_adjacent_cones_share_facet": 1,
+                "check_cones_smooth": 1,
+                "check_deflection": axes,
+                "check_fixes_fan": len(fam.generators) - axes,
+                "check_freeness_proxy": 1,
+                "check_generators_commute": 1,
+                "check_generators_special_linear": 1,
+                "check_shift": axes,
+                "check_shift_orbit_transitive": 1,
+            }, family
+
     def test_untested_metadata_present(self):
         report = verify_family(build_family("rational", e=1, w=1, window=3))
         assert any("analytic" in item for item in report.untested)
-
-    def test_hopf_all_divisor_pairs_wide_window(self):
-        for e in range(1, 9):
-            for w in range(1, e + 1):
-                if e % w:
-                    continue
-                report = verify_family(build_family("hopf", e=e, w=w, window=32))
-                assert report.all_pass, (e, w)
-
-    def test_rational_all_degrees_stated_window(self):
-        for e in range(1, 6):
-            report = verify_family(build_family("rational", e=e, w=1, window=12))
-            assert report.all_pass, e
 
 
 def family_params(family):
@@ -402,3 +421,12 @@ class TestPayloads:
     def test_invariants_payload(self):
         payload = family_payload(build_family("hopf", e=4, w=2, window=2))
         assert payload["quotient"] == {"galois_order": 2, "generic_fiber_degree": 2}
+
+
+class TestRecords:
+    def test_assigning_any_name_raises_frozen_instance_error(self):
+        fam = build_family("hopf", e=2, w=1, window=2)
+        for record in (fam.params, fam.quotient_info, verify_family(fam).checks[0]):
+            for name in ("e", "galois_order", "passed", "extra"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, 1)
