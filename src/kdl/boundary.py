@@ -27,7 +27,7 @@ from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, TYPES
 STRATA = (HOPF, RATIONAL, ELLIPTIC_RULED)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class StratumComponent:
     """One irreducible boundary component, keyed by (stratum, degree, warp)."""
 
@@ -52,7 +52,7 @@ class StratumComponent:
         return (self.stratum, self.degree, self.warp)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AdjacencyEdge:
     """An undirected adjacency between two boundary components, with the
     family of quadrupel-point surfaces witnessing it."""

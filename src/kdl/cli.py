@@ -3,8 +3,10 @@
 Subcommands: classify, fan, verify, graph, boundary, selftest.  All JSON
 documents carry a "schema": "kdl/1" field; input parsing is strict (unknown
 fields are rejected) so a typo in a datum cannot silently change a congruence
-result.  Exit codes: 0 success, 1 a verification or selftest failure, 2
-malformed input (with a JSON error object on stderr).
+result.  Each input document is one row of ``_DOCUMENTS``, which gives every
+field a kind from ``_KINDS``; ``_read`` checks all five documents.  Exit codes:
+0 success, 1 a verification or selftest failure, 2 malformed input (with a
+JSON error object on stderr).
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from .classify import (
     HOPF,
     RATIONAL,
     TYPE_NAMES,
-    EllipticRuledDatum,
+    TYPES,
     GluingMatrix,
-    HopfDatum,
-    RationalDatum,
     classify,
     surface_class_payload,
 )
@@ -62,32 +62,6 @@ def _load_json(text: str) -> dict:
     return value
 
 
-def _check_keys(data: dict, required: set, optional: set) -> None:
-    keys = set(data)
-    unknown = keys - required - optional
-    if unknown:
-        raise MalformedInput(f"unknown fields: {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise MalformedInput(f"missing fields: {sorted(missing)}")
-    if data.get("schema", SCHEMA) != SCHEMA:
-        raise MalformedInput(f"unsupported schema {data['schema']!r}; expected {SCHEMA!r}")
-
-
-def _int_field(data: dict, key: str) -> int:
-    value = data[key]
-    if type(value) is not int:
-        raise MalformedInput(f"field {key!r} must be an integer")
-    return value
-
-
-def _bool_field(data: dict, key: str) -> bool:
-    value = data[key]
-    if type(value) is not bool:
-        raise MalformedInput(f"field {key!r} must be a boolean")
-    return value
-
-
 def _datum_text(args) -> str:
     if args.data is not None:
         return args.data
@@ -97,56 +71,75 @@ def _datum_text(args) -> str:
     return sys.stdin.read()
 
 
-def _parse_hopf(data: dict) -> HopfDatum:
-    _check_keys(
-        data,
-        required={"n", "n1", "n2", "b"},
-        optional={"schema", "type", "alpha_label", "matrix"},
-    )
-    n = _int_field(data, "n")
-    n1, n2, b = (_int_field(data, k) for k in ("n1", "n2", "b"))
-    datum = HopfDatum(n, n1, n2, b, alpha_label=str(data.get("alpha_label", "alpha")))
-    if math.gcd(n1, n) != 1 or math.gcd(n2, n) != 1:
-        raise MalformedInput("n1 and n2 must be units modulo n")
-    return datum
+def _is(exact_type):
+    return lambda value: type(value) is exact_type
 
 
-def _parse_elliptic(data: dict) -> EllipticRuledDatum:
-    _check_keys(data, required={"e", "w", "translation"}, optional={"schema", "type", "j_label"})
-    return EllipticRuledDatum(
-        _int_field(data, "e"),
-        _int_field(data, "w"),
-        translation=_bool_field(data, "translation"),
-        j_label=str(data.get("j_label", "j")),
+def _list_of(item, length=None):
+    return lambda value: (
+        isinstance(value, list) and (length is None or len(value) == length) and all(map(item, value))
     )
 
 
-def _parse_rational(data: dict) -> RationalDatum:
-    _check_keys(
-        data, required={"e", "w", "untwisted"}, optional={"schema", "type", "horizontal_labels"}
-    )
-    labels = data.get("horizontal_labels", ["h1", "h2"])
-    if not (isinstance(labels, list) and len(labels) == 2 and all(isinstance(x, str) for x in labels)):
-        raise MalformedInput("field 'horizontal_labels' must be a list of two strings")
-    return RationalDatum(
-        _int_field(data, "e"),
-        _int_field(data, "w"),
-        untwisted=_bool_field(data, "untwisted"),
-        horizontal_labels=tuple(labels),
-    )
+# Each field kind: the test a JSON value must pass, the end of the message when
+# it fails ("field 'x' must be ..."), and the conversion to the value the record
+# takes.  A label takes any value and keeps its text.
+_KINDS = {
+    "integer": (_is(int), "an integer", int),
+    "boolean": (_is(bool), "a boolean", bool),
+    "label": (lambda value: True, None, str),
+    "label pair": (_list_of(_is(str), 2), "a list of two strings", tuple),
+    "matrix": (_list_of(_is(int), 4), "a list [a, b, c, d] of four integers", GluingMatrix._make),
+    "vertex ids": (_list_of(_is(str)), "a list of vertex ids", tuple),
+    "edges": (_list_of(_list_of(_is(str), 2)), "a list of [white, black] pairs", tuple),
+    "six integers": (_list_of(_is(int), 6), "a list of six integers", tuple),
+}
+
+# Each input document's fields as (name, kind, may be omitted), in the order
+# their kinds are checked; an omitted field takes the record's default.  Every
+# document may also carry "schema".  A field of kind None is read by its
+# handler: a datum's "type" before the datum, a Hopf "matrix" after it.
+_DOCUMENTS = {
+    HOPF: (
+        ("n", "integer", False), ("n1", "integer", False), ("n2", "integer", False), ("b", "integer", False),
+        ("alpha_label", "label", True), ("type", None, True), ("matrix", None, True),
+    ),
+    ELLIPTIC_RULED: (
+        ("e", "integer", False), ("w", "integer", False), ("translation", "boolean", False),
+        ("j_label", "label", True), ("type", None, True),
+    ),
+    RATIONAL: (
+        ("horizontal_labels", "label pair", True), ("e", "integer", False), ("w", "integer", False),
+        ("untwisted", "boolean", False), ("type", None, True),
+    ),
+    "graph": (("white", "vertex ids", False), ("black", "vertex ids", False), ("edges", "edges", False)),
+    "gluing": (("components", "six integers", False), ("nodes", "six integers", False)),
+}
 
 
-def _parse_matrix(data: dict) -> GluingMatrix | None:
-    # Only Hopf data may carry a matrix: the other parsers reject the field.
-    if "matrix" not in data:
-        return None
-    entries = data["matrix"]
-    if not (isinstance(entries, list) and len(entries) == 4 and all(type(x) is int for x in entries)):
-        raise MalformedInput("field 'matrix' must be a list [a, b, c, d] of four integers")
-    return GluingMatrix(*entries)
+def _value(name: str, kind: str, value):
+    test, wording, convert = _KINDS[kind]
+    if not test(value):
+        raise MalformedInput(f"field {name!r} must be {wording}")
+    return convert(value)
 
 
-_PARSERS = {HOPF: _parse_hopf, ELLIPTIC_RULED: _parse_elliptic, RATIONAL: _parse_rational}
+def _read(data: dict, document: str) -> dict:
+    """The fields of ``data`` that have a kind in ``document``, checked and converted, by name.
+
+    Checks unknown fields, then missing ones, the schema and the kind of each
+    field present in the document's order; the first failure raises
+    MalformedInput."""
+    fields = _DOCUMENTS[document]
+    unknown = data.keys() - {name for name, _, _ in fields} - {"schema"}
+    if unknown:
+        raise MalformedInput(f"unknown fields: {sorted(unknown)}")
+    missing = {name for name, _, optional in fields if not optional} - data.keys()
+    if missing:
+        raise MalformedInput(f"missing fields: {sorted(missing)}")
+    if data.get("schema", SCHEMA) != SCHEMA:
+        raise MalformedInput(f"unsupported schema {data['schema']!r}; expected {SCHEMA!r}")
+    return {name: _value(name, kind, data[name]) for name, kind, _ in fields if kind and name in data}
 
 
 def _cmd_classify(args) -> int:
@@ -163,8 +156,11 @@ def _cmd_classify(args) -> int:
         surface_type = named
     if surface_type is None:
         raise MalformedInput("no surface type: pass --type or a 'type' field")
-    datum = _PARSERS[surface_type](data)
-    _emit(surface_class_payload(classify(datum, _parse_matrix(data))))
+    datum = TYPES[surface_type].datum(**_read(data, surface_type))
+    if surface_type == HOPF and (math.gcd(datum.n1, datum.n) != 1 or math.gcd(datum.n2, datum.n) != 1):
+        raise MalformedInput("n1 and n2 must be units modulo n")
+    matrix = _value("matrix", "matrix", data["matrix"]) if "matrix" in data else None
+    _emit(surface_class_payload(classify(datum, matrix)))
     return 0
 
 
@@ -200,34 +196,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
-def _parse_graph_document(text: str) -> BicolouredGraph:
-    data = _load_json(text)
-    _check_keys(data, required={"white", "black", "edges"}, optional={"schema"})
-    white, black, edges = data["white"], data["black"], data["edges"]
-    if not (isinstance(white, list) and all(isinstance(x, str) for x in white)):
-        raise MalformedInput("field 'white' must be a list of vertex ids")
-    if not (isinstance(black, list) and all(isinstance(x, str) for x in black)):
-        raise MalformedInput("field 'black' must be a list of vertex ids")
-    if not (
-        isinstance(edges, list)
-        and all(isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e) for e in edges)
-    ):
-        raise MalformedInput("field 'edges' must be a list of [white, black] pairs")
+def _read_record(record, text: str, document: str):
+    """Build a graph or gluing record from its document, whose fields are in the record's order."""
+    fields = _read(_load_json(text), document)
     try:
-        return BicolouredGraph(tuple(white), tuple(black), tuple((w, b) for w, b in edges))
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from None
-
-
-def _parse_gluing_document(text: str) -> PolygonGluing:
-    data = _load_json(text)
-    _check_keys(data, required={"components", "nodes"}, optional={"schema"})
-    comps, nodes = data["components"], data["nodes"]
-    for name, seq in (("components", comps), ("nodes", nodes)):
-        if not (isinstance(seq, list) and len(seq) == 6 and all(type(x) is int for x in seq)):
-            raise MalformedInput(f"field {name!r} must be a list of six integers")
-    try:
-        return PolygonGluing(tuple(comps), tuple(nodes))
+        return record(*fields.values())
     except ValueError as exc:
         raise MalformedInput(str(exc)) from None
 
@@ -248,11 +221,11 @@ def _cmd_graph(args) -> int:
     if args.enumerate + len(chosen) != 1:
         raise MalformedInput("pass exactly one of --betti, --gluing, --enumerate")
     if args.betti is not None:
-        graph = _parse_graph_document(args.betti)
+        graph = _read_record(BicolouredGraph, args.betti, "graph")
         _emit({"betti1": betti1(graph), "components": graph.component_count()})
         return 0
     if args.gluing is not None:
-        _emit(_gluing_result_payload(_parse_gluing_document(args.gluing)))
+        _emit(_gluing_result_payload(_read_record(PolygonGluing, args.gluing, "gluing")))
         return 0
     survey = enumerate_gluings(up_to_symmetry=args.up_to_symmetry)
     for p, _ in survey.results:
@@ -361,19 +334,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (KdlError, ValueError) as exc:
-        error = {
-            "schema": SCHEMA,
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        print(json.dumps(error), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(
-            json.dumps({"schema": SCHEMA, "error": "OSError", "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (KdlError, ValueError, OSError) as exc:
+        # An OSError that is not also a ValueError is reported as "OSError",
+        # whichever subclass it is.
+        name = type(exc).__name__ if isinstance(exc, (KdlError, ValueError)) else "OSError"
+        print(json.dumps({"schema": SCHEMA, "error": name, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -162,7 +162,7 @@ class GluingClass(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PolygonGluing:
     """Identification data for the 6-gon onto the triple-line curve.
 
@@ -309,7 +309,7 @@ def enumerate_gluings(up_to_symmetry: bool = False) -> GluingSurvey:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RationalModel:
     """A minimal model compatible with an anticanonical polygon: the polygon
     length m and the number n of blowups needed."""

@@ -41,6 +41,14 @@ from .graphs import (
 from .smoothing import build_family, verify_family
 
 
+# The ranges the criteria check; the README states the same ones.
+HOPF_N_MAX = 60  # criteria 1 and 2: every Hopf datum with n <= HOPF_N_MAX
+HOPF_E_MAX, HOPF_WINDOW = 8, 32  # criterion 3
+RATIONAL_E_MAX, RATIONAL_WINDOW = 5, 12  # criterion 4
+ELLIPTIC_MUMFORD_WINDOW = 16  # criterion 5
+BOUNDARY_D_MAX, BOUNDARY_W_MAX = 3, 4  # criterion 9
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -66,13 +74,13 @@ def _unit_table(n: int) -> list[int]:
     return [a for a in range(n) if math.gcd(a, n) == 1]
 
 
-def criterion_congruence_equivalence(n_max: int = 60) -> CriterionResult:
+def criterion_congruence_equivalence() -> CriterionResult:
     """Direct d-semistability congruences agree with the lifted-homomorphism oracle."""
     t0 = time.perf_counter()
     cases = 0
     disagreements = 0
     direct, oracle, datum = hopf_dsemistable, hopf_dsemistable_oracle, HopfDatum
-    for n in range(1, n_max + 1):
+    for n in range(1, HOPF_N_MAX + 1):
         units = _unit_table(n)
         for n1 in units:
             for n2 in units:
@@ -87,17 +95,17 @@ def criterion_congruence_equivalence(n_max: int = 60) -> CriterionResult:
         "congruence_equivalence",
         t0,
         ok,
-        f"{cases} tuples with n <= {n_max}, {disagreements} disagreements",
+        f"{cases} tuples with n <= {HOPF_N_MAX}, {disagreements} disagreements",
         bound=5.0,
     )
 
 
-def criterion_warp_divides_degree(n_max: int = 60) -> CriterionResult:
+def criterion_warp_divides_degree() -> CriterionResult:
     """Every d-semistable datum has warp dividing degree."""
     t0 = time.perf_counter()
     checked = 0
     violations = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, HOPF_N_MAX + 1):
         units = _unit_table(n)
         for n1 in units:
             for n2 in units:
@@ -114,7 +122,7 @@ def criterion_warp_divides_degree(n_max: int = 60) -> CriterionResult:
         "warp_divides_degree",
         t0,
         ok,
-        f"{checked} d-semistable data with n <= {n_max}, {violations} divisibility failures",
+        f"{checked} d-semistable data with n <= {HOPF_N_MAX}, {violations} divisibility failures",
         bound=5.0,
     )
 
@@ -134,17 +142,20 @@ def _battery(number: int, name: str, bound: float, scope: str, runs) -> Criterio
     return _result(number, name, t0, not failures, detail, bound=bound)
 
 
-def criterion_fan_battery_hopf(e_max: int = 8, window: int = 32) -> CriterionResult:
-    runs = [("hopf", e, w, window) for e in range(1, e_max + 1) for w in range(1, e + 1) if e % w == 0]
-    return _battery(3, "fan_battery_hopf", 2.0, f"hopf e in 1..{e_max}, every w | e, |m| <= {window}", runs)
+def criterion_fan_battery_hopf() -> CriterionResult:
+    runs = [("hopf", e, w, HOPF_WINDOW) for e in range(1, HOPF_E_MAX + 1) for w in range(1, e + 1) if e % w == 0]
+    scope = f"hopf e in 1..{HOPF_E_MAX}, every w | e, |m| <= {HOPF_WINDOW}"
+    return _battery(3, "fan_battery_hopf", 2.0, scope, runs)
 
 
-def criterion_fan_battery_rational(e_max: int = 5, window: int = 12) -> CriterionResult:
-    runs = [("rational", e, 1, window) for e in range(1, e_max + 1)]
-    return _battery(4, "fan_battery_rational", 5.0, f"rational e in 1..{e_max}, w = 1, |m|,|n| <= {window}", runs)
+def criterion_fan_battery_rational() -> CriterionResult:
+    runs = [("rational", e, 1, RATIONAL_WINDOW) for e in range(1, RATIONAL_E_MAX + 1)]
+    scope = f"rational e in 1..{RATIONAL_E_MAX}, w = 1, |m|,|n| <= {RATIONAL_WINDOW}"
+    return _battery(4, "fan_battery_rational", 5.0, scope, runs)
 
 
-def criterion_fan_battery_elliptic_mumford(window: int = 16) -> CriterionResult:
+def criterion_fan_battery_elliptic_mumford() -> CriterionResult:
+    window = ELLIPTIC_MUMFORD_WINDOW
     runs = [("elliptic", e, w, window) for e, w in ((0, 1), (4, 2), (6, 3))] + [("mumford", None, None, window)]
     scope = f"elliptic (e, w) in (0, 1), (4, 2), (6, 3) and mumford, |index| <= {window}"
     return _battery(5, "fan_battery_elliptic_mumford", 1.0, scope, runs)
@@ -209,12 +220,12 @@ def criterion_rational_models() -> CriterionResult:
     return _result(8, "rational_model_enumeration", t0, ok, f"models = {models}")
 
 
-def criterion_boundary_structure(d_max: int = 3, w_max: int = 4) -> CriterionResult:
+def criterion_boundary_structure() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
     param = {HOPF: "PuncturedDisk", RATIONAL: "CStar", ELLIPTIC_RULED: "ComplexLine"}
-    for d in range(1, d_max + 1):
-        for wm in range(1, w_max + 1):
+    for d in range(1, BOUNDARY_D_MAX + 1):
+        for wm in range(1, BOUNDARY_W_MAX + 1):
             components = enumerate_components(d, wm)
             if len(components) != 3 * wm:
                 failures.append(f"count d={d} w_max={wm}")
@@ -238,7 +249,7 @@ def criterion_boundary_structure(d_max: int = 3, w_max: int = 4) -> CriterionRes
                 if {e.endpoints[0][0], e.endpoints[1][0]} == {HOPF, RATIONAL}:
                     failures.append(f"hopf-rational edge d={d} w_max={wm}")
     ok = not failures
-    detail = f"d <= {d_max}, w_max <= {w_max}: counts, labels, X1/X2 edges, no hopf-rational edge"
+    detail = f"d <= {BOUNDARY_D_MAX}, w_max <= {BOUNDARY_W_MAX}: counts, labels, X1/X2 edges, no hopf-rational edge"
     if failures:
         detail += f"; first failure {failures[0]}"
     return _result(9, "boundary_structure", t0, ok, detail, bound=1.0)

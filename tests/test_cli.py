@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kdl import cli, selfcheck
+from kdl.classify import classify
 from kdl.cli import build_parser, main
 
 
@@ -109,8 +110,84 @@ class TestClassifyCommand:
         assert payload["verdict"] == "NoSmoothing"
 
 
-def error_line(message):
-    return '{"schema": "kdl/1", "error": "MalformedInput", "message": "%s"}\n' % message
+def error_line(message, error="MalformedInput"):
+    return json.dumps({"schema": "kdl/1", "error": error, "message": message}) + "\n"
+
+
+class TestUnreadableFile:
+    # Every OSError subclass is reported under the name "OSError".
+    def test_missing_path(self, tmp_path):
+        path = str(tmp_path / "missing.json")
+        message = f"[Errno 2] No such file or directory: '{path}'"
+        assert run_cli(["classify", "--file", path]) == (2, "", error_line(message, "OSError"))
+
+    def test_directory(self, tmp_path):
+        message = f"[Errno 21] Is a directory: '{tmp_path}'"
+        assert run_cli(["classify", "--file", str(tmp_path)]) == (2, "", error_line(message, "OSError"))
+
+
+HOPF_FIELDS = {"n": 4, "n1": 1, "n2": 3, "b": 2}
+ELLIPTIC_FIELDS = {"e": 4, "w": 2, "translation": True}
+RATIONAL_FIELDS = {"e": 3, "w": 2, "untwisted": True}
+GRAPH_FIELDS = {"white": ["a"], "black": ["p"], "edges": [["a", "p"]]}
+GLUING_FIELDS = {"components": [0, 1, 2, 0, 1, 2], "nodes": [0, 1, 0, 1, 0, 1]}
+DOCUMENTS = {
+    "hopf": (["classify", "--type", "hopf", "--data"], HOPF_FIELDS),
+    "elliptic": (["classify", "--type", "elliptic", "--data"], ELLIPTIC_FIELDS),
+    "rational": (["classify", "--type", "rational", "--data"], RATIONAL_FIELDS),
+    "graph": (["graph", "--betti"], GRAPH_FIELDS),
+    "gluing": (["graph", "--gluing"], GLUING_FIELDS),
+}
+# One value of the wrong kind per field.  The labels alpha_label and j_label
+# take any JSON value, so they have none.
+WRONG_KINDS = [
+    ("hopf", "n", "4", "field 'n' must be an integer"),
+    ("hopf", "n1", True, "field 'n1' must be an integer"),
+    ("hopf", "n2", 3.0, "field 'n2' must be an integer"),
+    ("hopf", "b", None, "field 'b' must be an integer"),
+    ("hopf", "matrix", [0, -1, 1], "field 'matrix' must be a list [a, b, c, d] of four integers"),
+    ("hopf", "type", 1, "unknown surface type 1"),
+    ("elliptic", "e", "4", "field 'e' must be an integer"),
+    ("elliptic", "w", [2], "field 'w' must be an integer"),
+    ("elliptic", "translation", 1, "field 'translation' must be a boolean"),
+    ("rational", "e", 1.5, "field 'e' must be an integer"),
+    ("rational", "w", {}, "field 'w' must be an integer"),
+    ("rational", "untwisted", "true", "field 'untwisted' must be a boolean"),
+    ("rational", "horizontal_labels", ["h1"], "field 'horizontal_labels' must be a list of two strings"),
+    ("graph", "white", "a", "field 'white' must be a list of vertex ids"),
+    ("graph", "black", [1], "field 'black' must be a list of vertex ids"),
+    ("graph", "edges", [["a", "p", "p"]], "field 'edges' must be a list of [white, black] pairs"),
+    ("gluing", "components", [0, 1, 2, 0, 1], "field 'components' must be a list of six integers"),
+    ("gluing", "nodes", [0, 1, 0, 1, 0, False], "field 'nodes' must be a list of six integers"),
+] + [(document, "schema", 1, "unsupported schema 1; expected 'kdl/1'") for document in DOCUMENTS]
+
+
+class TestDocumentFields:
+    @pytest.mark.parametrize(
+        "document, field, value, message", WRONG_KINDS, ids=[f"{d}-{f}" for d, f, _, _ in WRONG_KINDS]
+    )
+    def test_wrong_kind_error_line(self, document, field, value, message):
+        prefix, fields = DOCUMENTS[document]
+        data = json.dumps({**fields, field: value})
+        assert run_cli([*prefix, data]) == (2, "", error_line(message))
+
+    @pytest.mark.parametrize(
+        "document, field, default",
+        [("hopf", "alpha_label", "alpha"), ("elliptic", "j_label", "j"), ("rational", "horizontal_labels", ["h1", "h2"])],
+    )
+    def test_omitted_label_takes_the_record_default(self, monkeypatch, document, field, default):
+        prefix, fields = DOCUMENTS[document]
+        datums = []
+
+        def recording_classify(datum, matrix=None):
+            datums.append(datum)
+            return classify(datum, matrix)
+
+        monkeypatch.setattr(cli, "classify", recording_classify)
+        omitted = run_cli([*prefix, json.dumps(fields)])
+        assert omitted[0] == 0
+        assert run_cli([*prefix, json.dumps({**fields, field: default})]) == omitted
+        assert datums[0] == datums[1]
 
 
 ELLIPTIC_DATUM = '"e":4,"w":2,"translation":true'

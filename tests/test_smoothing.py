@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 import kdl.fans
 import kdl.smoothing
+from kdl.boundary import adjacency_edges, enumerate_components
 from kdl.classify import Verdict, smoothing_verdict
 from kdl.errors import NotDivisible
 from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, cone_is_smooth, deflection, hopf_shift
+from kdl.graphs import PolygonGluing, enumerate_rational_models
 from kdl.lattice import IntMatrix, IntVec, is_unipotent
 from kdl.smoothing import (
     FAMILIES,
@@ -426,7 +428,18 @@ class TestPayloads:
 class TestRecords:
     def test_assigning_any_name_raises_frozen_instance_error(self):
         fam = build_family("hopf", e=2, w=1, window=2)
-        for record in (fam.params, fam.quotient_info, verify_family(fam).checks[0]):
-            for name in ("e", "galois_order", "passed", "extra"):
+        components = enumerate_components(1, 2)
+        records = (
+            fam.params,
+            fam.quotient_info,
+            verify_family(fam).checks[0],
+            PolygonGluing((0, 1, 2, 0, 1, 2), (0, 1, 0, 1, 0, 1)),
+            enumerate_rational_models()[0],
+            components[0],
+            adjacency_edges(components)[0],
+        )
+        for record in records:
+            fields = [f.name for f in dataclasses.fields(record)]
+            for name in ("e", "galois_order", "passed", "extra", *fields):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 1)
