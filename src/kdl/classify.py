@@ -89,7 +89,7 @@ class HopfDatum(_Record, namedtuple("HopfDatum", "n n1 n2 b alpha_label")):
     def __new__(cls, n: int, n1: int, n2: int, b: int, alpha_label: str = "alpha"):
         if n < 1:
             raise ValueError("torsion order n must be positive")
-        if n > 1 and not (0 <= n1 < n and 0 <= n2 < n and 0 <= b < n):
+        if not (0 <= n1 < n and 0 <= n2 < n and 0 <= b < n):
             raise ValueError("n1, n2, b must be residues in [0, n)")
         return tuple.__new__(cls, (n, n1, n2, b, alpha_label))
 

@@ -10,9 +10,10 @@ generator formula:
   rays (last coordinate split) and two consecutive elliptic-type rays.
 
 Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
-``FanWindow`` is the finite slice of such a fan actually verified; the
-constructions are periodic under their lattice group actions, so a window
-longer than one period certifies every claim.
+``FanWindow`` is the finite slice of such a fan actually verified.  The
+constructions are periodic under their lattice group actions, but the
+verification battery checks the window's cones only; it proves nothing
+about the cones outside the window.
 
 A fan kind declares everything the code below needs once: its JSON ``NAME``,
 its ``AMBIENT_RANK``, its index ``AXES`` (``("m",)``, ``("n",)`` or
@@ -43,7 +44,7 @@ def binom2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MumfordNeron:
     """The rank-2 chain fan smoothing the Neron 1-gon."""
 
@@ -55,7 +56,7 @@ class MumfordNeron:
         return IntVec((m, 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HopfSmoothing:
     """The rank-3 chain fan whose central fibre is a degree-e C*-bundle over the infinity-gon."""
 
@@ -72,7 +73,7 @@ class HopfSmoothing:
         return IntVec((m, self.e * binom2(m), 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EllipticSmoothing:
     """The rank-3 chain fan whose central fibre is a product of the infinity-gon with C*."""
 
@@ -84,7 +85,7 @@ class EllipticSmoothing:
         return IntVec((0, n, 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RationalSmoothing:
     """The rank-4 doubly periodic fan: a bundle of infinity-gons over the infinity-gon."""
 
@@ -118,7 +119,7 @@ def axis_indices(kind: FanKind, index) -> tuple[int, ...]:
     raise ArityMismatch(f"{type(kind).__name__} indexes cones by a tuple ({', '.join(kind.AXES)})")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Cone:
     """A simplicial rational cone given by primitive, independent rays.
 
@@ -158,7 +159,7 @@ class Cone:
         return cone
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GroupElement:
     """A lattice automorphism together with bookkeeping torus labels.
 

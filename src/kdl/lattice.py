@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import NotAUnit, RankMismatch
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IntVec:
     """An integer row vector; ``rank`` is its length.
 
@@ -69,7 +69,7 @@ class IntVec:
         return IntVec._trusted(tuple([sum(map(mul, self.entries, col)) for col in m.cols]))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class IntMatrix:
     """A square integer matrix, stored row-major.
 

@@ -1,17 +1,17 @@
-"""Runners for the acceptance criteria.
+"""The acceptance criteria, each declared once, in order, in ``CRITERIA``.
 
-Each criterion is one function returning a CriterionResult; the CLI selftest
-and the pytest acceptance module both drive these, so the checked statements
-live in exactly one place.  The fan criteria 3-5 run ``kdl.smoothing``'s
-verification battery over their stated ranges rather than restating its
-checks.  Everything is exact integer arithmetic; criteria with a stated time
-budget fail when they exceed it.
+The CLI selftest and the pytest acceptance module both run ``CRITERIA``, so
+the checked statements live in exactly one place.  The fan criteria 3-5 run
+``kdl.smoothing``'s verification battery over their stated ranges rather
+than restating its checks.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .boundary import adjacency_edges, enumerate_components
@@ -30,8 +30,9 @@ from .classify import (
 )
 from .graphs import (
     GluingClass,
+    all_gluings,
     betti1,
-    enumerate_gluings,
+    classify_gluing,
     enumerate_rational_models,
     gluing_morphism,
     neron_polygon_graph,
@@ -49,7 +50,7 @@ ELLIPTIC_MUMFORD_WINDOW = 16  # criterion 5
 BOUNDARY_D_MAX, BOUNDARY_W_MAX = 3, 4  # criterion 9
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     name: str
@@ -62,21 +63,51 @@ class CriterionResult:
         return f"{status} {self.number:2d} {self.name}: {self.detail} [{self.elapsed:.2f}s]"
 
 
-def _result(number, name, t0, ok, detail, bound=None) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    if bound is not None and elapsed >= bound:
-        ok = False
-        detail += f"; exceeded {bound}s budget"
-    return CriterionResult(number, name, ok, detail, elapsed)
+@dataclass(frozen=True)
+class Criterion:
+    number: int
+    name: str
+    run: Callable[[], CriterionResult]
+
+
+CRITERIA: list[Criterion] = []  # in number order, as declared below
+
+
+def _criterion(number: int, name: str, bound: float | None = None):
+    """Register a body returning (passed, detail) as criterion ``number``.
+
+    The registered function times the body, fails it when it reaches its
+    budget, and builds the CriterionResult.
+    """
+
+    def register(body: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            elapsed = time.perf_counter() - t0
+            if bound is not None and elapsed >= bound:
+                passed, detail = False, f"{detail}; exceeded {bound}s budget"
+            return CriterionResult(number, name, passed, detail, elapsed)
+
+        CRITERIA.append(Criterion(number, name, run))
+        return run
+
+    return register
+
+
+def _first(detail: str, failures: list[str]) -> str:
+    """The detail, naming the first of the failures if there are any."""
+    return f"{detail}; first failure {failures[0]}" if failures else detail
 
 
 def _unit_table(n: int) -> list[int]:
     return [a for a in range(n) if math.gcd(a, n) == 1]
 
 
-def criterion_congruence_equivalence() -> CriterionResult:
+@_criterion(1, "congruence_equivalence", bound=5.0)
+def criterion_congruence_equivalence():
     """Direct d-semistability congruences agree with the lifted-homomorphism oracle."""
-    t0 = time.perf_counter()
     cases = 0
     disagreements = 0
     direct, oracle, datum = hopf_dsemistable, hopf_dsemistable_oracle, HopfDatum
@@ -89,20 +120,12 @@ def criterion_congruence_equivalence() -> CriterionResult:
                     cases += 1
                     if direct(h) != oracle(h):
                         disagreements += 1
-    ok = disagreements == 0
-    return _result(
-        1,
-        "congruence_equivalence",
-        t0,
-        ok,
-        f"{cases} tuples with n <= {HOPF_N_MAX}, {disagreements} disagreements",
-        bound=5.0,
-    )
+    return disagreements == 0, f"{cases} tuples with n <= {HOPF_N_MAX}, {disagreements} disagreements"
 
 
-def criterion_warp_divides_degree() -> CriterionResult:
+@_criterion(2, "warp_divides_degree", bound=5.0)
+def criterion_warp_divides_degree():
     """Every d-semistable datum has warp dividing degree."""
-    t0 = time.perf_counter()
     checked = 0
     violations = 0
     for n in range(1, HOPF_N_MAX + 1):
@@ -116,75 +139,62 @@ def criterion_warp_divides_degree() -> CriterionResult:
                         e, w = hopf_invariants(h)
                         if e % w != 0:
                             violations += 1
-    ok = checked > 0 and violations == 0
-    return _result(
-        2,
-        "warp_divides_degree",
-        t0,
-        ok,
-        f"{checked} d-semistable data with n <= {HOPF_N_MAX}, {violations} divisibility failures",
-        bound=5.0,
-    )
+    detail = f"{checked} d-semistable data with n <= {HOPF_N_MAX}, {violations} divisibility failures"
+    return checked > 0 and violations == 0, detail
 
 
-def _battery(number: int, name: str, bound: float, scope: str, runs) -> CriterionResult:
+def _battery(scope: str, runs):
     """Build and verify each (family, e, w, window) of runs; pass iff every check passes."""
-    t0 = time.perf_counter()
     checks, failures = 0, []
     for family, e, w, window in runs:
         for c in verify_family(build_family(family, e=e, w=w, window=window)).checks:
             checks += 1
             if not c.passed:
                 failures.append(f"{family} e={e} w={w} {c.name} at {c.counterexample}")
-    detail = f"{scope}: {checks} battery checks"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(number, name, t0, not failures, detail, bound=bound)
+    return not failures, _first(f"{scope}: {checks} battery checks", failures)
 
 
-def criterion_fan_battery_hopf() -> CriterionResult:
+@_criterion(3, "fan_battery_hopf", bound=2.0)
+def criterion_fan_battery_hopf():
     runs = [("hopf", e, w, HOPF_WINDOW) for e in range(1, HOPF_E_MAX + 1) for w in range(1, e + 1) if e % w == 0]
-    scope = f"hopf e in 1..{HOPF_E_MAX}, every w | e, |m| <= {HOPF_WINDOW}"
-    return _battery(3, "fan_battery_hopf", 2.0, scope, runs)
+    return _battery(f"hopf e in 1..{HOPF_E_MAX}, every w | e, |m| <= {HOPF_WINDOW}", runs)
 
 
-def criterion_fan_battery_rational() -> CriterionResult:
+@_criterion(4, "fan_battery_rational", bound=5.0)
+def criterion_fan_battery_rational():
     runs = [("rational", e, 1, RATIONAL_WINDOW) for e in range(1, RATIONAL_E_MAX + 1)]
-    scope = f"rational e in 1..{RATIONAL_E_MAX}, w = 1, |m|,|n| <= {RATIONAL_WINDOW}"
-    return _battery(4, "fan_battery_rational", 5.0, scope, runs)
+    return _battery(f"rational e in 1..{RATIONAL_E_MAX}, w = 1, |m|,|n| <= {RATIONAL_WINDOW}", runs)
 
 
-def criterion_fan_battery_elliptic_mumford() -> CriterionResult:
+@_criterion(5, "fan_battery_elliptic_mumford", bound=1.0)
+def criterion_fan_battery_elliptic_mumford():
     window = ELLIPTIC_MUMFORD_WINDOW
     runs = [("elliptic", e, w, window) for e, w in ((0, 1), (4, 2), (6, 3))] + [("mumford", None, None, window)]
-    scope = f"elliptic (e, w) in (0, 1), (4, 2), (6, 3) and mumford, |index| <= {window}"
-    return _battery(5, "fan_battery_elliptic_mumford", 1.0, scope, runs)
+    return _battery(f"elliptic (e, w) in (0, 1), (4, 2), (6, 3) and mumford, |index| <= {window}", runs)
 
 
-def criterion_graph_theorem() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "graph_theorem_check", bound=1.0)
+def criterion_graph_theorem():
     failures = []
     if betti1(neron_polygon_graph(6)) != 1:
         failures.append("betti1 of the 6-gon graph")
     if betti1(triple_line_graph()) != 2:
         failures.append("betti1 of the triple-line graph")
     valid = 0
-    for p, cls in enumerate_gluings().results:
+    for p in all_gluings():
+        cls = classify_gluing(p)
         if cls is GluingClass.INVALID:
             continue
         valid += 1
         rank = pullback_rank(gluing_morphism(p))
         if (rank == 0) != (cls is GluingClass.UNTWISTED):
             failures.append(f"equivalence fails at {p}")
-    ok = not failures and valid == 48
     detail = f"betti numbers and untwisted<=>rank-0 over {valid} valid gluings"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(6, "graph_theorem_check", t0, ok, detail, bound=1.0)
+    return not failures and valid == 48, _first(detail, failures)
 
 
-def criterion_tables() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "dimension_tables")
+def criterion_tables():
     expected_cohomology = [
         (HOPF, 1, (1, 1, 0)),
         (ELLIPTIC_RULED, 1, (1, 2, 1)),
@@ -206,22 +216,17 @@ def criterion_tables() -> CriterionResult:
     for surface_type, e, want in expected_tangent:
         if tangent_table(surface_type, e) != want:
             failures.append(f"tangent {surface_type} e={e}")
-    ok = not failures
-    detail = "all published cohomology and tangent dimension triples"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(7, "dimension_tables", t0, ok, detail)
+    return not failures, _first("all published cohomology and tangent dimension triples", failures)
 
 
-def criterion_rational_models() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "rational_model_enumeration")
+def criterion_rational_models():
     models = [(m.minimal_model, m.polygon_size, m.blowup_count) for m in enumerate_rational_models()]
-    ok = models == [("ProjectivePlane", 6, 3), ("Hirzebruch", 6, 2)]
-    return _result(8, "rational_model_enumeration", t0, ok, f"models = {models}")
+    return models == [("ProjectivePlane", 6, 3), ("Hirzebruch", 6, 2)], f"models = {models}"
 
 
-def criterion_boundary_structure() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "boundary_structure", bound=1.0)
+def criterion_boundary_structure():
     failures = []
     param = {HOPF: "PuncturedDisk", RATIONAL: "CStar", ELLIPTIC_RULED: "ComplexLine"}
     for d in range(1, BOUNDARY_D_MAX + 1):
@@ -248,21 +253,18 @@ def criterion_boundary_structure() -> CriterionResult:
             for e in edges:
                 if {e.endpoints[0][0], e.endpoints[1][0]} == {HOPF, RATIONAL}:
                     failures.append(f"hopf-rational edge d={d} w_max={wm}")
-    ok = not failures
     detail = f"d <= {BOUNDARY_D_MAX}, w_max <= {BOUNDARY_W_MAX}: counts, labels, X1/X2 edges, no hopf-rational edge"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(9, "boundary_structure", t0, ok, detail, bound=1.0)
+    return not failures, _first(detail, failures)
 
 
-def criterion_cli_determinism() -> CriterionResult:
+@_criterion(10, "cli_determinism")
+def criterion_cli_determinism():
     import io
     import json
     from contextlib import redirect_stderr, redirect_stdout
 
     from . import cli
 
-    t0 = time.perf_counter()
     failures = []
 
     def run(argv):
@@ -313,23 +315,8 @@ def criterion_cli_determinism() -> CriterionResult:
     if code != 0:
         failures.append(f"verify fixture failed (exit {code})")
 
-    ok = not failures
-    detail = "byte-identical reruns, structured errors with exit 2, verify exit 0"
-    if failures:
-        detail += f"; first failure {failures[0]}"
-    return _result(10, "cli_determinism", t0, ok, detail)
+    return not failures, _first("byte-identical reruns, structured errors with exit 2, verify exit 0", failures)
 
 
 def run_all() -> list[CriterionResult]:
-    return [
-        criterion_congruence_equivalence(),
-        criterion_warp_divides_degree(),
-        criterion_fan_battery_hopf(),
-        criterion_fan_battery_rational(),
-        criterion_fan_battery_elliptic_mumford(),
-        criterion_graph_theorem(),
-        criterion_tables(),
-        criterion_rational_models(),
-        criterion_boundary_structure(),
-        criterion_cli_determinism(),
-    ]
+    return [criterion.run() for criterion in CRITERIA]

@@ -1,8 +1,9 @@
-"""Acceptance suite: every criterion runs at its stated bound and prints one
-pass/fail line (visible with pytest -s; the CLI selftest prints the same
-lines)."""
+"""Acceptance suite: the registered criteria run once per module, each within
+the time budget its registration states, and every criterion's test reads
+that one run (pytest -s prints the same lines as the CLI selftest)."""
 
 import dataclasses
+import itertools
 import time
 
 import pytest
@@ -11,38 +12,87 @@ from kdl import selfcheck
 from kdl.smoothing import FAMILIES
 
 
-def _run(criterion):
-    result = criterion()
-    print(result.line())
+@pytest.fixture(scope="module")
+def selftest():
+    t0 = time.perf_counter()
+    results = selfcheck.run_all()
+    elapsed = time.perf_counter() - t0
+    for result in results:
+        print(result.line())
+    return results, elapsed
+
+
+def _check(selftest, number):
+    result = selftest[0][number - 1]
+    assert result.number == number
     assert result.passed, result.line()
-    return result
 
 
-def test_criterion_01_congruence_equivalence():
-    result = _run(selfcheck.criterion_congruence_equivalence)
-    assert "0 disagreements" in result.detail
-    assert result.elapsed < 5.0
+def test_criterion_01_congruence_equivalence(selftest):
+    _check(selftest, 1)
 
 
-def test_criterion_02_warp_divides_degree():
-    result = _run(selfcheck.criterion_warp_divides_degree)
-    assert "0 divisibility failures" in result.detail
-    assert result.elapsed < 5.0
+def test_criterion_02_warp_divides_degree(selftest):
+    _check(selftest, 2)
 
 
-def test_criterion_03_fan_battery_hopf():
-    result = _run(selfcheck.criterion_fan_battery_hopf)
-    assert result.elapsed < 2.0
+def test_criterion_03_fan_battery_hopf(selftest):
+    _check(selftest, 3)
 
 
-def test_criterion_04_fan_battery_rational():
-    result = _run(selfcheck.criterion_fan_battery_rational)
-    assert result.elapsed < 5.0
+def test_criterion_04_fan_battery_rational(selftest):
+    _check(selftest, 4)
 
 
-def test_criterion_05_fan_battery_elliptic_mumford():
-    result = _run(selfcheck.criterion_fan_battery_elliptic_mumford)
-    assert result.elapsed < 1.0
+def test_criterion_05_fan_battery_elliptic_mumford(selftest):
+    _check(selftest, 5)
+
+
+def test_criterion_06_graph_theorem(selftest):
+    _check(selftest, 6)
+
+
+def test_criterion_07_dimension_tables(selftest):
+    _check(selftest, 7)
+
+
+def test_criterion_08_rational_model_enumeration(selftest):
+    _check(selftest, 8)
+
+
+def test_criterion_09_boundary_structure(selftest):
+    _check(selftest, 9)
+
+
+def test_criterion_10_cli_determinism(selftest):
+    _check(selftest, 10)
+
+
+def test_full_selftest_under_thirty_seconds(selftest):
+    results, elapsed = selftest
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    assert elapsed < 30.0, f"selftest took {elapsed:.1f}s"
+
+
+def test_registry_numbers_criteria_one_to_ten_with_unique_names():
+    assert [c.number for c in selfcheck.CRITERIA] == list(range(1, 11))
+    assert len({c.name for c in selfcheck.CRITERIA}) == len(selfcheck.CRITERIA)
+
+
+def test_run_all_reports_in_registry_order(selftest):
+    assert [(r.number, r.name) for r in selftest[0]] == [(c.number, c.name) for c in selfcheck.CRITERIA]
+
+
+def test_criterion_past_its_budget_fails(monkeypatch):
+    # Every clock reading is 10 s after the last, so each body seems to take
+    # at least 10 s: criterion 5 (budget 1.0 s) fails, criterion 7 (none) passes.
+    clock = itertools.count(0.0, 10.0)
+    monkeypatch.setattr(selfcheck.time, "perf_counter", lambda: next(clock))
+    result = selfcheck.criterion_fan_battery_elliptic_mumford()
+    assert not result.passed
+    assert result.detail.endswith("35 battery checks; exceeded 1.0s budget"), result.detail
+    assert result.line().startswith("FAIL  5 fan_battery_elliptic_mumford: ")
+    assert selfcheck.criterion_tables().passed
 
 
 @pytest.mark.parametrize("criterion, family, first", [
@@ -62,35 +112,3 @@ def test_fan_criterion_fails_with_its_first_failing_check(monkeypatch, criterion
     result = criterion()
     assert not result.passed
     assert result.detail.endswith(f"; first failure {first}"), result.detail
-
-
-def test_criterion_06_graph_theorem():
-    result = _run(selfcheck.criterion_graph_theorem)
-    assert result.elapsed < 1.0
-
-
-def test_criterion_07_dimension_tables():
-    _run(selfcheck.criterion_tables)
-
-
-def test_criterion_08_rational_model_enumeration():
-    _run(selfcheck.criterion_rational_models)
-
-
-def test_criterion_09_boundary_structure():
-    result = _run(selfcheck.criterion_boundary_structure)
-    assert result.elapsed < 1.0
-
-
-def test_criterion_10_cli_determinism():
-    _run(selfcheck.criterion_cli_determinism)
-
-
-def test_full_selftest_under_thirty_seconds():
-    t0 = time.perf_counter()
-    results = selfcheck.run_all()
-    elapsed = time.perf_counter() - t0
-    for result in results:
-        print(result.line())
-    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
-    assert elapsed < 30.0, f"selftest took {elapsed:.1f}s"

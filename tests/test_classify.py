@@ -7,7 +7,7 @@ import sys
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdl.classify import (
@@ -434,10 +434,11 @@ class TestRecordContract:
         assert Verdict.complex_torus() is Verdict.complex_torus() == Verdict("ComplexTorus")
 
     @given(small, small, small, small)
+    @example(1, 5, -7, -3)
     def test_hopf_validation_order(self, n, n1, n2, b):
         if n < 1:
             message = "torsion order n must be positive"
-        elif n > 1 and not all(0 <= x < n for x in (n1, n2, b)):
+        elif not all(0 <= x < n for x in (n1, n2, b)):
             message = "n1, n2, b must be residues in [0, n)"
         else:
             assert HopfDatum(n, n1, n2, b) == HopfDatum(n=n, n1=n1, n2=n2, b=b, alpha_label="alpha")

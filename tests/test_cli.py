@@ -75,6 +75,10 @@ class TestClassifyCommand:
         assert code == 2
         assert "unit" in json.loads(err)["message"]
 
+    def test_out_of_range_residues_rejected_at_n_1(self):
+        code, out, err = run_cli(["classify", "--type", "hopf", "--data", '{"n":1,"n1":5,"n2":-7,"b":-3}'])
+        assert (code, out, err) == (2, "", error_line("n1, n2, b must be residues in [0, n)", "ValueError"))
+
     def test_type_conflict_rejected(self):
         code, _, err = run_cli(
             ["classify", "--type", "hopf", "--data", '{"type":"rational","e":1,"w":1,"untwisted":true}']

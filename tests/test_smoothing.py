@@ -9,7 +9,20 @@ import kdl.smoothing
 from kdl.boundary import adjacency_edges, enumerate_components
 from kdl.classify import Verdict, smoothing_verdict
 from kdl.errors import NotDivisible
-from kdl.fans import Cone, FanWindow, GroupElement, apply, cone_at, cone_is_smooth, deflection, hopf_shift
+from kdl.fans import (
+    Cone,
+    EllipticSmoothing,
+    FanWindow,
+    GroupElement,
+    HopfSmoothing,
+    MumfordNeron,
+    RationalSmoothing,
+    apply,
+    cone_at,
+    cone_is_smooth,
+    deflection,
+    hopf_shift,
+)
 from kdl.graphs import PolygonGluing, enumerate_rational_models
 from kdl.lattice import IntMatrix, IntVec, is_unipotent
 from kdl.smoothing import (
@@ -437,6 +450,14 @@ class TestRecords:
             enumerate_rational_models()[0],
             components[0],
             adjacency_edges(components)[0],
+            IntVec((1, 2)),
+            hopf_shift(2),
+            cone_at(fam.kind, 0),
+            fam.generators[0],
+            MumfordNeron(),
+            HopfSmoothing(2),
+            EllipticSmoothing(),
+            RationalSmoothing(2),
         )
         for record in records:
             fields = [f.name for f in dataclasses.fields(record)]
