@@ -34,7 +34,6 @@ class StratumComponent:
     stratum: str
     degree: int
     warp: int
-    param_space: str
 
     def __post_init__(self):
         if self.stratum not in STRATA:
@@ -43,9 +42,11 @@ class StratumComponent:
             raise ValueError("degree and warp must be positive")
         if self.degree % self.warp != 0:
             raise ValueError("warp must divide degree on a boundary component")
-        expected = TYPES[self.stratum].param_space
-        if self.param_space != expected:
-            raise ValueError(f"{self.stratum} components have parameter space {expected}")
+
+    @property
+    def param_space(self) -> str:
+        """The parameter space of the stratum's continuous modulus."""
+        return TYPES[self.stratum].param_space
 
     @property
     def key(self) -> tuple[str, int, int]:
@@ -74,7 +75,7 @@ def enumerate_components(d: int, w_max: int) -> list[StratumComponent]:
     if d < 1 or w_max < 1:
         raise ValueError("degree and maximal warp must be positive")
     return [
-        StratumComponent(stratum, degree=d * w, warp=w, param_space=TYPES[stratum].param_space)
+        StratumComponent(stratum, degree=d * w, warp=w)
         for stratum in STRATA
         for w in range(1, w_max + 1)
     ]

@@ -5,8 +5,8 @@ documents carry a "schema": "kdl/1" field; input parsing is strict (unknown
 fields are rejected) so a typo in a datum cannot silently change a congruence
 result.  Each input document is one row of ``_DOCUMENTS``, which gives every
 field a kind from ``_KINDS``; ``_read`` checks all five documents.  Exit codes:
-0 success, 1 a verification or selftest failure, 2 malformed input (with a
-JSON error object on stderr).
+0 success, 1 a verification or selftest failure, 2 bad input (with a JSON error
+object on stderr, or argparse's usage text), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import selfcheck
@@ -41,7 +42,7 @@ from .graphs import (
     gluing_morphism,
     pullback_rank,
 )
-from .smoothing import FAMILIES, FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
+from .smoothing import FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
 
 SCHEMA = "kdl/1"
 
@@ -164,45 +165,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _family_args(args, need_w: bool) -> tuple:
-    family = args.family
-    min_degree = FAMILIES[family].min_degree
-    if min_degree is None:
-        if args.e is not None or args.w is not None:
-            raise MalformedInput(f"the {family} family takes no --e or --w")
-        return family, None, None
-    if args.e is None:
-        raise MalformedInput(f"the {family} family needs --e" + (" (0 is allowed)" if min_degree == 0 else ""))
-    if need_w and args.w is None:
-        raise MalformedInput(f"the {family} family needs --w here")
-    return family, args.e, args.w if args.w is not None else 1
-
-
 def _cmd_fan(args) -> int:
-    family, e, w = _family_args(args, need_w=False)
-    fam = build_family(family, e=e, w=w, window=args.window)
-    if args.full:
-        _emit(family_payload(fam))
-    else:
-        _emit(window_payload(fam.fan))
+    fam = build_family(args.family, e=args.e, w=args.w, window=args.window)
+    _emit(family_payload(fam) if args.full else window_payload(fam.fan))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    family, e, w = _family_args(args, need_w=True)
-    fam = build_family(family, e=e, w=w, window=args.window)
-    report = verify_family(fam)
+    report = verify_family(build_family(args.family, e=args.e, w=args.w, window=args.window))
     _emit(report_payload(report))
     return 0 if report.all_pass else 1
 
 
 def _read_record(record, text: str, document: str):
     """Build a graph or gluing record from its document, whose fields are in the record's order."""
-    fields = _read(_load_json(text), document)
-    try:
-        return record(*fields.values())
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from None
+    return record(*_read(_load_json(text), document).values())
 
 
 def _gluing_result_payload(p: PolygonGluing) -> dict:
@@ -217,9 +194,6 @@ def _gluing_result_payload(p: PolygonGluing) -> dict:
 
 
 def _cmd_graph(args) -> int:
-    chosen = [x for x in (args.betti, args.gluing) if x is not None]
-    if args.enumerate + len(chosen) != 1:
-        raise MalformedInput("pass exactly one of --betti, --gluing, --enumerate")
     if args.betti is not None:
         graph = _read_record(BicolouredGraph, args.betti, "graph")
         _emit({"betti1": betti1(graph), "components": graph.component_count()})
@@ -292,25 +266,24 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="path to a datum JSON file")
     p.set_defaults(handler=_cmd_classify)
 
-    p = add_parser("fan", help="emit a fan window (or the full family with --full)")
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--e", type=int, help="degree (hopf/rational/elliptic)")
-    p.add_argument("--w", type=int, help="warp (used by --full and the elliptic twist)")
-    p.add_argument("--window", type=int, default=16, help="verify indices with |m|,|n| <= window")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True, choices=FAMILY_NAMES)
+    family.add_argument("--e", type=int, help="degree (hopf/rational/elliptic)")
+    family.add_argument("--w", type=int, help="warp dividing the degree (default 1)")
+    family.add_argument("--window", type=int, default=16, help="fan indices with |m|,|n| <= window (default 16)")
+
+    p = add_parser("fan", parents=[family], help="emit a fan window (or the full family with --full)")
     p.add_argument("--full", action="store_true", help="emit generators and quotient data too")
     p.set_defaults(handler=_cmd_fan)
 
-    p = add_parser("verify", help="run the verification battery; exit 0 iff all checks pass")
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--e", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--window", type=int, default=16)
+    p = add_parser("verify", parents=[family], help="run the verification battery; exit 0 iff all checks pass")
     p.set_defaults(handler=_cmd_verify)
 
     p = add_parser("graph", help="graph cohomology and 6-gon gluing classification")
-    p.add_argument("--betti", help="bicoloured graph JSON; prints its first Betti number")
-    p.add_argument("--gluing", help="polygon gluing JSON; prints class and pullback rank")
-    p.add_argument("--enumerate", action="store_true", help="stream every candidate gluing as JSON lines")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--betti", help="bicoloured graph JSON; prints its first Betti number")
+    mode.add_argument("--gluing", help="polygon gluing JSON; prints class and pullback rank")
+    mode.add_argument("--enumerate", action="store_true", help="stream every candidate gluing as JSON lines")
     p.add_argument("--up-to-symmetry", action="store_true", help="one gluing per dihedral orbit")
     p.set_defaults(handler=_cmd_graph)
 
@@ -334,6 +307,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise
     except (KdlError, ValueError, OSError) as exc:
         # An OSError that is not also a ValueError is reported as "OSError",
         # whichever subclass it is.
@@ -343,7 +318,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit as SIGPIPE would, with fd 1 on /dev/null for the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

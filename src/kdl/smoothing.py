@@ -193,8 +193,10 @@ class VerificationReport:
 def build_family(family: str, e: int | None = None, w: int | None = None, window: int = 16) -> SmoothingFamily:
     """Materialize one smoothing family over a window of the given half-width.
 
-    e and w are required (with w >= 1 and w | e) for the three surface
-    families and must be omitted for the mumford curve family.
+    The three surface families need a degree e.  Their warp w must satisfy
+    w >= 1 and w | e, and defaults to 1: the warp-w family is the covering
+    family divided by a cyclic group of order w, so w = 1 is the covering
+    family itself.  The mumford curve family takes neither e nor w.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
@@ -204,8 +206,10 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
             raise ValueError(f"the {family} family takes no degree or warp")
         params, quotient_info = FamilyParams(), None
     else:
-        if e is None or w is None:
-            raise ValueError(f"the {family} family needs both a degree e and a warp w")
+        if e is None:
+            raise ValueError(f"the {family} family needs a degree e")
+        if w is None:
+            w = 1
         if w < 1 or e % w != 0:
             raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
         if e < spec.min_degree:

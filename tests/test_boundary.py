@@ -67,9 +67,7 @@ class TestComponents:
 
     def test_invalid_component_rejected(self):
         with pytest.raises(ValueError):
-            StratumComponent(HOPF, degree=3, warp=2, param_space="PuncturedDisk")
-        with pytest.raises(ValueError):
-            StratumComponent(HOPF, degree=2, warp=1, param_space="CStar")
+            StratumComponent(HOPF, degree=3, warp=2)
 
 
 class TestEdges:
@@ -114,8 +112,8 @@ class TestEdges:
         # exactly 1, so a warp-2 rational component gains no X2 edge even
         # when the matching elliptic component exists
         components = [
-            StratumComponent(RATIONAL, degree=4, warp=2, param_space="CStar"),
-            StratumComponent(ELLIPTIC_RULED, degree=8, warp=2, param_space="ComplexLine"),
+            StratumComponent(RATIONAL, degree=4, warp=2),
+            StratumComponent(ELLIPTIC_RULED, degree=8, warp=2),
         ]
         assert adjacency_edges(components) == []
 

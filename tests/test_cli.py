@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -116,6 +118,23 @@ class TestClassifyCommand:
 
 def error_line(message, error="MalformedInput"):
     return json.dumps({"schema": "kdl/1", "error": error, "message": message}) + "\n"
+
+
+class TestClosedStdout:
+    # A reader that closes the pipe early is not bad input: the process exits
+    # as SIGPIPE would, and says nothing.  Window 2 fails at the flush on
+    # exit, window 2000 inside the handler's print.
+    @pytest.mark.parametrize("window", ["2", "2000"])
+    def test_exit_141_and_empty_stderr(self, window):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = [sys.executable, "-m", "kdl.cli", "fan", "--family", "hopf", "--e", "2", "--window", window]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        try:
+            child = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
 
 
 class TestUnreadableFile:
@@ -268,6 +287,54 @@ class TestClassifyHelpBytes:
             assert [run_cli(["classify", "--help"]), run_cli(["classify", "--type", "k3"])] == pinned
 
 
+FAMILY_USAGE = "--family {mumford,hopf,elliptic,rational}"
+FAMILY_OPTIONS = (
+    "  -h, --help            show this help message and exit\n"
+    f"  {FAMILY_USAGE}\n"
+    "  --e E                 degree (hopf/rational/elliptic)\n"
+    "  --w W                 warp dividing the degree (default 1)\n"
+    "  --window WINDOW       fan indices with |m|,|n| <= window (default 16)\n"
+)
+GRAPH_USAGE = (
+    "usage: kdl graph [-h] (--betti BETTI | --gluing GLUING | --enumerate)\n"
+    "                 [--up-to-symmetry]\n"
+)
+
+
+class TestHelpBytes:
+    # fan and verify share their family options; graph takes exactly one mode.
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (
+                "fan",
+                f"usage: kdl fan [-h] {FAMILY_USAGE} [--e E] [--w W]\n"
+                "               [--window WINDOW] [--full]\n\noptions:\n"
+                + FAMILY_OPTIONS
+                + "  --full                emit generators and quotient data too\n",
+            ),
+            (
+                "verify",
+                f"usage: kdl verify [-h] {FAMILY_USAGE} [--e E]\n"
+                "                  [--w W] [--window WINDOW]\n\noptions:\n" + FAMILY_OPTIONS,
+            ),
+            (
+                "graph",
+                GRAPH_USAGE
+                + "\noptions:\n"
+                + "  -h, --help        show this help message and exit\n"
+                + "  --betti BETTI     bicoloured graph JSON; prints its first Betti number\n"
+                + "  --gluing GLUING   polygon gluing JSON; prints class and pullback rank\n"
+                + "  --enumerate       stream every candidate gluing as JSON lines\n"
+                + "  --up-to-symmetry  one gluing per dihedral orbit\n",
+            ),
+        ],
+        ids=["fan", "verify", "graph"],
+    )
+    def test_help(self, command, text):
+        assert run_cli([command, "--help"]) == (0, text, "")
+
+
 class TestFanCommand:
     def test_window_document(self):
         code, out, _ = run_cli(["fan", "--family", "hopf", "--e", "3", "--window", "2"])
@@ -288,7 +355,7 @@ class TestFanCommand:
     def test_mumford_rejects_degree(self):
         code, _, err = run_cli(["fan", "--family", "mumford", "--e", "1"])
         assert code == 2
-        assert json.loads(err)["error"] == "MalformedInput"
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_missing_degree_rejected(self):
         code, _, _ = run_cli(["fan", "--family", "rational"])
@@ -297,18 +364,24 @@ class TestFanCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fan", "--family", "mumford", "--w", "1"], "the mumford family takes no --e or --w"),
-            (["fan", "--family", "elliptic"], "the elliptic family needs --e (0 is allowed)"),
-            (["fan", "--family", "hopf"], "the hopf family needs --e"),
-            (["verify", "--family", "rational", "--w", "1"], "the rational family needs --e"),
-            (["verify", "--family", "hopf", "--e", "2"], "the hopf family needs --w here"),
+            (["fan", "--family", "mumford", "--w", "1"], "the mumford family takes no degree or warp"),
+            (["fan", "--family", "elliptic"], "the elliptic family needs a degree e"),
+            (["fan", "--family", "hopf"], "the hopf family needs a degree e"),
+            (["verify", "--family", "rational", "--w", "1"], "the rational family needs a degree e"),
+            (["verify", "--family", "hopf", "--e", "0"], "the hopf family needs degree e >= 1"),
         ],
+        ids=["mumford-warp", "elliptic-no-degree", "hopf-no-degree", "rational-no-degree", "hopf-degree-zero"],
     )
     def test_family_rule_errors(self, argv, message):
-        # The family rules come from each family's minimum degree.
-        code, out, err = run_cli(argv)
-        assert (code, out) == (2, "")
-        assert err == json.dumps({"schema": "kdl/1", "error": "MalformedInput", "message": message}) + "\n"
+        # The family rules are build_family's, reported under its exception name.
+        assert run_cli(argv) == (2, "", error_line(message, "ValueError"))
+
+    @pytest.mark.parametrize("command", ["fan", "verify"])
+    def test_warp_defaults_to_one(self, command):
+        argv = [command, "--family", "hopf", "--e", "2", "--window", "3"]
+        omitted = run_cli(argv)
+        assert omitted[0] == 0
+        assert run_cli([*argv, "--w", "1"]) == omitted
 
 
 class TestVerifyCommand:
@@ -386,9 +459,18 @@ class TestGraphCommand:
             record = json.loads(line)
             assert record["classification"] in ("Untwisted", "Twisted", "Invalid")
 
+    def test_component_out_of_range_keeps_its_error_name(self):
+        doc = '{"components":[0,1,2,0,1,5],"nodes":[0,1,0,1,0,1]}'
+        message = "component_targets must be six values in 0..2"
+        assert run_cli(["graph", "--gluing", doc]) == (2, "", error_line(message, "ValueError"))
+
     def test_exactly_one_mode_required(self):
-        code, _, _ = run_cli(["graph"])
-        assert code == 2
+        # Zero or two modes is argparse's usage error, not a JSON error object.
+        for argv, error in [
+            (["graph"], "one of the arguments --betti --gluing --enumerate is required"),
+            (["graph", "--enumerate", "--betti", "{}"], "argument --betti: not allowed with argument --enumerate"),
+        ]:
+            assert run_cli(argv) == (2, "", GRAPH_USAGE + f"kdl graph: error: {error}\n")
 
 
 class TestBoundaryCommand:
@@ -510,6 +592,8 @@ USAGE_ERRORS = [
     ["boundary", "--degree", "1"],
     ["boundary", "--degree", "1", "--max-warp", "1", "--format", "svg"],
     ["graph", "--betti"],
+    ["graph"],
+    ["graph", "--enumerate", "--betti", "{}"],
 ]
 HELP_REQUESTS = [["--help"], ["-h"]] + [[name, "--help"] for name in ("classify", "fan", "verify", "graph", "boundary", "selftest")]
 ARGV_TOKENS = ["--help", "--window", "-1", "0", "abc", "--e", "--w", "--full", "--format", "dot", "k3", "{}", "--file", "--data"]

@@ -1,4 +1,8 @@
 import dataclasses
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 import kdl.fans
 import kdl.smoothing
 from kdl.boundary import adjacency_edges, enumerate_components
+from kdl.cli import main
 from kdl.classify import Verdict, smoothing_verdict
 from kdl.errors import NotDivisible
 from kdl.fans import (
@@ -169,17 +174,21 @@ class TestVerifyFamily:
         ]),
     ]
 
+    @staticmethod
+    def planted(family, e, w, window, at, plant):
+        """The family's window with the cone at ``at`` replaced by ``plant``."""
+        fam = build_family(family, e=e, w=w, window=window)
+        cones = dict(fam.fan.cones)
+        if isinstance(plant, list):
+            cones[at] = Cone(tuple(map(IntVec, plant)), fam.kind.AMBIENT_RANK)
+        else:
+            cones[at] = cone_at(fam.kind, plant)
+        return dataclasses.replace(fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones))
+
     def test_tampered_ray_detected(self):
         for family, e, w, window, at, plant, checks in self.PLANTED:
             fam = build_family(family, e=e, w=w, window=window)
-            cones = dict(fam.fan.cones)
-            if isinstance(plant, list):
-                cones[at] = Cone(tuple(map(IntVec, plant)), fam.kind.AMBIENT_RANK)
-            else:
-                cones[at] = cone_at(fam.kind, plant)
-            tampered = dataclasses.replace(
-                fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones)
-            )
+            tampered = self.planted(family, e, w, window, at, plant)
             assert report_payload(verify_family(tampered)) == {
                 "family": family,
                 "all_pass": False,
@@ -351,6 +360,43 @@ def family_params(family):
     if low is None:
         return [(None, None)]
     return [(e, w) for e in range(low, 9) for w in range(1, 9) if e % w == 0]
+
+
+def _fan_and_verify_outputs():
+    """The stdout and exit code of ``fan``, ``fan --full`` and ``verify`` for
+    every family, every degree e <= 4 (elliptic from 0), every warp w <= 4
+    dividing e and windows 1-3 (rational 1-2), then the report of each planted
+    window in ``TestVerifyFamily.PLANTED``."""
+    for family in FAMILY_NAMES:
+        min_degree = FAMILIES[family].min_degree
+        if min_degree is None:
+            params = [[]]
+        else:
+            params = [
+                ["--e", str(e), "--w", str(w)]
+                for e in range(min_degree, 5)
+                for w in range(1, 5)
+                if e % w == 0
+            ]
+        for args in params:
+            for window in range(1, 3 if family == "rational" else 4):
+                for command in (["fan"], ["fan", "--full"], ["verify"]):
+                    out = io.StringIO()
+                    with redirect_stdout(out):
+                        code = main([*command, "--family", family, *args, "--window", str(window)])
+                    yield {"argv": [*command, family, *args, window], "code": code, "stdout": out.getvalue()}
+    for family, e, w, window, at, plant, _ in TestVerifyFamily.PLANTED:
+        yield report_payload(verify_family(TestVerifyFamily.planted(family, e, w, window, at, plant)))
+
+
+def test_golden_fan_and_verify_digest():
+    # Compact JSON of the record list, keys in each record's own order.
+    records = list(_fan_and_verify_outputs())
+    text = json.dumps(records, separators=(",", ":"))
+    assert len(records) == 245
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "73035052da7dbba95ab9807fbfcbf1f091c0fec7b6c7bf6be3b3b663e8a224a6"
+    )
 
 
 class TestFamilyTable:
