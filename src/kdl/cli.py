@@ -116,6 +116,8 @@ _DOCUMENTS = {
     "graph": (("white", "vertex ids", False), ("black", "vertex ids", False), ("edges", "edges", False)),
     "gluing": (("components", "six integers", False), ("nodes", "six integers", False)),
 }
+# Each document's known field names, "schema" included, and its required ones.
+_NAMES = {doc: ({"schema", *(n for n, _, _ in fs)}, {n for n, _, o in fs if not o}) for doc, fs in _DOCUMENTS.items()}
 
 
 def _value(name: str, kind: str, value):
@@ -131,16 +133,16 @@ def _read(data: dict, document: str) -> dict:
     Checks unknown fields, then missing ones, the schema and the kind of each
     field present in the document's order; the first failure raises
     MalformedInput."""
-    fields = _DOCUMENTS[document]
-    unknown = data.keys() - {name for name, _, _ in fields} - {"schema"}
+    known, required = _NAMES[document]
+    unknown = data.keys() - known
     if unknown:
         raise MalformedInput(f"unknown fields: {sorted(unknown)}")
-    missing = {name for name, _, optional in fields if not optional} - data.keys()
+    missing = required - data.keys()
     if missing:
         raise MalformedInput(f"missing fields: {sorted(missing)}")
     if data.get("schema", SCHEMA) != SCHEMA:
         raise MalformedInput(f"unsupported schema {data['schema']!r}; expected {SCHEMA!r}")
-    return {name: _value(name, kind, data[name]) for name, kind, _ in fields if kind and name in data}
+    return {name: _value(name, kind, data[name]) for name, kind, _ in _DOCUMENTS[document] if kind and name in data}
 
 
 def _cmd_classify(args) -> int:

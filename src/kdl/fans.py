@@ -10,17 +10,17 @@ generator formula:
   rays (last coordinate split) and two consecutive elliptic-type rays.
 
 Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
-``FanWindow`` is the finite slice of such a fan actually verified.  The
-constructions are periodic under their lattice group actions, but the
-verification battery checks the window's cones only; it proves nothing
-about the cones outside the window.
+``FanWindow`` is the finite slice of such a fan actually materialized;
+``kdl.smoothing.certify`` proves the verification claims for every index in
+Z, and a window is checked only where it differs from the formula.
 
 A fan kind declares everything the code below needs once: its JSON ``NAME``,
 its ``AMBIENT_RANK``, its index ``AXES`` (``("m",)``, ``("n",)`` or
-``("m", "n")``) and one ray formula ``ray_<axis>`` per axis.  The cone at an
-index takes, along each axis, that axis's rays at i and i+1; ``cone_at``,
-``deflection``, ``fan_window`` and ``window_payload`` are written once over
-the axes, so a new kind is one more class here.
+``("m", "n")``) and, per axis, ``ray_coefficients`` c0, c1[, c2] of its ray
+formula c0 + i*c1 + binom2(i)*c2, of degree at most 2 in the index i.  The
+cone at an index takes, along each axis, that axis's rays at i and i+1;
+``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
+written once over the axes, so a new kind is one more class here.
 
 A window builds each of its rays once and its cones share them.  A ``Cone``
 validates its rays with one basis-extension test, which also decides its
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import product
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch, NotDivisible
 from .lattice import IntMatrix, IntVec, extends_to_basis, is_unimodular, rank_of
@@ -52,8 +52,7 @@ class MumfordNeron:
     AXES: ClassVar[tuple[str, ...]] = ("m",)
     AMBIENT_RANK: ClassVar[int] = 2
 
-    def ray_m(self, m: int) -> IntVec:
-        return IntVec((m, 1))
+    ray_coefficients: ClassVar[dict] = {"m": ((0, 1), (1, 0))}  # (m, 1)
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,9 @@ class HopfSmoothing:
         if self.e < 1:
             raise ValueError("degree e must be a positive integer")
 
-    def ray_m(self, m: int) -> IntVec:
-        return IntVec((m, self.e * binom2(m), 1))
+    @property
+    def ray_coefficients(self) -> dict:
+        return {"m": ((0, 0, 1), (1, 0, 0), (0, self.e, 0))}  # (m, e*binom2(m), 1)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class EllipticSmoothing:
     AXES: ClassVar[tuple[str, ...]] = ("n",)
     AMBIENT_RANK: ClassVar[int] = 3
 
-    def ray_n(self, n: int) -> IntVec:
-        return IntVec((0, n, 1))
+    ray_coefficients: ClassVar[dict] = {"n": ((0, 0, 1), (0, 1, 0))}  # (0, n, 1)
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,10 @@ class RationalSmoothing:
         if self.e < 1:
             raise ValueError("degree e must be a positive integer")
 
-    def ray_m(self, m: int) -> IntVec:
-        return IntVec((m, self.e * binom2(m), 1, 0))
-
-    def ray_n(self, n: int) -> IntVec:
-        return IntVec((0, n, 0, 1))
+    @property
+    def ray_coefficients(self) -> dict:
+        # (m, e*binom2(m), 1, 0) and (0, n, 0, 1)
+        return {"m": ((0, 0, 1, 0), (1, 0, 0, 0), (0, self.e, 0, 0)), "n": ((0, 0, 0, 1), (0, 1, 0, 0))}
 
 
 FanKind = Union[MumfordNeron, HopfSmoothing, EllipticSmoothing, RationalSmoothing]
@@ -150,12 +148,10 @@ class Cone:
         object.__setattr__(self, "smooth", smooth)
 
     @classmethod
-    def _trusted(cls, rays: tuple[IntVec, ...], rank: int, smooth: bool) -> "Cone":
+    def _trusted(cls, rays, rank: int, smooth: bool) -> "Cone":
         """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
         cone = object.__new__(cls)
-        object.__setattr__(cone, "rays", tuple(sorted(rays, key=lambda v: v.entries)))
-        object.__setattr__(cone, "rank", rank)
-        object.__setattr__(cone, "smooth", smooth)
+        cone.__dict__.update(rays=tuple(sorted(rays, key=lambda v: v.entries)), rank=rank, smooth=smooth)
         return cone
 
 
@@ -164,14 +160,11 @@ class GroupElement:
     """A lattice automorphism together with bookkeeping torus labels.
 
     ``torus_part`` records one opaque parameter label per coordinate (such as
-    "alpha" or "1"); labels are never evaluated.  ``_ray_images`` is the
-    memo ``apply`` keeps of each ray's image under this element; it takes no
-    part in equality, hashing or the repr.
+    "alpha" or "1"); labels are never evaluated.
     """
 
     lattice_part: IntMatrix
     torus_part: tuple[str, ...]
-    _ray_images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "torus_part", tuple(str(s) for s in self.torus_part))
@@ -189,21 +182,25 @@ class GroupElement:
         return cls(IntMatrix.identity(len(labels)), tuple(labels))
 
 
-def _ray(kind: FanKind, axis: str):
-    return getattr(kind, f"ray_{axis}")
+def ray_formula(kind: FanKind, axis: str) -> Callable[[int], IntVec]:
+    """Ray i of an axis as a function of i: c0 + i*c1 + binom2(i)*c2 for the axis's coefficients."""
+    columns = tuple(zip(*(kind.ray_coefficients[axis] + ((0,) * kind.AMBIENT_RANK,) * 2)[:3]))
+    return lambda i: IntVec._trusted(tuple([a + i * b + k * c for k in (binom2(i),) for a, b, c in columns]))
 
 
-def _cone(kind: FanKind, at: tuple[int, ...], rays) -> Cone:
+def _cone(kind: FanKind, at: tuple[int, ...], rays, certified: bool = False) -> Cone:
     """The cone at the per-axis integers ``at``; ``rays[a](i)`` is ray i of axis a.
 
-    Along each axis the cone takes that axis's rays at i and i+1.
+    Along each axis the cone takes that axis's rays at i and i+1; a certified
+    cone is built trusted and smooth.
     """
-    return Cone(tuple(ray(i + k) for ray, i in zip(rays, at) for k in (0, 1)), kind.AMBIENT_RANK)
+    spanning = [ray(i + k) for ray, i in zip(rays, at) for k in (0, 1)]
+    return Cone._trusted(spanning, kind.AMBIENT_RANK, True) if certified else Cone(tuple(spanning), kind.AMBIENT_RANK)
 
 
 def cone_at(kind: FanKind, index) -> Cone:
     """The cone of the infinite fan at the given index, straight from the generator formula."""
-    return _cone(kind, axis_indices(kind, index), [_ray(kind, axis) for axis in kind.AXES])
+    return _cone(kind, axis_indices(kind, index), [ray_formula(kind, axis) for axis in kind.AXES])
 
 
 def cone_is_smooth(c: Cone) -> bool:
@@ -222,11 +219,6 @@ def apply(g: GroupElement, c: Cone) -> Cone:
     lattice as the first rank coordinates; the action must preserve that
     sublattice.
 
-    Each ray is mapped once per element: its image is kept in
-    ``g._ray_images``, so the neighbouring cones of a window that share the
-    ray reuse it.  A ray whose image leaves the embedded sublattice raises
-    ``DimMismatch`` and is not stored, so it raises on every call.
-
     The image skips the ``Cone`` validation and takes the source cone's
     ``smooth``: ``GroupElement`` keeps its lattice part unimodular, and a
     unimodular map sends primitive, independent rays to primitive,
@@ -240,21 +232,12 @@ def apply(g: GroupElement, c: Cone) -> Cone:
     m = g.lattice_part
     if m.dim != c.rank and m.dim != c.rank + 1:
         raise DimMismatch(f"{m.dim}x{m.dim} matrix cannot act on cones of ambient rank {c.rank}")
-    memo = g._ray_images
-    mapped = []
-    for v in c.rays:
-        image = memo.get(v)
-        if image is None:
-            if m.dim == c.rank:
-                image = v.times(m)
-            else:
-                padded = IntVec._trusted(v.entries + (0,)).times(m)
-                if padded.entries[-1] != 0:
-                    raise DimMismatch("action does not preserve the embedded sublattice")
-                image = IntVec._trusted(padded.entries[:-1])
-            memo[v] = image
-        mapped.append(image)
-    return Cone._trusted(tuple(mapped), c.rank, c.smooth)
+    if m.dim == c.rank:
+        return Cone._trusted([v.times(m) for v in c.rays], c.rank, c.smooth)
+    padded = [IntVec._trusted(v.entries + (0,)).times(m).entries for v in c.rays]
+    if any(p[-1] for p in padded):
+        raise DimMismatch("action does not preserve the embedded sublattice")
+    return Cone._trusted([IntVec._trusted(p[:-1]) for p in padded], c.rank, c.smooth)
 
 
 def share_facet(c1: Cone, c2: Cone) -> bool:
@@ -286,7 +269,7 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
         direction = kind.AXES[0]
     elif direction not in kind.AXES:
         raise ArityMismatch(f"direction must be {' or '.join(map(repr, kind.AXES))} for {name}")
-    ray, i = _ray(kind, direction), axis_indices(kind, index)[kind.AXES.index(direction)]
+    ray, i = ray_formula(kind, direction), axis_indices(kind, index)[kind.AXES.index(direction)]
     return ray(i - 1) + ray(i + 1) - ray(i).scaled(2)
 
 
@@ -307,19 +290,20 @@ class FanWindow:
         return sorted(self.cones)
 
 
-def fan_window(kind: FanKind, bound: int = 16) -> FanWindow:
+def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWindow:
     """Materialize the window of all cone indices with |index| <= bound on every axis.
 
     Each ray of the window is built once, the 2*bound + 2 rays -bound..bound+1
-    per axis, and shared by every cone that holds it.
+    per axis, and shared by every cone that holds it.  The cones are built
+    trusted if ``certified`` (``kdl.smoothing.certify`` proved them smooth).
     """
     if bound < 1:
         raise ValueError("window bound must be at least 1")
     span = range(-bound, bound + 1)
     indices = span if len(kind.AXES) == 1 else product(span, repeat=len(kind.AXES))
     ends = range(-bound, bound + 2)
-    rays = [{i: _ray(kind, axis)(i) for i in ends}.__getitem__ for axis in kind.AXES]
-    cones = {index: _cone(kind, axis_indices(kind, index), rays) for index in indices}
+    rays = [{i: ray(i) for i in ends}.__getitem__ for ray in [ray_formula(kind, axis) for axis in kind.AXES]]
+    cones = {index: _cone(kind, axis_indices(kind, index), rays, certified) for index in indices}
     return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), cones)
 
 

@@ -152,8 +152,10 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 def is_unipotent(m: IntMatrix) -> bool:
     """True when (m - I)^dim = 0, i.e. every eigenvalue of m is 1."""
-    shifted = IntMatrix(tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m.rows)))
-    return shifted**m.dim == IntMatrix(((0,) * m.dim,) * m.dim)
+    power = shifted = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    for _ in range(m.dim - 1):
+        power = [[sum(map(mul, row, col)) for col in zip(*shifted)] for row in power]
+    return not any(map(any, power))
 
 
 def mod_inverse(a: int, n: int) -> int:

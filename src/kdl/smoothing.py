@@ -18,11 +18,12 @@ smoothness of all cones, facet adjacency, index shifts, deflection values,
 special-linearity and commutation of the generators, and a combinatorial
 freeness proxy.  Each claim is one public ``check_*`` function that returns
 its first counterexample, or None, and ``verify_family`` is the ordered list
-of report names and check calls.  The checks share one private ``_Walk`` of
-the window, which computes each shift image of a window cone once for the
-shift, freeness and transitivity checks.  Analytic facts with no finite
-certificate in the fan data are listed as untested metadata, never silently
-assumed.
+of report names and check calls.  Analytic facts with no finite certificate
+in the fan data are listed as untested metadata, never silently assumed.
+``certify`` proves every per-cone claim for every index in Z from the ray
+formulas and the generators, and one deflection per axis proves that claim
+for Z too; the window is checked only at the indices whose cone departs
+from the formula and their neighbours (at every index where it fails).
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -34,7 +35,7 @@ per family holds its minimum degree, fan kind, named generators, parameter
 labels, expected deflection per axis and untested notes.  ``build_family``
 and ``verify_family`` read that row and derive everything else from the
 kind's ``AXES``.  Adding a family takes one fan kind in ``kdl.fans`` (its
-``AXES`` and one ``ray_<axis>`` formula per axis), the lattice parts of its
+``AXES`` and the ``ray_coefficients`` of each axis), the lattice parts of its
 generators, and one row here, with one shift generator per axis listed first.
 """
 
@@ -64,10 +65,11 @@ from .fans import (
     mumford_shift,
     rational_shift_m,
     rational_shift_n,
+    ray_formula,
     share_facet,
     window_payload,
 )
-from .lattice import IntVec, det, is_unipotent
+from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
         family=family,
         kind=kind,
         params=params,
-        fan=fan_window(kind, window),
+        fan=fan_window(kind, window, certified=certify(kind, named) is None),
         generators=tuple(g for _, g in named),
         generator_names=tuple(name for name, _ in named),
         quotient_info=quotient_info,
@@ -241,45 +243,81 @@ UNTESTED_COMMON = (
 )
 
 
-class _Walk:
-    """A family's window as the checks walk it.
+def certify(kind: FanKind, generators) -> str | None:
+    """The first check the family's certificate fails, or None: then it holds for every index in Z.
 
-    Holds the sorted indices, each index's per-axis integers, its neighbours
-    one step up (``next``) and down (``prev``) each axis inside the window, and
-    each shift image of a window cone, computed once and shared by the shift,
-    freeness and transitivity checks.
+    ``generators`` are the family's (name, element) pairs, shifts first.  Rays
+    have degree d <= 2, so ray identities hold everywhere once they hold at
+    rays 0..d: each shift moves its axis's rays one step up and fixes the
+    other axes' (``shift``), and each further generator fixes every ray
+    (``<name>_fixes_fan``).  Every cone is then cone 0 moved by unimodular
+    shift powers, each cone's image the next cone, so cone 0 decides
+    ``cones_smooth``.  A unipotent shift fixing a cone fixes its rays (module
+    docstring), so a nonzero constant coordinate of ray i+1 - ray i proves
+    ``freeness_proxy``; it also keeps rays i and i+2 apart, so neighbouring
+    cones share a facet.  ``check_deflection`` proves its own claim.
     """
+    axes, rank = kind.AXES, kind.AMBIENT_RANK
+    rays = [[ray_formula(kind, a)(i).entries for i in range(len(kind.ray_coefficients[a]) + 1)] for a in axes]
+
+    def moves(m: IntMatrix, along: int | None) -> bool:
+        if m.dim - rank not in (0, 1):
+            return False
+        pad = (0,) * (m.dim - rank)  # a matrix acting on Z^rank + Z acts on a ray v as on (v, 0)
+        pairs = [(v + pad, vs[i + (a == along)] + pad) for a, vs in enumerate(rays) for i, v in enumerate(vs[:-1])]
+        return all(IntVec(v).times(m).entries == to for v, to in pairs)
+
+    for at, (name, g) in enumerate(generators):
+        along = at if at < len(axes) else None
+        if not moves(g.lattice_part, along):
+            return f"{name}_fixes_fan" if along is None else "shift" + ("" if len(axes) == 1 else f"_{axes[at]}")
+    if not extends_to_basis([IntVec(vs[k]) for vs in rays for k in (0, 1)]):
+        return "cones_smooth"  # cone 0 is not smooth, or not even a valid cone
+    for axis, (_, g) in zip(axes, generators):
+        c1, c2 = (*kind.ray_coefficients[axis], (0,) * rank, (0,) * rank)[1:3]  # ray i+1 - ray i = c1 + i*c2
+        if not is_unipotent(g.lattice_part) or not any(x and not y for x, y in zip(c1, c2)):
+            return "freeness_proxy"
+    return None
+
+
+class _Walk:
+    """A family's window as the checks walk it: its sorted indices and the
+    ``candidates`` each per-cone check visits, in index order.  Where
+    ``certify`` holds and the window has the indices of ``fan_window``'s, a
+    cone equal to the formula's passes every per-cone check with its
+    neighbours, so the candidates are the indices whose cone departs from the
+    formula and their neighbours; otherwise every index."""
 
     def __init__(self, f: SmoothingFamily):
         axes = f.kind.AXES
         self.family, self.cones, self.indices = f, f.fan.cones, f.fan.indices()
-        self.coords = {i: axis_indices(f.kind, i) for i in self.indices}
-        index_of = {at: i for i, at in self.coords.items()}
-        self.next = []
-        for axis in range(len(axes)):
-            up = {i: index_of.get(at[:axis] + (at[axis] + 1,) + at[axis + 1 :]) for i, at in self.coords.items()}
-            self.next.append({i: j for i, j in up.items() if j is not None})
-        self.prev = [{j: i for i, j in step.items()} for step in self.next]
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
-        self.images: dict = {}
+        self.candidates, bound = self.indices, max((hi for _, hi in f.fan.index_range), default=0)
+        if bound >= 1 and certify(f.kind, tuple(zip(f.generator_names, f.generators))) is None:
+            formula = fan_window(f.kind, bound, certified=True)
+            if (formula.index_range, formula.indices()) == (f.fan.index_range, self.indices):
+                departed = {i for i in self.indices if self.cones[i] != formula.cones[i]}
+                departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
+                self.candidates = [i for i in self.indices if i in departed]
 
-    def image(self, axis: int, i) -> Cone:
-        """The shift along an axis applied to the cone at i, computed on first use."""
-        if (axis, i) not in self.images:
-            self.images[axis, i] = apply(self.family.generators[axis], self.cones[i])
-        return self.images[axis, i]
+    def near(self, i, axis: int, step: int):
+        """The window index ``step`` along an axis from i, or None outside the window."""
+        at = axis_indices(self.family.kind, i)
+        at = at[:axis] + (at[axis] + step,) + at[axis + 1 :]
+        j = at if len(at) > 1 else at[0]
+        return j if j in self.cones else None
 
 
 def check_cones_smooth(walk: _Walk) -> str | None:
     """The first window index whose cone is not smooth."""
-    return next((str(i) for i in walk.indices if not cone_is_smooth(walk.cones[i])), None)
+    return next((str(i) for i in walk.candidates if not cone_is_smooth(walk.cones[i])), None)
 
 
 def check_adjacent_cones_share_facet(walk: _Walk) -> str | None:
     """The first pair "i~j" of neighbouring window cones that share no facet."""
-    for i in walk.indices:
-        for step in walk.next:
-            j = step.get(i)
+    for i in walk.candidates:
+        for axis in range(len(walk.suffixes)):
+            j = walk.near(i, axis, 1)
             if j is not None and not share_facet(walk.cones[i], walk.cones[j]):
                 return f"{i}~{j}"
     return None
@@ -303,8 +341,9 @@ def check_generators_commute(walk: _Walk) -> str | None:
 
 def check_shift(walk: _Walk, axis: int) -> str | None:
     """The first window index whose cone the shift along an axis does not move to the next one."""
-    for i, j in walk.next[axis].items():
-        if walk.image(axis, i) != walk.cones[j]:
+    for i in walk.candidates:
+        j = walk.near(i, axis, 1)
+        if j is not None and apply(walk.family.generators[axis], walk.cones[i]) != walk.cones[j]:
             return str(i)
     return None
 
@@ -312,19 +351,14 @@ def check_shift(walk: _Walk, axis: int) -> str | None:
 def check_fixes_fan(walk: _Walk, gen: GroupElement) -> str | None:
     """The first window index whose cone a generator does not fix."""
     cones = walk.cones
-    return next((str(i) for i in walk.indices if apply(gen, cones[i]) != cones[i]), None)
+    return next((str(i) for i in walk.candidates if apply(gen, cones[i]) != cones[i]), None)
 
 
-def check_deflection(walk: _Walk, axis: int, direction: str | None, expected: IntVec) -> str | None:
-    """The first window index whose deflection along an axis is not `expected`; one evaluation per axis coordinate."""
-    wrong: dict[int, bool] = {}
-    for i in walk.indices:
-        x = walk.coords[i][axis]
-        if x not in wrong:
-            wrong[x] = deflection(walk.family.kind, i, direction) != expected
-        if wrong[x]:
-            return str(i)
-    return None
+def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> str | None:
+    """The first window index whose deflection along a direction is not `expected`; rays of
+    degree at most 2 have the same deflection at every index in Z, so one index decides."""
+    first = walk.indices[:1]
+    return next((str(i) for i in first if deflection(walk.family.kind, i, direction) != expected), None)
 
 
 def check_freeness_proxy(walk: _Walk) -> str | None:
@@ -338,9 +372,9 @@ def check_freeness_proxy(walk: _Walk) -> str | None:
     for axis, suffix in enumerate(walk.suffixes):
         power = base = f.generators[axis].lattice_part
         for k in range(1, (1 if is_unipotent(base) else span) + 1):
-            gen_k = None if k == 1 else GroupElement.from_matrix(power)
-            for i in walk.indices:
-                if (walk.image(axis, i) if k == 1 else apply(gen_k, walk.cones[i])) == walk.cones[i]:
+            gen_k = f.generators[axis] if k == 1 else GroupElement.from_matrix(power)
+            for i in walk.candidates:
+                if apply(gen_k, walk.cones[i]) == walk.cones[i]:
                     return f"shift{suffix}^{k} fixes {i}"
             power = power @ base
     return None
@@ -355,9 +389,11 @@ def check_shift_orbit_transitive(walk: _Walk) -> str | None:
     axis and as "(m,n)", with no space, on two.
     """
     lows = [lo for lo, _ in walk.family.fan.index_range]
-    for i in walk.indices[1:]:
-        axis = max(a for a, (x, lo) in enumerate(zip(walk.coords[i], lows)) if x > lo)
-        if walk.image(axis, walk.prev[axis][i]) != walk.cones[i]:
+    for i in walk.candidates:
+        if i == walk.indices[0]:
+            continue
+        axis = max(a for a, (x, lo) in enumerate(zip(axis_indices(walk.family.kind, i), lows)) if x > lo)
+        if apply(walk.family.generators[axis], walk.cones[walk.near(i, axis, -1)]) != walk.cones[i]:
             return str(i).replace(" ", "")
     return None
 
@@ -375,7 +411,6 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
     axes = f.kind.AXES
     fixing = zip(f.generator_names[len(axes) :], f.generators[len(axes) :])
     directions = [None] if len(axes) == 1 else axes
-    deflections = zip(walk.suffixes, directions, spec.deflections(f.params.e))
     checks = [
         ("cones_smooth", check_cones_smooth(walk)),
         ("adjacent_cones_share_facet", check_adjacent_cones_share_facet(walk)),
@@ -384,8 +419,8 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
         *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
         *(
-            (f"deflection{suffix}", check_deflection(walk, axis, direction, IntVec(expected)))
-            for axis, (suffix, direction, expected) in enumerate(deflections)
+            (f"deflection{suffix}", check_deflection(walk, direction, IntVec(expected)))
+            for suffix, direction, expected in zip(walk.suffixes, directions, spec.deflections(f.params.e))
         ),
         ("freeness_proxy", check_freeness_proxy(walk)),
         ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),

@@ -25,6 +25,7 @@ from kdl.fans import (
     mumford_shift,
     rational_shift_m,
     rational_shift_n,
+    ray_formula,
     share_facet,
     window_payload,
 )
@@ -43,6 +44,31 @@ class TestBinom2:
     def test_second_difference_is_one(self):
         for m in range(-10, 11):
             assert binom2(m - 1) + binom2(m + 1) - 2 * binom2(m) == 1
+
+
+class TestRayFormulas:
+    KINDS = [MumfordNeron(), HopfSmoothing(3), EllipticSmoothing(), RationalSmoothing(2)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_data_have_degree_at_most_two_on_every_axis(self, kind):
+        # The certificate and the one-point deflection check rest on this.
+        assert tuple(kind.ray_coefficients) == kind.AXES
+        for coefficients in kind.ray_coefficients.values():
+            assert 1 <= len(coefficients) <= 3
+            assert all(len(c) == kind.AMBIENT_RANK for c in coefficients)
+
+    def test_data_evaluate_to_the_paper_formulas(self):
+        formulas = {
+            (MumfordNeron(), "m"): lambda m: (m, 1),
+            (HopfSmoothing(3), "m"): lambda m: (m, 3 * binom2(m), 1),
+            (EllipticSmoothing(), "n"): lambda n: (0, n, 1),
+            (RationalSmoothing(2), "m"): lambda m: (m, 2 * binom2(m), 1, 0),
+            (RationalSmoothing(2), "n"): lambda n: (0, n, 0, 1),
+        }
+        for (kind, axis), formula in formulas.items():
+            ray = ray_formula(kind, axis)
+            for i in range(-6, 7):
+                assert ray(i) == IntVec(formula(i)), (kind, axis, i)
 
 
 class TestConeAt:
@@ -173,37 +199,6 @@ class TestApply:
         g = GroupElement.from_matrix(swap)
         with pytest.raises(DimMismatch):
             apply(g, cone_at(MumfordNeron(), 0))
-        # A failed image is not remembered: the repeat call raises too.
-        with pytest.raises(DimMismatch):
-            apply(g, cone_at(MumfordNeron(), 0))
-
-    @pytest.mark.parametrize(
-        "kind, matrix",
-        [
-            (MumfordNeron(), mumford_shift()),
-            (HopfSmoothing(3), hopf_shift(3)),
-            (RationalSmoothing(2), rational_shift_m(2)),
-            (RationalSmoothing(2), rational_shift_n()),
-        ],
-    )
-    def test_repeat_calls_reuse_ray_images(self, kind, matrix):
-        # Neighbouring cones share rays, whose images the element remembers;
-        # first and repeat calls give the cone the validating constructor builds.
-        g = GroupElement.from_matrix(matrix)
-        at = [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)] if len(kind.AXES) == 2 else [-1, 0, 1]
-        pad = (0,) * (matrix.dim - kind.AMBIENT_RANK)
-        for index in at:
-            cone = cone_at(kind, index)
-            rays = tuple(IntVec(IntVec(v.entries + pad).times(matrix).entries[: cone.rank]) for v in cone.rays)
-            first, repeat = apply(g, cone), apply(g, cone)
-            assert first == repeat == Cone(rays, cone.rank)
-        assert len(g._ray_images) == len({v for index in at for v in cone_at(kind, index).rays})
-
-    def test_memo_leaves_equality_and_hash_alone(self):
-        used, fresh = (GroupElement.from_matrix(hopf_shift(2)) for _ in range(2))
-        apply(used, cone_at(HopfSmoothing(2), 0))
-        assert used._ray_images and not fresh._ray_images
-        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
 class TestShareFacet:

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from collections import Counter
+from contextlib import nullcontext, redirect_stdout
+from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ import kdl.smoothing
 from kdl.boundary import adjacency_edges, enumerate_components
 from kdl.cli import main
 from kdl.classify import Verdict, smoothing_verdict
-from kdl.errors import NotDivisible
+from kdl.errors import DimMismatch, NotDivisible
 from kdl.fans import (
     Cone,
     EllipticSmoothing,
@@ -27,13 +30,17 @@ from kdl.fans import (
     cone_is_smooth,
     deflection,
     hopf_shift,
+    ray_formula,
+    share_facet,
 )
 from kdl.graphs import PolygonGluing, enumerate_rational_models
-from kdl.lattice import IntMatrix, IntVec, is_unipotent
+from kdl.lattice import IntMatrix, IntVec, det, is_unipotent
 from kdl.smoothing import (
     FAMILIES,
     FAMILY_NAMES,
+    UNTESTED_COMMON,
     build_family,
+    certify,
     family_payload,
     report_payload,
     verify_family,
@@ -215,8 +222,11 @@ class TestVerifyFamily:
     VALID = [("mumford", None, None, 8), ("hopf", 3, 1, 8), ("elliptic", 4, 2, 8), ("rational", 2, 1, 4)]
 
     def test_apply_calls_per_cone(self, monkeypatch):
-        # Each shift image of a cone is computed once and shared by the shift,
-        # freeness and transitivity checks; each fixing generator adds one.
+        # On a window that matches the formula, apply maps no cone, however
+        # many cones the window has: the certificate maps rays.  A planted
+        # cone adds, for it and each of its neighbours, at most one image per
+        # fixing generator and two per shift (its own and, for the
+        # transitivity walk, the one of the index before it).
         calls = []
 
         def counting_apply(g, c):
@@ -225,11 +235,17 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(kdl.smoothing, "apply", counting_apply)
         for family, e, w, window in self.VALID:
-            fam = build_family(family, e=e, w=w, window=window)
-            calls.clear()
-            assert verify_family(fam).all_pass
-            fixing = len(fam.generators) - len(fam.kind.AXES)
-            assert len(calls) <= (len(fam.kind.AXES) + fixing) * len(fam.fan.cones), family
+            for half_width in (1, 2, window):
+                fam = build_family(family, e=e, w=w, window=half_width)
+                axes = len(fam.kind.AXES)
+                calls.clear()
+                assert verify_family(fam).all_pass
+                assert calls == [], family
+                planted = with_plants(fam, {fam.fan.indices()[len(fam.fan.cones) // 2]: ("near", 0, 1)})
+                calls.clear()
+                assert not verify_family(planted).all_pass
+                fixing = len(fam.generators) - axes
+                assert 0 < len(calls) <= (2 * axes + fixing) * (1 + 2 * axes), family
 
     def test_wrong_expected_deflection_detected(self, monkeypatch):
         # Every expected deflection off by one: the first window index fails,
@@ -250,8 +266,9 @@ class TestVerifyFamily:
             assert payload == expected, family
             assert first == (f"({-window}, {-window})" if family == "rational" else str(-window))
 
-    def test_deflection_calls_per_coordinate(self, monkeypatch):
-        # A deflection depends on one axis coordinate, so each is computed once.
+    def test_deflection_calls_per_axis(self, monkeypatch):
+        # Rays have degree at most 2, so a deflection is the same at every
+        # index: the check computes it once per axis.
         calls = []
 
         def counting_deflection(kind, index, direction=None):
@@ -260,48 +277,70 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(kdl.smoothing, "deflection", counting_deflection)
         for family, e, w, window in self.VALID:
-            fam = build_family(family, e=e, w=w, window=window)
-            calls.clear()
-            assert verify_family(fam).all_pass
-            assert len(calls) == len(fam.kind.AXES) * (2 * window + 1), family
+            for half_width in (1, window):
+                fam = build_family(family, e=e, w=w, window=half_width)
+                calls.clear()
+                assert verify_family(fam).all_pass
+                directions = [None] if len(fam.kind.AXES) == 1 else list(fam.kind.AXES)
+                assert calls == directions, family
 
     def test_one_basis_test_per_cone(self, monkeypatch):
-        # A window cone's validation decides its smoothness with one basis
-        # test; the rank is computed only for rays that fail it.
+        # One basis-extension test per validated cone, whatever the window:
+        # each certificate (one in build_family, one in verify_family) tests
+        # cone 0, every window cone is built trusted, and a planted cone adds
+        # its own validation.  The rank is computed only for rays that fail
+        # the test.
         calls = {"extends_to_basis": 0, "rank_of": 0}
-        for name in calls:
+        for name, modules in (("extends_to_basis", (kdl.fans, kdl.smoothing)), ("rank_of", (kdl.fans,))):
 
             def counting(*args, name=name, original=getattr(kdl.fans, name)):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(kdl.fans, name, counting)
+            for module in modules:
+                monkeypatch.setattr(module, name, counting)
         for family, e, w, window in self.VALID:
-            calls.update(dict.fromkeys(calls, 0))
-            fam = build_family(family, e=e, w=w, window=window)
-            assert verify_family(fam).all_pass
-            assert calls == {"extends_to_basis": len(fam.fan.cones), "rank_of": 0}, family
+            for half_width in (1, window):
+                calls.update(dict.fromkeys(calls, 0))
+                fam = build_family(family, e=e, w=w, window=half_width)
+                assert verify_family(fam).all_pass
+                assert calls == {"extends_to_basis": 2, "rank_of": 0}, family
+                assert not verify_family(with_plants(fam, {fam.fan.indices()[-1]: ("near", 0, -1)})).all_pass
+                assert calls == {"extends_to_basis": 2 + 2, "rank_of": 0}, family
 
     def test_ray_formulas_once_per_window_ray(self, monkeypatch):
-        # The window evaluates each ray_<axis> formula once per ray -W..W+1,
-        # however many cones hold the ray.
+        # build_family evaluates each ray -W..W+1 of each axis once, however
+        # many cones hold the ray, and its certificate a fixed set of rays
+        # whatever W is.
+        counts = []
+
+        def counting(kind, axis, formula=ray_formula):
+            ray = formula(kind, axis)
+
+            def evaluate(i):
+                counts[-1][axis, i] += 1
+                return ray(i)
+
+            return evaluate
+
+        for module in (kdl.fans, kdl.smoothing):
+            monkeypatch.setattr(module, "ray_formula", counting)
         for family, e, w, window in self.VALID:
-            kind = type(FAMILIES[family].kind(e))
-            calls = []
-            for axis in kind.AXES:
-
-                def counting(self, i, axis=axis, formula=getattr(kind, f"ray_{axis}")):
-                    calls.append((axis, i))
-                    return formula(self, i)
-
-                monkeypatch.setattr(kind, f"ray_{axis}", counting)
-            build_family(family, e=e, w=w, window=window)
-            monkeypatch.undo()
-            assert sorted(calls) == [(axis, i) for axis in kind.AXES for i in range(-window, window + 2)], family
+            certificate = set()
+            for half_width in (1, 2, window):
+                counts.append(Counter())
+                fam = build_family(family, e=e, w=w, window=half_width)
+                window_rays = Counter((axis, i) for axis in fam.kind.AXES for i in range(-half_width, half_width + 2))
+                beyond = counts[-1] - window_rays
+                assert counts[-1] == beyond + window_rays, family
+                certificate.add(tuple(sorted(beyond.items())))
+            # What is left beyond one evaluation per window ray is the same for every W.
+            assert len(certificate) == 1, family
 
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
-        # apply maps each window ray once per generator, however many cones
-        # share it.
+        # On a window that matches the formula, vectors are mapped only by
+        # the certificate: d+1 rays per axis (d the axis's degree) once per
+        # generator, however many cones the window has.
         calls = []
         times = IntVec.times
 
@@ -311,11 +350,13 @@ class TestVerifyFamily:
 
         monkeypatch.setattr(IntVec, "times", counting_times)
         for family, e, w, window in self.VALID:
-            fam = build_family(family, e=e, w=w, window=window)
-            rays = {v for cone in fam.fan.cones.values() for v in cone.rays}
-            calls.clear()
-            assert verify_family(fam).all_pass
-            assert len(calls) <= len(rays) * len(fam.generators), family
+            for half_width in (1, window):
+                fam = build_family(family, e=e, w=w, window=half_width)
+                axes = fam.kind.AXES
+                points = sum(len(fam.kind.ray_coefficients[axis]) for axis in axes)
+                calls.clear()
+                assert verify_family(fam).all_pass
+                assert len(calls) == len(fam.generators) * points, family
 
     def test_checks_are_called_through_module_globals(self, monkeypatch):
         # A tracer sees each check by rebinding its kdl.smoothing name, so
@@ -436,6 +477,107 @@ class TestFamilyTable:
         assert cone_is_smooth(image) == cone_is_smooth(validated) == cone_is_smooth(cone)
 
 
+def off_by_one_mutants():
+    """Every off-by-one mutant of one family row each, as (family, e, w,
+    mutant, kind, named generators): each entry of each ray coefficient, and
+    each entry of each generator's lattice part that is not the identity (the
+    shifts and the elliptic twist), moved by 1 either way.  A lattice part
+    that stops being unimodular is left out: ``GroupElement`` rejects it."""
+    for family, e, w in (("mumford", None, None), ("hopf", 2, 1), ("elliptic", 4, 2), ("rational", 2, 1)):
+        spec = FAMILIES[family]
+        kind, named = spec.kind(e), spec.generators(e, w)
+        for axis, coefficients in kind.ray_coefficients.items():
+            for k, j, step in product(range(len(coefficients)), range(kind.AMBIENT_RANK), (1, -1)):
+                moved = {a: [list(c) for c in cs] for a, cs in kind.ray_coefficients.items()}
+                moved[axis][k][j] += step
+                moved = {a: tuple(map(tuple, cs)) for a, cs in moved.items()}
+                mutant = type(type(kind).__name__, (type(kind),), {"ray_coefficients": property(lambda _, m=moved: m)})
+                yield family, e, w, f"ray_{axis} c{k}[{j}]{step:+d}", mutant(**dataclasses.asdict(kind)), named
+        for at, (name, g) in enumerate(named):
+            rows = g.lattice_part.rows
+            if rows == IntMatrix.identity(len(rows)).rows:
+                continue
+            for r, c, step in product(range(len(rows)), range(len(rows)), (1, -1)):
+                moved = [list(row) for row in rows]
+                moved[r][c] += step
+                if det(IntMatrix(moved)) in (1, -1):
+                    mutant = GroupElement(IntMatrix(moved), g.torus_part)
+                    yield family, e, w, f"{name}[{r}][{c}]{step:+d}", kind, named[:at] + ((name, mutant),) + named[at + 1 :]
+
+
+class TestCertificate:
+    def test_every_family_row_is_certified(self):
+        for family, spec in FAMILIES.items():
+            for e, w in family_params(family):
+                assert certify(spec.kind(e), spec.generators(e, w)) is None, (family, e, w)
+
+    # Mutants no fan check can tell from the family: row j of a lattice part
+    # only meets coordinate j of a ray, which is 0 on every ray (coordinate 0
+    # of the elliptic fan, the gluing coordinate 4 of the rational one); and
+    # a constant term moved along a direction every generator fixes reindexes
+    # or translates the fan into one with the same certificate.  The elliptic
+    # twist's exponent e/w is among them: it fixes every ray whatever it is.
+    EQUIVALENT = {
+        "mumford": ["ray_m c0[0]+1", "ray_m c0[0]-1"],
+        "hopf": ["ray_m c0[1]+1", "ray_m c0[1]-1"],
+        "elliptic": [
+            "ray_n c0[1]+1", "ray_n c0[1]-1",
+            *(f"{name}[0][{c}]{step:+d}" for name in ("polygon_shift", "base_twist") for c in (1, 2) for step in (1, -1)),
+        ],
+        "rational": [
+            "ray_m c0[1]+1", "ray_m c0[1]-1", "ray_n c0[1]+1", "ray_n c0[1]-1",
+            *(f"{name}[4][{c}]{step:+d}" for name in ("shift_m", "shift_n") for c in range(4) for step in (1, -1)),
+        ],
+    }
+
+    def test_off_by_one_mutants_fail_the_certificate(self):
+        # Every other mutant fails a named check of the certificate, and the
+        # certificate holds exactly when the full walk of a window passes
+        # every per-cone check (the generator checks are not its business;
+        # a window whose walk leaves the embedded sublattice raises).
+        failures, equivalent = Counter(), {family: [] for family in self.EQUIVALENT}
+        for family, e, w, mutant, kind, named in off_by_one_mutants():
+            failure = certify(kind, named)
+            fam = dataclasses.replace(
+                build_family(family, e=e, w=w, window=3), kind=kind,
+                generators=tuple(g for _, g in named), generator_names=tuple(name for name, _ in named))
+            try:
+                fam = dataclasses.replace(fam, fan=kdl.fans.fan_window(kind, 3))
+                walked = [c for c in full_walk(fam)["checks"] if not c["name"].startswith("generators_")]
+            except (ValueError, DimMismatch):
+                walked = [{"passed": False}]
+            assert (failure is None) == all(c["passed"] for c in walked), (family, mutant, failure)
+            if failure is None:
+                equivalent[family].append(mutant)
+            else:
+                failures[failure] += 1
+        assert equivalent == self.EQUIVALENT
+        assert failures == {"shift": 46, "shift_m": 54, "shift_n": 38, "base_twist_fixes_fan": 9}
+
+    def test_each_claim_names_its_check(self):
+        # One failing claim at a time; the certificate holds for the row.
+        spec = FAMILIES["hopf"]
+        kind, named = spec.kind(2), spec.generators(2, 1)
+        shift, gluing = named
+        assert certify(kind, named) is None
+        swap = GroupElement.from_matrix(IntMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))))
+        assert certify(kind, (("polygon_shift", swap), gluing)) == "shift"
+        assert certify(kind, (shift, ("fiber_gluing", shift[1]))) == "fiber_gluing_fixes_fan"
+        # Rays (2m, 4*binom2(m), 1), which the shift below moves, span cones of index 2.
+        doubled = type("HopfSmoothing", (HopfSmoothing,), {"ray_coefficients": property(
+            lambda _: {"m": ((0, 0, 1), (2, 0, 0), (0, 4, 0))})})(2)
+        moves = GroupElement.from_matrix(IntMatrix(((1, 2, 0), (0, 1, 0), (2, 0, 1))))
+        assert certify(doubled, (("polygon_shift", moves), gluing)) == "cones_smooth"
+        # The gluing coordinate's row meets no ray; -1 there keeps every
+        # identity but makes the shift not unipotent.
+        named = FAMILIES["rational"].generators(2, 1)
+        rows = [list(row) for row in named[0][1].lattice_part.rows]
+        rows[4][4] = -1
+        flipped = (("shift_m", GroupElement.from_matrix(IntMatrix(rows))),) + named[1:]
+        assert certify(FAMILIES["rational"].kind(2), flipped) == "freeness_proxy"
+        assert certify(FAMILIES["rational"].kind(2), named[:1] + (("shift_n", named[0][1]),) + named[2:]) == "shift_n"
+
+
 class TestFamilyInvariants:
     # The quotient of a covering family of degree e by its order-w group has
     # generic fibres of degree e/w, which is what classification predicts.
@@ -510,3 +652,206 @@ class TestRecords:
             for name in ("e", "galois_order", "passed", "extra", *fields):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 1)
+
+
+# ---------------------------------------------------------------------------
+# verify_family against a full walk of the window.
+
+
+def full_walk(f):
+    """The battery walked at every window index, as a report payload: the
+    reference ``verify_family`` must answer exactly as, whatever it skips."""
+    kind, cones, gens, names = f.kind, f.fan.cones, f.generators, f.generator_names
+    axes, spec = kind.AXES, FAMILIES[f.family]
+    indices = sorted(cones)
+    coords = {i: (i,) if len(axes) == 1 else i for i in indices}
+    index_of = {at: i for i, at in coords.items()}
+    suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
+
+    def near(i, axis, step):
+        at = coords[i]
+        return index_of.get(at[:axis] + (at[axis] + step,) + at[axis + 1 :])
+
+    def first(found):
+        return next((str(x) for x in found), None)
+
+    def freeness():
+        span = max(hi - lo for lo, hi in f.fan.index_range)
+        for axis, suffix in enumerate(suffixes):
+            power = base = gens[axis].lattice_part
+            for k in range(1, (1 if is_unipotent(base) else span) + 1):
+                g = GroupElement.from_matrix(power)
+                for i in indices:
+                    if apply(g, cones[i]) == cones[i]:
+                        return f"shift{suffix}^{k} fixes {i}"
+                power = power @ base
+        return None
+
+    def orbit():
+        lows = [lo for lo, _ in f.fan.index_range]
+        for i in indices[1:]:
+            axis = max(a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo)
+            if apply(gens[axis], cones[near(i, axis, -1)]) != cones[i]:
+                return str(i).replace(" ", "")
+        return None
+
+    lattice = [g.lattice_part for g in gens]
+    checks = [
+        ("cones_smooth", first(i for i in indices if not cone_is_smooth(cones[i]))),
+        ("adjacent_cones_share_facet", next((
+            f"{i}~{j}" for i in indices for axis in range(len(axes))
+            if (j := near(i, axis, 1)) is not None and not share_facet(cones[i], cones[j])), None)),
+        ("generators_special_linear", next((n for n, m in zip(names, lattice) if det(m) != 1), None)),
+        ("generators_commute", next((
+            f"{names[a]}*{names[b]}" for a in range(len(gens)) for b in range(a + 1, len(gens))
+            if lattice[a] @ lattice[b] != lattice[b] @ lattice[a]), None)),
+        *((f"shift{suffix}", first(
+            i for i in indices if (j := near(i, axis, 1)) is not None and apply(gens[axis], cones[i]) != cones[j]))
+          for axis, suffix in enumerate(suffixes)),
+        *((f"{name}_fixes_fan", first(i for i in indices if apply(g, cones[i]) != cones[i]))
+          for name, g in zip(names[len(axes):], gens[len(axes):])),
+        *((f"deflection{suffix}", first(
+            i for i in indices if deflection(kind, i, None if len(axes) == 1 else axis) != IntVec(expected)))
+          for suffix, axis, expected in zip(suffixes, axes, spec.deflections(f.params.e))),
+        ("freeness_proxy", freeness()),
+        ("shift_orbit_transitive", orbit()),
+    ]
+    return {
+        "family": f.family,
+        "all_pass": all(failure is None for _, failure in checks),
+        "checks": [{"name": name, "passed": failure is None, "counterexample": failure} for name, failure in checks],
+        "untested": list(UNTESTED_COMMON + spec.untested),
+    }
+
+
+# Rays fixed by the first shift of each family, so a cone of them breaks freeness.
+KERNEL_RAYS = {
+    "mumford": [(1, 0)],
+    "hopf": [(0, 1, 0)],
+    "elliptic": [(1, 0, 0), (0, 1, 0)],
+    "rational": [(0, 1, 0, 0), (0, 0, 0, 1)],
+}
+
+
+def plant(fam, at, how):
+    """The cone ``how`` names for index ``at`` of a family: ``("near", axis, step)``
+    is the formula cone one step along an axis; ``("kernel",)`` spans
+    ``KERNEL_RAYS``; ``("bent",)`` is the formula cone with its first ray v0
+    replaced by 2*v0 + v1, an index-2 cone that is not smooth."""
+    kind = fam.kind
+    coords = (at,) if len(kind.AXES) == 1 else at
+    if how[0] == "near":
+        _, axis, step = how
+        moved = coords[:axis] + (coords[axis] + step,) + coords[axis + 1 :]
+        return cone_at(kind, moved if len(moved) > 1 else moved[0])
+    if how[0] == "kernel":
+        return Cone(tuple(map(IntVec, KERNEL_RAYS[fam.family])), kind.AMBIENT_RANK)
+    rays = cone_at(kind, at).rays
+    bent = Cone((IntVec(tuple(2 * a + b for a, b in zip(rays[0].entries, rays[1].entries))),) + rays[1:], kind.AMBIENT_RANK)
+    assert not cone_is_smooth(bent)
+    return bent
+
+
+def with_plants(fam, plants):
+    """The family with the window cone at each index of ``plants`` replaced as it names."""
+    cones = dict(fam.fan.cones)
+    for at, how in plants.items():
+        cones[at] = plant(fam, at, how)
+    return dataclasses.replace(fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones))
+
+
+def with_non_unipotent_shift(fam, axis):
+    """The family with its shift along an axis replaced by -I, which is not unipotent."""
+    dim = fam.generators[axis].lattice_part.dim
+    minus = GroupElement.from_matrix(IntMatrix(tuple(tuple(-(i == j) for j in range(dim)) for i in range(dim))))
+    return dataclasses.replace(fam, generators=fam.generators[:axis] + (minus,) + fam.generators[axis + 1 :])
+
+
+def deflection_rows_off_by_one(family, axis, coordinate, step):
+    """FAMILIES with one expected deflection entry of a family moved by ``step``."""
+    spec = FAMILIES[family]
+
+    def rows(e):
+        rows = [list(row) for row in spec.deflections(e)]
+        rows[axis][coordinate] += step
+        return tuple(map(tuple, rows))
+
+    return patch.dict(FAMILIES, {family: dataclasses.replace(spec, deflections=rows)})
+
+
+def plant_kinds(fam):
+    """Every plant kind for one index of the family."""
+    return [("near", axis, step) for axis in range(len(fam.kind.AXES)) for step in (1, -1)] + [("kernel",), ("bent",)]
+
+
+# (family, e, w, window) of the planted dump.
+DUMP_FAMILIES = [("mumford", None, None, 2), ("hopf", 2, 1, 2), ("elliptic", 4, 2, 2), ("rational", 1, 1, 1)]
+
+
+def _planted_cases():
+    """Each planted case of ``DUMP_FAMILIES`` as (FAMILIES patch, maker of the
+    family): each plant kind at each index; a neighbour's cone at each index
+    together with a kernel cone at the opposite index; each expected
+    deflection entry off by one either way; each shift replaced by -I, alone
+    and with a neighbour's cone planted at the first index."""
+    for family, e, w, window in DUMP_FAMILIES:
+        fam = build_family(family, e=e, w=w, window=window)
+        for at in fam.fan.indices():
+            for how in plant_kinds(fam):
+                yield nullcontext(), lambda at=at, how=how, fam=fam: with_plants(fam, {at: how})
+            opposite = -at if isinstance(at, int) else tuple(-x for x in at)
+            if opposite != at:
+                plants = {at: ("near", 0, 1), opposite: ("kernel",)}
+                yield nullcontext(), lambda plants=plants, fam=fam: with_plants(fam, plants)
+        for axis in range(len(fam.kind.AXES)):
+            for coordinate in range(fam.kind.AMBIENT_RANK):
+                for step in (1, -1):
+                    yield (deflection_rows_off_by_one(family, axis, coordinate, step),
+                           lambda family=family, e=e, w=w, window=window: build_family(family, e=e, w=w, window=window))
+            bad = with_non_unipotent_shift(fam, axis)
+            yield nullcontext(), lambda bad=bad: bad
+            first = {bad.fan.indices()[0]: ("near", axis, 1)}
+            yield nullcontext(), lambda bad=bad, first=first: with_plants(bad, first)
+
+
+def test_golden_planted_report_digest():
+    # Compact JSON of the report list, keys in each report's own order.
+    reports = []
+    for patched, make in _planted_cases():
+        with patched:
+            reports.append(report_payload(verify_family(make())))
+    text = json.dumps(reports, separators=(",", ":"))
+    assert len(reports) == 176
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3a7f42bf79ead3ed527089d0796039182852dddb1052b59a629d13f47ea40d59"
+    )
+
+
+def test_planted_reports_match_the_full_walk():
+    for patched, make in _planted_cases():
+        with patched:
+            fam = make()
+            assert report_payload(verify_family(fam)) == full_walk(fam)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_family_matches_the_full_walk(data):
+    # Any family and window, up to two plants of any kind at any indices, and
+    # at times a shift that is not unipotent or an expected deflection entry
+    # off by one.
+    family = data.draw(st.sampled_from(FAMILY_NAMES))
+    e, w = data.draw(st.sampled_from(family_params(family)))
+    fam = build_family(family, e=e, w=w, window=data.draw(st.integers(1, 2 if family == "rational" else 5)))
+    axes = range(len(fam.kind.AXES))
+    fam = with_plants(fam, data.draw(st.dictionaries(
+        st.sampled_from(fam.fan.indices()), st.sampled_from(plant_kinds(fam)), max_size=2)))
+    if data.draw(st.integers(0, 4)) == 0:
+        fam = with_non_unipotent_shift(fam, data.draw(st.sampled_from(axes)))
+    patched = nullcontext()
+    if data.draw(st.integers(0, 4)) == 0:
+        patched = deflection_rows_off_by_one(
+            family, data.draw(st.sampled_from(axes)), data.draw(st.integers(0, fam.kind.AMBIENT_RANK - 1)),
+            data.draw(st.sampled_from((1, -1))))
+    with patched:
+        assert report_payload(verify_family(fam)) == full_walk(fam)
