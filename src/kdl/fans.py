@@ -25,6 +25,7 @@ written once over the axes, so a new kind is one more class here.
 A window builds each of its rays once and its cones share them.  A ``Cone``
 validates its rays with one basis-extension test, which also decides its
 smoothness; the cone stores the answer, and ``apply`` hands it on to images.
+A cone built from the formula carries its kind and index as ``formula``.
 
 Matrices act on row vectors from the right throughout.
 """
@@ -125,13 +126,14 @@ class Cone:
     equal cones compare equal.  After the per-ray primitivity check one
     basis-extension test of the rays both validates the cone and decides its
     smoothness: rays that extend to a lattice basis are independent, so their
-    rank is computed only when the test fails.  ``smooth`` holds the answer;
-    it takes no part in equality, hashing or the repr.
+    rank is computed only when the test fails.  ``smooth`` holds the answer, and
+    ``formula`` a formula cone's (kind, per-axis index); neither is compared, hashed or shown.
     """
 
     rays: tuple[IntVec, ...]
     rank: int
     smooth: bool = field(init=False, compare=False, repr=False)
+    formula: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rays = tuple(sorted(self.rays, key=lambda v: v.entries))
@@ -148,10 +150,10 @@ class Cone:
         object.__setattr__(self, "smooth", smooth)
 
     @classmethod
-    def _trusted(cls, rays, rank: int, smooth: bool) -> "Cone":
+    def _trusted(cls, rays, rank: int, smooth: bool, formula: tuple | None = None) -> "Cone":
         """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
         cone = object.__new__(cls)
-        cone.__dict__.update(rays=tuple(sorted(rays, key=lambda v: v.entries)), rank=rank, smooth=smooth)
+        vars(cone).update(rays=tuple(sorted(rays, key=lambda v: v.entries)), rank=rank, smooth=smooth, formula=formula)
         return cone
 
 
@@ -192,10 +194,11 @@ def _cone(kind: FanKind, at: tuple[int, ...], rays, certified: bool = False) -> 
     """The cone at the per-axis integers ``at``; ``rays[a](i)`` is ray i of axis a.
 
     Along each axis the cone takes that axis's rays at i and i+1; a certified
-    cone is built trusted and smooth.
+    cone is smooth, any other is validated.  The cone's ``formula`` is (kind, at).
     """
     spanning = [ray(i + k) for ray, i in zip(rays, at) for k in (0, 1)]
-    return Cone._trusted(spanning, kind.AMBIENT_RANK, True) if certified else Cone(tuple(spanning), kind.AMBIENT_RANK)
+    smooth = certified or Cone(tuple(spanning), kind.AMBIENT_RANK).smooth
+    return Cone._trusted(spanning, kind.AMBIENT_RANK, smooth, (kind, at))
 
 
 def cone_at(kind: FanKind, index) -> Cone:
@@ -290,6 +293,11 @@ class FanWindow:
         return sorted(self.cones)
 
 
+def window_indices(kind: FanKind, bound: int) -> list:
+    """(index, per-axis integers) of each cone index with |index| <= bound on every axis, in sorted order."""
+    return [(at if len(at) > 1 else at[0], at) for at in product(range(-bound, bound + 1), repeat=len(kind.AXES))]
+
+
 def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWindow:
     """Materialize the window of all cone indices with |index| <= bound on every axis.
 
@@ -299,11 +307,9 @@ def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWi
     """
     if bound < 1:
         raise ValueError("window bound must be at least 1")
-    span = range(-bound, bound + 1)
-    indices = span if len(kind.AXES) == 1 else product(span, repeat=len(kind.AXES))
     ends = range(-bound, bound + 2)
     rays = [{i: ray(i) for i in ends}.__getitem__ for ray in [ray_formula(kind, axis) for axis in kind.AXES]]
-    cones = {index: _cone(kind, axis_indices(kind, index), rays, certified) for index in indices}
+    cones = {index: _cone(kind, at, rays, certified) for index, at in window_indices(kind, bound)}
     return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), cones)
 
 

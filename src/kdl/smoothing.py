@@ -24,6 +24,8 @@ in the fan data are listed as untested metadata, never silently assumed.
 formulas and the generators, and one deflection per axis proves that claim
 for Z too; the window is checked only at the indices whose cone departs
 from the formula and their neighbours (at every index where it fails).
+``build_family`` certifies once and the family carries the certificate; with
+the cones' ``formula`` tags, ``verify_family`` builds no cone to check it.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -41,12 +43,11 @@ generators, and one row here, with one shift generator per axis listed first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import NotDivisible
 from .fans import (
-    Cone,
     EllipticSmoothing,
     FanKind,
     FanWindow,
@@ -67,6 +68,7 @@ from .fans import (
     rational_shift_n,
     ray_formula,
     share_facet,
+    window_indices,
     window_payload,
 )
 from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
@@ -163,7 +165,7 @@ class QuotientInfo:
 
 @dataclass(frozen=True)
 class SmoothingFamily:
-    """A fan window together with its group generators and quotient bookkeeping."""
+    """A fan window, its group generators, quotient bookkeeping and the certificate ``build_family`` proved."""
 
     family: str
     kind: FanKind
@@ -172,6 +174,7 @@ class SmoothingFamily:
     generators: tuple[GroupElement, ...]
     generator_names: tuple[str, ...]
     quotient_info: QuotientInfo | None
+    certificate: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -222,16 +225,17 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
             )
         params = FamilyParams(e=e, w=w, **spec.labels)
         quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=e // w)
-    kind = spec.kind(e)
-    named = spec.generators(e, w)
+    kind, named = spec.kind(e), spec.generators(e, w)
+    certified = certify(kind, named) is None
     return SmoothingFamily(
         family=family,
         kind=kind,
         params=params,
-        fan=fan_window(kind, window, certified=certify(kind, named) is None),
+        fan=fan_window(kind, window, certified),
         generators=tuple(g for _, g in named),
         generator_names=tuple(name for name, _ in named),
         quotient_info=quotient_info,
+        certificate=(kind, named) if certified else None,
     )
 
 
@@ -282,23 +286,23 @@ def certify(kind: FanKind, generators) -> str | None:
 
 class _Walk:
     """A family's window as the checks walk it: its sorted indices and the
-    ``candidates`` each per-cone check visits, in index order.  Where
-    ``certify`` holds and the window has the indices of ``fan_window``'s, a
-    cone equal to the formula's passes every per-cone check with its
-    neighbours, so the candidates are the indices whose cone departs from the
-    formula and their neighbours; otherwise every index."""
+    ``candidates`` each per-cone check visits, in index order.  ``certified``:
+    the family's ``certificate`` is its kind and named generators, or ``certify``
+    holds.  Then, on a window with ``fan_window``'s indices, a cone whose ``formula``
+    is (kind, its index) passes every per-cone check with its neighbours, so the
+    candidates are the other indices and their neighbours; else every index."""
 
     def __init__(self, f: SmoothingFamily):
-        axes = f.kind.AXES
+        axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
         self.family, self.cones, self.indices = f, f.fan.cones, f.fan.indices()
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
+        self.certified = f.certificate == (f.kind, named) or certify(f.kind, named) is None
         self.candidates, bound = self.indices, max((hi for _, hi in f.fan.index_range), default=0)
-        if bound >= 1 and certify(f.kind, tuple(zip(f.generator_names, f.generators))) is None:
-            formula = fan_window(f.kind, bound, certified=True)
-            if (formula.index_range, formula.indices()) == (f.fan.index_range, self.indices):
-                departed = {i for i in self.indices if self.cones[i] != formula.cones[i]}
-                departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
-                self.candidates = [i for i in self.indices if i in departed]
+        box = window_indices(f.kind, bound) if self.certified else []
+        if box and (f.fan.index_range, self.indices) == (((-bound, bound),) * len(axes), [i for i, _ in box]):
+            departed = {i for i, at in box if self.cones[i].formula != (f.kind, at)}
+            departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
+            self.candidates = [i for i in self.indices if i in departed]
 
     def near(self, i, axis: int, step: int):
         """The window index ``step`` along an axis from i, or None outside the window."""
@@ -364,14 +368,14 @@ def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> st
 def check_freeness_proxy(walk: _Walk) -> str | None:
     """The first "shift^k fixes i": no power k >= 1 of a shift may fix a window cone.
 
-    k = 1 decides it for a unipotent shift (module docstring); a shift that
-    is not unipotent tries every k up to the window's span.
+    k = 1 decides it for a unipotent shift (module docstring), as a certified
+    walk's are; a shift that is not unipotent tries every k up to the span.
     """
     f = walk.family
     span = max(hi - lo for lo, hi in f.fan.index_range)
     for axis, suffix in enumerate(walk.suffixes):
         power = base = f.generators[axis].lattice_part
-        for k in range(1, (1 if is_unipotent(base) else span) + 1):
+        for k in range(1, (1 if walk.certified or is_unipotent(base) else span) + 1):
             gen_k = f.generators[axis] if k == 1 else GroupElement.from_matrix(power)
             for i in walk.candidates:
                 if apply(gen_k, walk.cones[i]) == walk.cones[i]:

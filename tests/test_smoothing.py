@@ -74,6 +74,12 @@ class TestBuildFamily:
     def test_elliptic_twist_exponent(self):
         fam = build_family("elliptic", e=6, w=3, window=4)
         assert fam.generators[1].lattice_part.rows[0] == (1, 2, 0)
+        # No fan check sees the exponent (TestCertificate.EQUIVALENT), so it
+        # is pinned here: e/w, the degree of the quotient's generic fibre.
+        for e, w in family_params("elliptic"):
+            fam = build_family("elliptic", e=e, w=w, window=1)
+            twist = dict(zip(fam.generator_names, fam.generators))["base_twist"]
+            assert twist.lattice_part.rows[0][1] == e // w == fam.quotient_info.generic_fiber_degree, (e, w)
 
     def test_warp_must_divide(self):
         with pytest.raises(NotDivisible):
@@ -286,10 +292,10 @@ class TestVerifyFamily:
 
     def test_one_basis_test_per_cone(self, monkeypatch):
         # One basis-extension test per validated cone, whatever the window:
-        # each certificate (one in build_family, one in verify_family) tests
-        # cone 0, every window cone is built trusted, and a planted cone adds
-        # its own validation.  The rank is computed only for rays that fail
-        # the test.
+        # the one certificate, made in build_family and carried to
+        # verify_family, tests cone 0, every window cone is built trusted,
+        # and a planted cone adds its own validation.  The rank is computed
+        # only for rays that fail the test.
         calls = {"extends_to_basis": 0, "rank_of": 0}
         for name, modules in (("extends_to_basis", (kdl.fans, kdl.smoothing)), ("rank_of", (kdl.fans,))):
 
@@ -304,9 +310,9 @@ class TestVerifyFamily:
                 calls.update(dict.fromkeys(calls, 0))
                 fam = build_family(family, e=e, w=w, window=half_width)
                 assert verify_family(fam).all_pass
-                assert calls == {"extends_to_basis": 2, "rank_of": 0}, family
+                assert calls == {"extends_to_basis": 1, "rank_of": 0}, family
                 assert not verify_family(with_plants(fam, {fam.fan.indices()[-1]: ("near", 0, -1)})).all_pass
-                assert calls == {"extends_to_basis": 2 + 2, "rank_of": 0}, family
+                assert calls == {"extends_to_basis": 1 + 1, "rank_of": 0}, family
 
     def test_ray_formulas_once_per_window_ray(self, monkeypatch):
         # build_family evaluates each ray -W..W+1 of each axis once, however
@@ -339,8 +345,9 @@ class TestVerifyFamily:
 
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
         # On a window that matches the formula, vectors are mapped only by
-        # the certificate: d+1 rays per axis (d the axis's degree) once per
-        # generator, however many cones the window has.
+        # the certificate in build_family: d+1 rays per axis (d the axis's
+        # degree) once per generator, however many cones the window has.
+        # verify_family reads the family's certificate and maps none.
         calls = []
         times = IntVec.times
 
@@ -351,12 +358,30 @@ class TestVerifyFamily:
         monkeypatch.setattr(IntVec, "times", counting_times)
         for family, e, w, window in self.VALID:
             for half_width in (1, window):
+                calls.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
-                axes = fam.kind.AXES
-                points = sum(len(fam.kind.ray_coefficients[axis]) for axis in axes)
+                points = sum(len(fam.kind.ray_coefficients[axis]) for axis in fam.kind.AXES)
+                assert len(calls) == len(fam.generators) * points, family
                 calls.clear()
                 assert verify_family(fam).all_pass
-                assert len(calls) == len(fam.generators) * points, family
+                assert calls == [], family
+
+    def test_one_unipotence_test_per_shift(self, monkeypatch):
+        # The certificate tests each shift once in build_family; the
+        # freeness check of a certified family tests none again.
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return is_unipotent(m)
+
+        monkeypatch.setattr(kdl.smoothing, "is_unipotent", counting)
+        for family, e, w, window in self.VALID:
+            for half_width in (1, window):
+                calls.clear()
+                fam = build_family(family, e=e, w=w, window=half_width)
+                assert verify_family(fam).all_pass
+                assert calls == [g.lattice_part for g in fam.generators[: len(fam.kind.AXES)]], family
 
     def test_checks_are_called_through_module_globals(self, monkeypatch):
         # A tracer sees each check by rebinding its kdl.smoothing name, so
@@ -855,3 +880,66 @@ def test_verify_family_matches_the_full_walk(data):
             data.draw(st.sampled_from((1, -1))))
     with patched:
         assert report_payload(verify_family(fam)) == full_walk(fam)
+
+
+# Where verify_family must not trust a cone's formula tag or the family's
+# carried certificate, it answers as the full walk.
+
+
+def with_cones(fam, cones):
+    """The family with its window cones replaced by ``cones``."""
+    return dataclasses.replace(fam, fan=FanWindow(fam.fan.kind, fam.fan.index_range, cones))
+
+
+def test_a_window_cone_reused_at_the_next_index_matches_the_full_walk():
+    # The cone object of index i-1 along the first axis, tagged with i-1, at i.
+    for family, e, w, window in DUMP_FAMILIES:
+        fam = build_family(family, e=e, w=w, window=window)
+        for i in fam.fan.indices():
+            at = (i,) if isinstance(i, int) else i
+            before = (at[0] - 1,) + at[1:]
+            if before[0] >= -window:
+                cones = dict(fam.fan.cones)
+                cones[i] = cones[before if len(before) > 1 else before[0]]
+                moved = with_cones(fam, cones)
+                report = report_payload(verify_family(moved))
+                assert not report["all_pass"] and report == full_walk(moved), (family, i)
+
+
+def test_an_equal_cone_of_another_degree_matches_the_full_walk():
+    # Cone 0 of degree e+1 has the rays of cone 0 of degree e, but another tag.
+    for family, kind in (("hopf", HopfSmoothing), ("rational", RationalSmoothing)):
+        for e in (1, 2, 3):
+            fam = build_family(family, e=e, window=2)
+            zero = fam.fan.indices()[len(fam.fan.cones) // 2]
+            other = cone_at(kind(e + 1), zero)
+            assert other == fam.fan.cones[zero] and other.formula != fam.fan.cones[zero].formula
+            fam = with_cones(fam, {**fam.fan.cones, zero: other})
+            report = report_payload(verify_family(fam))
+            assert report["all_pass"] and report == full_walk(fam), (family, e)
+
+
+def test_replaced_generators_match_the_full_walk():
+    # The first shift squared moves cone i to cone i+2: the carried
+    # certificate no longer names the generators, and certify fails.
+    for family, e, w, window in TestVerifyFamily.VALID:
+        fam = build_family(family, e=e, w=w, window=2)
+        shift = fam.generators[0].lattice_part
+        fam = dataclasses.replace(fam, generators=(GroupElement.from_matrix(shift @ shift),) + fam.generators[1:])
+        assert certify(fam.kind, tuple(zip(fam.generator_names, fam.generators))) is not None
+        report = report_payload(verify_family(fam))
+        assert not report["all_pass"] and report == full_walk(fam), family
+
+
+def test_a_replaced_kind_matches_the_full_walk():
+    # A kind of another degree fails the certificate for the generators,
+    # with the old window or with the new kind's own; an equal kind, a new
+    # object, keeps it.
+    for family, kind in (("hopf", HopfSmoothing), ("rational", RationalSmoothing)):
+        for e in (1, 2):
+            fam = build_family(family, e=e, window=2)
+            for other, passes in ((kind(e + 1), False), (kind(e), True)):
+                for fan in (fam.fan, kdl.fans.fan_window(other, 2)):
+                    replaced = dataclasses.replace(fam, kind=other, fan=fan)
+                    report = report_payload(verify_family(replaced))
+                    assert report["all_pass"] is passes and report == full_walk(replaced), (family, e, other)
