@@ -10,7 +10,7 @@ generator formula:
   rays (last coordinate split) and two consecutive elliptic-type rays.
 
 Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
-``FanWindow`` is the finite slice of such a fan actually materialized;
+``FanWindow`` is a finite slice of such a fan, built cone by cone as read;
 ``kdl.smoothing.certify`` proves the verification claims for every index in
 Z, and a window is checked only where it differs from the formula.
 
@@ -22,17 +22,19 @@ cone at an index takes, along each axis, that axis's rays at i and i+1;
 ``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
 written once over the axes, so a new kind is one more class here.
 
-A window builds each of its rays once and its cones share them.  A ``Cone``
-validates its rays with one basis-extension test, which also decides its
-smoothness; the cone stores the answer, and ``apply`` hands it on to images.
-A cone built from the formula carries its kind and index as ``formula``.
+A window builds a cone when it is first read, and each ray once; its cones
+share the rays.  A ``Cone`` validates its rays with one basis-extension test,
+which also decides its smoothness; the cone stores the answer, and ``apply``
+hands it on to images.  A formula cone carries its kind and index as ``formula``.
 
 Matrices act on row vectors from the right throughout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable, ClassVar, Union
 
@@ -278,16 +280,17 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
 
 @dataclass(frozen=True)
 class FanWindow:
-    """A finite, fully materialized slice of one of the infinite fans.
+    """A finite slice of one of the infinite fans.
 
     ``index_range`` holds one inclusive (lo, hi) interval per index axis;
     ``cones`` maps each index in the window to its cone, keyed by an int on
-    one axis and by a tuple over the kind's ``AXES`` on more.
+    one axis and by a tuple over the kind's ``AXES`` on more (``fan_window``
+    builds each cone when it is first read).
     """
 
     kind: FanKind
     index_range: tuple[tuple[int, int], ...]
-    cones: dict
+    cones: Mapping
 
     def indices(self) -> list:
         return sorted(self.cones)
@@ -298,19 +301,47 @@ def window_indices(kind: FanKind, bound: int) -> list:
     return [(at if len(at) > 1 else at[0], at) for at in product(range(-bound, bound + 1), repeat=len(kind.AXES))]
 
 
-def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWindow:
-    """Materialize the window of all cone indices with |index| <= bound on every axis.
+class _FormulaCones(Mapping):
+    """``fan_window``'s cones, each built when first read and kept, from rays each
+    built once; ``len``, ``in`` and iteration build none.  It compares, prints,
+    pickles and copies as a dict does; ``formula`` is (kind, index range)."""
 
-    Each ray of the window is built once, the 2*bound + 2 rays -bound..bound+1
-    per axis, and shared by every cone that holds it.  The cones are built
-    trusted if ``certified`` (``kdl.smoothing.certify`` proved them smooth).
+    def __init__(self, kind: FanKind, bound: int, certified: bool, built=()):
+        self.kind, self.bound, self.certified, self.built = kind, bound, certified, dict(built)
+        self.formula, self.at = (kind, ((-bound, bound),) * len(kind.AXES)), dict(window_indices(kind, bound))
+        self.rays = [cache(ray_formula(kind, axis)) for axis in kind.AXES]
+
+    def __getitem__(self, index) -> Cone:
+        if index not in self.built:
+            self.built[index] = _cone(self.kind, self.at[index], self.rays, self.certified)
+        return self.built[index]
+
+    def __iter__(self):
+        return iter(self.at)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __contains__(self, index) -> bool:
+        return index in self.at
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.bound, self.certified, self.built)
+
+
+def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWindow:
+    """The window of all cone indices with |index| <= bound on every axis.
+
+    A cone is built when first read, trusted if ``certified`` (``kdl.smoothing.certify``
+    proved them smooth); the 2*bound + 2 rays -bound..bound+1 per axis are each built
+    once and shared by every cone that holds it.
     """
     if bound < 1:
         raise ValueError("window bound must be at least 1")
-    ends = range(-bound, bound + 2)
-    rays = [{i: ray(i) for i in ends}.__getitem__ for ray in [ray_formula(kind, axis) for axis in kind.AXES]]
-    cones = {index: _cone(kind, at, rays, certified) for index, at in window_indices(kind, bound)}
-    return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), cones)
+    return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), _FormulaCones(kind, bound, certified))
 
 
 # Lattice parts of the group actions attached to each fan family.
@@ -369,15 +400,10 @@ def rational_shift_n() -> IntMatrix:
 
 def window_payload(window: FanWindow) -> dict:
     """JSON-ready document for a fan window, with byte-stable ordering."""
-    cones = []
-    for index in window.indices():
-        cone = window.cones[index]
-        cones.append(
-            {
-                "index": list(index) if isinstance(index, tuple) else index,
-                "rays": [list(v.entries) for v in cone.rays],
-            }
-        )
+    cones = [
+        {"index": list(i) if isinstance(i, tuple) else i, "rays": [list(v.entries) for v in window.cones[i].rays]}
+        for i in window.indices()
+    ]
     return {
         "kind": window.kind.NAME,
         "params": asdict(window.kind),

@@ -13,7 +13,7 @@ an infinite periodic fan plus a group of lattice/torus automorphisms:
   coordinate is a horizontal gluing parameter); commuting shift generators in
   SL5(Z).
 
-``verify_family`` runs every fan-level claim over the materialized window:
+``verify_family`` runs every fan-level claim over the family's window:
 smoothness of all cones, facet adjacency, index shifts, deflection values,
 special-linearity and commutation of the generators, and a combinatorial
 freeness proxy.  Each claim is one public ``check_*`` function that returns
@@ -24,8 +24,8 @@ in the fan data are listed as untested metadata, never silently assumed.
 formulas and the generators, and one deflection per axis proves that claim
 for Z too; the window is checked only at the indices whose cone departs
 from the formula and their neighbours (at every index where it fails).
-``build_family`` certifies once and the family carries the certificate; with
-the cones' ``formula`` tags, ``verify_family`` builds no cone to check it.
+``build_family`` certifies once and the family carries the certificate; its
+window builds a cone only when read, and ``verify_family`` reads none.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -196,7 +196,7 @@ class VerificationReport:
 
 
 def build_family(family: str, e: int | None = None, w: int | None = None, window: int = 16) -> SmoothingFamily:
-    """Materialize one smoothing family over a window of the given half-width.
+    """One smoothing family over a window of the given half-width, whose cones are built as read.
 
     The three surface families need a degree e.  Their warp w must satisfy
     w >= 1 and w | e, and defaults to 1: the warp-w family is the covering
@@ -288,9 +288,11 @@ class _Walk:
     """A family's window as the checks walk it: its sorted indices and the
     ``candidates`` each per-cone check visits, in index order.  ``certified``:
     the family's ``certificate`` is its kind and named generators, or ``certify``
-    holds.  Then, on a window with ``fan_window``'s indices, a cone whose ``formula``
-    is (kind, its index) passes every per-cone check with its neighbours, so the
-    candidates are the other indices and their neighbours; else every index."""
+    holds.  Then ``fan_window``'s cones of the kind over the window's range pass
+    every per-cone check unread.  On any other window with ``fan_window``'s
+    indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
+    check with its neighbours, so the candidates are the other indices and their
+    neighbours; else every index."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
@@ -298,8 +300,11 @@ class _Walk:
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
         self.certified = f.certificate == (f.kind, named) or certify(f.kind, named) is None
         self.candidates, bound = self.indices, max((hi for _, hi in f.fan.index_range), default=0)
-        box = window_indices(f.kind, bound) if self.certified else []
-        if box and (f.fan.index_range, self.indices) == (((-bound, bound),) * len(axes), [i for i, _ in box]):
+        if self.certified and getattr(self.cones, "formula", None) == (f.kind, f.fan.index_range):
+            self.candidates = []
+        elif self.certified and (box := window_indices(f.kind, bound)) and (f.fan.index_range, self.indices) == (
+            ((-bound, bound),) * len(axes), [i for i, _ in box]
+        ):
             departed = {i for i, at in box if self.cones[i].formula != (f.kind, at)}
             departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
             self.candidates = [i for i in self.indices if i in departed]
@@ -374,13 +379,12 @@ def check_freeness_proxy(walk: _Walk) -> str | None:
     f = walk.family
     span = max(hi - lo for lo, hi in f.fan.index_range)
     for axis, suffix in enumerate(walk.suffixes):
-        power = base = f.generators[axis].lattice_part
+        gen_k, base = f.generators[axis], f.generators[axis].lattice_part
         for k in range(1, (1 if walk.certified or is_unipotent(base) else span) + 1):
-            gen_k = f.generators[axis] if k == 1 else GroupElement.from_matrix(power)
+            gen_k = gen_k if k == 1 else GroupElement.from_matrix(gen_k.lattice_part @ base)
             for i in walk.candidates:
                 if apply(gen_k, walk.cones[i]) == walk.cones[i]:
                     return f"shift{suffix}^{k} fixes {i}"
-            power = power @ base
     return None
 
 
@@ -438,7 +442,7 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
 
 def family_payload(f: SmoothingFamily) -> dict:
     """JSON-ready encoding of a smoothing family."""
-    payload = {
+    return {
         "family": f.family,
         "params": {
             "e": f.params.e,
@@ -462,7 +466,6 @@ def family_payload(f: SmoothingFamily) -> dict:
             "generic_fiber_degree": f.quotient_info.generic_fiber_degree,
         },
     }
-    return payload
 
 
 def report_payload(report: VerificationReport) -> dict:

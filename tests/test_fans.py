@@ -1,14 +1,19 @@
+import copy
 import math
+import pickle
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice import maximal_minor_gcd
 
+import kdl.fans
 from kdl.errors import ArityMismatch, DimMismatch, NotDivisible
 from kdl.fans import (
     Cone,
     EllipticSmoothing,
+    FanWindow,
     GroupElement,
     HopfSmoothing,
     MumfordNeron,
@@ -370,3 +375,75 @@ class TestFanWindow:
         assert payload["params"] == {"e": 2}
         assert payload["range"] == {"m": [-1, 1], "n": [-1, 1]}
         assert payload["cones"][0]["index"] == [-1, -1]
+
+
+def eager_window(kind, bound):
+    """The oracle window: every cone built up front by ``cone_at``, in a plain dict."""
+    indices = product(range(-bound, bound + 1), repeat=len(kind.AXES))
+    return {index: cone_at(kind, index) for index in (at if len(at) > 1 else at[0] for at in indices)}
+
+
+class TestConesBuiltOnRead:
+    KINDS = [MumfordNeron(), HopfSmoothing(3), EllipticSmoothing(), RationalSmoothing(2)]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The per-axis index of each cone ``kdl.fans`` builds from now on."""
+        built = []
+
+        def counting(kind, at, rays, certified=False, original=kdl.fans._cone):
+            built.append(at)
+            return original(kind, at, rays, certified)
+
+        monkeypatch.setattr(kdl.fans, "_cone", counting)
+        return built
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_len_in_and_iteration_build_no_cone(self, kind, built):
+        oracle = eager_window(kind, 3)
+        built.clear()
+        window = fan_window(kind, 3)
+        outside = 4 if len(kind.AXES) == 1 else (4, 0)
+        assert len(window.cones) == len(oracle) and list(window.cones) == sorted(oracle)
+        assert all(index in window.cones for index in oracle) and outside not in window.cones
+        assert window.indices() == sorted(oracle)
+        assert built == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_cone_is_built_once_however_often_read(self, kind, built):
+        oracle = eager_window(kind, 3)
+        built.clear()
+        window = fan_window(kind, 3)
+        first = {index: window.cones[index] for index in oracle}
+        assert first == oracle and sorted(built) == sorted(cone.formula[1] for cone in oracle.values())
+        assert all(window.cones[index] is cone for index, cone in first.items())
+        assert dict(window.cones) == oracle and len(built) == len(oracle)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_compares_prints_pickles_and_copies_as_a_dict_window(self, kind, built):
+        oracle = eager_window(kind, 2)
+        plain = FanWindow(kind, ((-2, 2),) * len(kind.AXES), oracle)
+        window = fan_window(kind, 2)
+        window.cones[next(iter(oracle))]  # one cone built before copying
+        built.clear()
+        copies = [pickle.loads(pickle.dumps(window)), copy.deepcopy(window)]
+        assert built == []  # a copy keeps the cones built so far and builds no other
+        for window in (window, *copies):
+            assert window == plain and plain == window and window.cones == oracle and oracle == window.cones
+            assert repr(window) == repr(plain) and repr(window.cones) == repr(oracle)
+        # Each of the three windows built every cone once, but the one read before copying.
+        assert len(built) == 3 * (len(oracle) - 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certified_decides_trusted_or_validated_on_read(self, kind, monkeypatch):
+        tests = []
+
+        def counting(rays, original=kdl.fans.extends_to_basis):
+            tests.append(rays)
+            return original(rays)
+
+        monkeypatch.setattr(kdl.fans, "extends_to_basis", counting)
+        trusted, validated = fan_window(kind, 2, certified=True), fan_window(kind, 2)
+        assert tests == []
+        assert dict(trusted.cones) == dict(validated.cones) and len(tests) == len(validated.cones)
+        assert all(cone.smooth for cone in trusted.cones.values())

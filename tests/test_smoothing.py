@@ -32,6 +32,7 @@ from kdl.fans import (
     hopf_shift,
     ray_formula,
     share_facet,
+    window_payload,
 )
 from kdl.graphs import PolygonGluing, enumerate_rational_models
 from kdl.lattice import IntMatrix, IntVec, det, is_unipotent
@@ -315,16 +316,18 @@ class TestVerifyFamily:
                 assert calls == {"extends_to_basis": 1 + 1, "rank_of": 0}, family
 
     def test_ray_formulas_once_per_window_ray(self, monkeypatch):
-        # build_family evaluates each ray -W..W+1 of each axis once, however
-        # many cones hold the ray, and its certificate a fixed set of rays
-        # whatever W is.
-        counts = []
+        # build_family evaluates only the certificate's rays, 0..d+1 on each
+        # axis of degree d, whatever W is, and verify_family only the three
+        # rays of each axis's one deflection, at the first index: no window
+        # ray.  window_payload then evaluates each ray -W..W+1 of each axis
+        # once, however many cones hold the ray.
+        counts = Counter()
 
         def counting(kind, axis, formula=ray_formula):
             ray = formula(kind, axis)
 
             def evaluate(i):
-                counts[-1][axis, i] += 1
+                counts[axis, i] += 1
                 return ray(i)
 
             return evaluate
@@ -332,16 +335,51 @@ class TestVerifyFamily:
         for module in (kdl.fans, kdl.smoothing):
             monkeypatch.setattr(module, "ray_formula", counting)
         for family, e, w, window in self.VALID:
-            certificate = set()
             for half_width in (1, 2, window):
-                counts.append(Counter())
+                counts.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
-                window_rays = Counter((axis, i) for axis in fam.kind.AXES for i in range(-half_width, half_width + 2))
-                beyond = counts[-1] - window_rays
-                assert counts[-1] == beyond + window_rays, family
-                certificate.add(tuple(sorted(beyond.items())))
-            # What is left beyond one evaluation per window ray is the same for every W.
-            assert len(certificate) == 1, family
+                axes, coefficients = fam.kind.AXES, fam.kind.ray_coefficients
+                assert counts == Counter((a, i) for a in axes for i in range(len(coefficients[a]) + 1)), family
+                counts.clear()
+                assert verify_family(fam).all_pass
+                assert counts == Counter((a, i) for a in axes for i in range(-half_width - 1, 2 - half_width)), family
+                counts.clear()
+                window_payload(fam.fan)
+                assert counts == Counter((a, i) for a in axes for i in range(-half_width, half_width + 2)), family
+
+    def test_build_and_verify_read_no_cone(self, monkeypatch):
+        # The certificate proves every cone of the built window, so neither
+        # build_family nor verify_family builds one.
+        built = []
+
+        def counting(kind, at, rays, certified=False, original=kdl.fans._cone):
+            built.append(at)
+            return original(kind, at, rays, certified)
+
+        monkeypatch.setattr(kdl.fans, "_cone", counting)
+        for family, e, w, window in self.VALID:
+            for half_width in (1, 2, window):
+                assert verify_family(build_family(family, e=e, w=w, window=half_width)).all_pass
+                assert built == [], family
+
+    def test_matrix_products_only_for_the_commute_check(self, monkeypatch):
+        # A certified build + verify multiplies matrices only to compare a*b
+        # with b*a for each pair of generators.
+        calls = []
+        matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            calls.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        for family, e, w, window in self.VALID:
+            calls.clear()
+            fam = build_family(family, e=e, w=w, window=window)
+            assert verify_family(fam).all_pass
+            gens = [g.lattice_part for g in fam.generators]
+            pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+            assert calls == [product for a, b in pairs for product in ((a, b), (b, a))], family
 
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
         # On a window that matches the formula, vectors are mapped only by
@@ -943,3 +981,38 @@ def test_a_replaced_kind_matches_the_full_walk():
                     replaced = dataclasses.replace(fam, kind=other, fan=fan)
                     report = report_payload(verify_family(replaced))
                     assert report["all_pass"] is passes and report == full_walk(replaced), (family, e, other)
+
+
+def test_a_copied_or_rekinded_window_is_scanned_tag_by_tag(monkeypatch):
+    # Only fan_window's cones of the family's own kind over the window's
+    # range go unread.  A plain-dict copy of them, and fan_window's cones
+    # under a family whose kind was replaced by one of another degree, are
+    # read at every index, once, and answer as the full walk.
+    reads = []
+
+    class Reads(dict):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    for family, e, w, window in DUMP_FAMILIES:
+        fam = build_family(family, e=e, w=w, window=window)
+        copied = with_cones(fam, Reads(fam.fan.cones))
+        reads.clear()
+        report = report_payload(verify_family(copied))
+        assert reads == fam.fan.indices(), family
+        assert report["all_pass"] and report == full_walk(copied), family
+
+    def counting(kind, at, rays, certified=False, original=kdl.fans._cone):
+        reads.append(at)
+        return original(kind, at, rays, certified)
+
+    monkeypatch.setattr(kdl.fans, "_cone", counting)
+    for family in ("hopf", "rational"):
+        for e in (1, 2):
+            fam, other = build_family(family, e=e, window=2), build_family(family, e=e + 1, window=2)
+            rekinded = dataclasses.replace(fam, kind=other.kind, generators=other.generators)
+            reads.clear()
+            report = report_payload(verify_family(rekinded))
+            assert len(reads) == len(set(reads)) == len(fam.fan.cones), (family, e)
+            assert not report["all_pass"] and report == full_walk(rekinded), (family, e)
