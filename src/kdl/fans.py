@@ -38,7 +38,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, ClassVar, Union
 
-from .errors import ArityMismatch, DimMismatch, NotDivisible
+from .errors import ArityMismatch, DimMismatch
 from .lattice import IntMatrix, IntVec, extends_to_basis, is_unimodular, rank_of
 
 
@@ -342,60 +342,6 @@ def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWi
     if bound < 1:
         raise ValueError("window bound must be at least 1")
     return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), _FormulaCones(kind, bound, certified))
-
-
-# Lattice parts of the group actions attached to each fan family.
-
-
-def mumford_shift() -> IntMatrix:
-    """Moves the Neron infinity-gon cone at m to the one at m+1."""
-    return IntMatrix(((1, 0), (1, 1)))
-
-
-def hopf_shift(e: int) -> IntMatrix:
-    """Moves the degree-e Hopf-type cone at m to the one at m+1; lies in SL3(Z)."""
-    return IntMatrix(((1, e, 0), (0, 1, 0), (1, 0, 1)))
-
-
-def elliptic_shift() -> IntMatrix:
-    """Moves the elliptic-type cone at n to the one at n+1; lies in SL3(Z)."""
-    return IntMatrix(((1, 0, 0), (0, 1, 0), (0, 1, 1)))
-
-
-def elliptic_twist(e: int, w: int) -> IntMatrix:
-    """Lattice part of the base-translation generator; fixes every fan ray.
-
-    Requires w >= 1 and w | e so that the exponent e/w is integral.
-    """
-    if w < 1 or e % w != 0:
-        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
-    return IntMatrix(((1, e // w, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def rational_shift_m(e: int) -> IntMatrix:
-    """Moves the rank-4 cone at (m, n) to (m+1, n); acts on Z^4 + Z and lies in SL5(Z)."""
-    return IntMatrix(
-        (
-            (1, e, 0, 0, 0),
-            (0, 1, 0, 0, 0),
-            (1, 0, 1, 0, 0),
-            (0, 0, 0, 1, 0),
-            (0, 1, 0, 0, 1),
-        )
-    )
-
-
-def rational_shift_n() -> IntMatrix:
-    """Moves the rank-4 cone at (m, n) to (m, n+1); acts on Z^4 + Z and lies in SL5(Z)."""
-    return IntMatrix(
-        (
-            (1, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0),
-            (0, 0, 1, 0, 0),
-            (0, 1, 0, 1, 0),
-            (0, 0, 0, 0, 1),
-        )
-    )
 
 
 def window_payload(window: FanWindow) -> dict:

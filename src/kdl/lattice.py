@@ -103,18 +103,6 @@ class IntMatrix:
             raise RankMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
         return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in other.cols) for row in self.rows))
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("only nonnegative matrix powers are supported")
-        result = IntMatrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
 
 def det(m: IntMatrix) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""

@@ -33,12 +33,13 @@ each ray v; unipotence then gives v(g - I) = 0, so g fixes the cone already.
 Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 
 ``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
-per family holds its minimum degree, fan kind, named generators, parameter
-labels, expected deflection per axis and untested notes.  ``build_family``
-and ``verify_family`` read that row and derive everything else from the
-kind's ``AXES``.  Adding a family takes one fan kind in ``kdl.fans`` (its
-``AXES`` and the ``ray_coefficients`` of each axis), the lattice parts of its
-generators, and one row here, with one shift generator per axis listed first.
+per family holds its minimum degree, fan kind, generators as data (each
+lattice part as written in the paper, its entries ints or the parameter
+names "e" and "e/w"), parameter labels, expected deflection per axis and
+untested notes.  ``build_family`` and ``verify_family`` read that row and
+derive everything else from the kind's ``AXES``.  Adding a family takes one
+fan kind in ``kdl.fans`` (its ``AXES`` and the ``ray_coefficients`` of each
+axis) and one row here, with one shift generator per axis listed first.
 """
 
 from __future__ import annotations
@@ -59,13 +60,7 @@ from .fans import (
     axis_indices,
     cone_is_smooth,
     deflection,
-    elliptic_shift,
-    elliptic_twist,
     fan_window,
-    hopf_shift,
-    mumford_shift,
-    rational_shift_m,
-    rational_shift_n,
     ray_formula,
     share_facet,
     window_indices,
@@ -74,12 +69,21 @@ from .fans import (
 from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
 
 
+def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
+    """What the parameter names of a ``FAMILIES`` row stand for: "e" the degree,
+    "e/w" the degree of the warp-w quotient's generic fibre; none for the curve family."""
+    return {} if e is None else {"e": e, "e/w": e // w}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Everything one smoothing family adds to the axis-generic fan machinery.
 
     ``min_degree`` is None for the curve family, which takes no degree or
-    warp.  ``generators`` maps (e, w) to named group elements: the first
+    warp.  ``group`` lists the generators as data, (name, lattice rows, torus
+    labels): a row entry is an int or a name of ``parameter_values``, "e" or
+    "e/w"; rows None make a pure torus translation, labels None all "1".
+    ``generators(e, w)`` evaluates them to named group elements: the first
     ``len(kind.AXES)`` shift one step along each axis of the fan, and every
     later one must fix the fan.  The shifts are unipotent, which a test
     checks for every row; a shift that is not makes ``verify_family`` try
@@ -89,26 +93,39 @@ class FamilySpec:
 
     min_degree: int | None
     kind: Callable[[int | None], FanKind]
-    generators: Callable[[int | None, int | None], tuple[tuple[str, GroupElement], ...]]
+    group: tuple[tuple[str, tuple | None, tuple[str, ...] | None], ...]
     labels: dict[str, str]
     deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
     untested: tuple[str, ...] = ()
+
+    def generators(self, e: int | None, w: int | None) -> tuple[tuple[str, GroupElement], ...]:
+        values, named = parameter_values(e, w), []
+        for name, rows, labels in self.group:
+            if rows is None:
+                named.append((name, GroupElement.translation(labels)))
+                continue
+            # A row that names no parameter is taken as written; most rows name none.
+            m = IntMatrix(
+                tuple(row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
+            )
+            named.append((name, GroupElement.from_matrix(m) if labels is None else GroupElement(m, labels)))
+        return tuple(named)
 
 
 FAMILIES = {
     "mumford": FamilySpec(
         min_degree=None,
         kind=lambda e: MumfordNeron(),
-        generators=lambda e, w: (("polygon_shift", GroupElement.from_matrix(mumford_shift())),),
+        group=(("polygon_shift", ((1, 0), (1, 1)), None),),
         labels={},
         deflections=lambda e: ((0, 0),),
     ),
     "hopf": FamilySpec(
         min_degree=1,
         kind=HopfSmoothing,
-        generators=lambda e, w: (
-            ("polygon_shift", GroupElement.from_matrix(hopf_shift(e))),
-            ("fiber_gluing", GroupElement.translation(("1", "alpha", "1"))),
+        group=(
+            ("polygon_shift", ((1, "e", 0), (0, 1, 0), (1, 0, 1)), None),
+            ("fiber_gluing", None, ("1", "alpha", "1")),
         ),
         labels={"alpha_label": "alpha"},
         deflections=lambda e: ((0, e, 0),),
@@ -120,9 +137,9 @@ FAMILIES = {
     "elliptic": FamilySpec(
         min_degree=0,
         kind=lambda e: EllipticSmoothing(),
-        generators=lambda e, w: (
-            ("polygon_shift", GroupElement.from_matrix(elliptic_shift())),
-            ("base_twist", GroupElement(elliptic_twist(e, w), ("alpha", "1", "1"))),
+        group=(
+            ("polygon_shift", ((1, 0, 0), (0, 1, 0), (0, 1, 1)), None),
+            ("base_twist", ((1, "e/w", 0), (0, 1, 0), (0, 0, 1)), ("alpha", "1", "1")),
         ),
         labels={"alpha_label": "alpha"},
         deflections=lambda e: ((0, 0, 0),),
@@ -130,10 +147,10 @@ FAMILIES = {
     "rational": FamilySpec(
         min_degree=1,
         kind=RationalSmoothing,
-        generators=lambda e, w: (
-            ("shift_m", GroupElement.from_matrix(rational_shift_m(e))),
-            ("shift_n", GroupElement.from_matrix(rational_shift_n())),
-            ("horizontal_gluing", GroupElement.translation(("1", "1", "1", "1", "lambda"))),
+        group=(
+            ("shift_m", ((1, "e", 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 1)), None),
+            ("shift_n", ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)), None),
+            ("horizontal_gluing", None, ("1", "1", "1", "1", "lambda")),
         ),
         labels={"alpha_label": "lambda", "zeta_label": "zeta"},
         deflections=lambda e: ((0, e, 0, 0), (0, 0, 0, 0)),
@@ -224,7 +241,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
                 else "degree must be nonnegative"
             )
         params = FamilyParams(e=e, w=w, **spec.labels)
-        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=e // w)
+        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=parameter_values(e, w)["e/w"])
     kind, named = spec.kind(e), spec.generators(e, w)
     certified = certify(kind, named) is None
     return SmoothingFamily(

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lattice import maximal_minor_gcd
+from test_smoothing import family_params
 
 import kdl.fans
-from kdl.errors import ArityMismatch, DimMismatch, NotDivisible
+from kdl.errors import ArityMismatch, DimMismatch
 from kdl.fans import (
     Cone,
     EllipticSmoothing,
@@ -23,18 +24,21 @@ from kdl.fans import (
     cone_at,
     cone_is_smooth,
     deflection,
-    elliptic_shift,
-    elliptic_twist,
     fan_window,
-    hopf_shift,
-    mumford_shift,
-    rational_shift_m,
-    rational_shift_n,
     ray_formula,
     share_facet,
     window_payload,
 )
 from kdl.lattice import IntMatrix, IntVec, det
+from kdl.smoothing import FAMILIES
+
+
+def named_generators(family, e=None, w=None):
+    return dict(FAMILIES[family].generators(e, w))
+
+
+def lattice_parts(family, e=None, w=None):
+    return {name: g.lattice_part.rows for name, g in named_generators(family, e, w).items()}
 
 
 def ray_set(cone):
@@ -170,9 +174,9 @@ class TestSmoothness:
 
 class TestApply:
     def test_hopf_shift_moves_cone_up(self):
-        kind = HopfSmoothing(2)
-        g = GroupElement.from_matrix(hopf_shift(2))
-        assert apply(g, cone_at(kind, 0)) == cone_at(kind, 1)
+        for e, w in family_params("hopf"):
+            kind, g = HopfSmoothing(e), named_generators("hopf", e, w)["polygon_shift"]
+            assert apply(g, cone_at(kind, 0)) == cone_at(kind, 1), (e, w)
 
     def test_identity_fixes_cone(self):
         kind = HopfSmoothing(2)
@@ -181,16 +185,15 @@ class TestApply:
 
     def test_mumford_shift(self):
         kind = MumfordNeron()
-        g = GroupElement.from_matrix(mumford_shift())
+        g = named_generators("mumford")["polygon_shift"]
         for m in (-3, 0, 7):
             assert apply(g, cone_at(kind, m)) == cone_at(kind, m + 1)
 
     def test_rank5_matrix_acts_on_rank4_cone_through_embedding(self):
-        kind = RationalSmoothing(3)
-        gm = GroupElement.from_matrix(rational_shift_m(3))
-        gn = GroupElement.from_matrix(rational_shift_n())
-        assert apply(gm, cone_at(kind, (0, 0))) == cone_at(kind, (1, 0))
-        assert apply(gn, cone_at(kind, (0, 0))) == cone_at(kind, (0, 1))
+        for e, w in family_params("rational"):
+            kind, named = RationalSmoothing(e), named_generators("rational", e, w)
+            assert apply(named["shift_m"], cone_at(kind, (0, 0))) == cone_at(kind, (1, 0)), (e, w)
+            assert apply(named["shift_n"], cone_at(kind, (0, 0))) == cone_at(kind, (0, 1)), (e, w)
 
     def test_dim_mismatch(self):
         g = GroupElement.from_matrix(IntMatrix.identity(2))
@@ -259,66 +262,72 @@ class TestDeflection:
 
 
 class TestShiftMatrices:
+    # Every generator of every FAMILIES row, at every e <= 8 and w | e.
     def test_all_special_linear(self):
-        assert det(mumford_shift()) == 1
-        assert det(hopf_shift(7)) == 1
-        assert det(elliptic_shift()) == 1
-        assert det(elliptic_twist(6, 3)) == 1
-        assert det(rational_shift_m(5)) == 1
-        assert det(rational_shift_n()) == 1
+        for family in FAMILIES:
+            for e, w in family_params(family):
+                for name, g in named_generators(family, e, w).items():
+                    assert det(g.lattice_part) == 1, (family, e, w, name)
 
     def test_exact_matrix_entries(self):
         # The matrices are part of the construction; pin them entry by entry.
-        assert mumford_shift().rows == ((1, 0), (1, 1))
-        assert hopf_shift(3).rows == ((1, 3, 0), (0, 1, 0), (1, 0, 1))
-        assert elliptic_shift().rows == ((1, 0, 0), (0, 1, 0), (0, 1, 1))
-        assert elliptic_twist(6, 2).rows == ((1, 3, 0), (0, 1, 0), (0, 0, 1))
-        assert rational_shift_m(2).rows == (
+        assert lattice_parts("mumford") == {"polygon_shift": ((1, 0), (1, 1))}
+        assert lattice_parts("hopf", 3, 1)["polygon_shift"] == ((1, 3, 0), (0, 1, 0), (1, 0, 1))
+        assert lattice_parts("elliptic", 6, 2)["base_twist"] == ((1, 3, 0), (0, 1, 0), (0, 0, 1))
+        assert lattice_parts("rational", 2, 1)["shift_m"] == (
             (1, 2, 0, 0, 0),
             (0, 1, 0, 0, 0),
             (1, 0, 1, 0, 0),
             (0, 0, 0, 1, 0),
             (0, 1, 0, 0, 1),
         )
-        assert rational_shift_n().rows == (
-            (1, 0, 0, 0, 0),
-            (0, 1, 0, 0, 0),
-            (0, 0, 1, 0, 0),
-            (0, 1, 0, 1, 0),
-            (0, 0, 0, 0, 1),
-        )
+        for e, w in family_params("hopf"):
+            assert lattice_parts("hopf", e, w) == {
+                "polygon_shift": ((1, e, 0), (0, 1, 0), (1, 0, 1)),
+                "fiber_gluing": IntMatrix.identity(3).rows,
+            }, (e, w)
+        for e, w in family_params("elliptic"):
+            assert lattice_parts("elliptic", e, w) == {
+                "polygon_shift": ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
+                "base_twist": ((1, e // w, 0), (0, 1, 0), (0, 0, 1)),
+            }, (e, w)
+        for e, w in family_params("rational"):
+            assert lattice_parts("rational", e, w) == {
+                "shift_m": ((1, e, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 1)),
+                "shift_n": ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)),
+                "horizontal_gluing": IntMatrix.identity(5).rows,
+            }, (e, w)
 
     def test_elliptic_shift_moves_index(self):
         kind = EllipticSmoothing()
-        g = GroupElement.from_matrix(elliptic_shift())
-        for n in range(-8, 8):
-            assert apply(g, cone_at(kind, n)) == cone_at(kind, n + 1)
+        for e, w in family_params("elliptic"):
+            g = named_generators("elliptic", e, w)["polygon_shift"]
+            for n in range(-8, 8):
+                assert apply(g, cone_at(kind, n)) == cone_at(kind, n + 1), (e, w)
 
     def test_elliptic_twist_fixes_every_ray(self):
-        twist = elliptic_twist(4, 2)
         kind = EllipticSmoothing()
-        for n in range(-8, 9):
-            for ray in cone_at(kind, n).rays:
-                assert ray.times(twist) == ray
-
-    def test_elliptic_twist_requires_divisibility(self):
-        with pytest.raises(NotDivisible):
-            elliptic_twist(3, 2)
-        with pytest.raises(NotDivisible):
-            elliptic_twist(3, 0)
+        for e, w in family_params("elliptic"):
+            twist = named_generators("elliptic", e, w)["base_twist"].lattice_part
+            for n in range(-8, 9):
+                for ray in cone_at(kind, n).rays:
+                    assert ray.times(twist) == ray, (e, w)
 
     def test_rational_shifts_commute(self):
-        for e in range(1, 6):
-            phi, psi = rational_shift_m(e), rational_shift_n()
-            assert phi @ psi == psi @ phi
+        for e, w in family_params("rational"):
+            named = named_generators("rational", e, w)
+            phi, psi = named["shift_m"].lattice_part, named["shift_n"].lattice_part
+            assert phi @ psi == psi @ phi, (e, w)
 
     def test_shift_powers_have_no_fixed_cone(self):
-        kind = HopfSmoothing(2)
-        g = hopf_shift(2)
-        for k in range(1, 9):
-            gk = GroupElement.from_matrix(g**k)
-            for m in range(-8, 9):
-                assert apply(gk, cone_at(kind, m)) == cone_at(kind, m + k) != cone_at(kind, m)
+        for e, w in family_params("hopf"):
+            kind, g = HopfSmoothing(e), named_generators("hopf", e, w)["polygon_shift"].lattice_part
+            gk = IntMatrix.identity(3)
+            for k in range(1, 9):
+                gk = gk @ g
+                for m in range(-8, 9):
+                    image = apply(GroupElement.from_matrix(gk), cone_at(kind, m))
+                    assert image == cone_at(kind, m + k) != cone_at(kind, m), (e, w, k, m)
 
 
 class TestGroupElement:

@@ -286,11 +286,6 @@ class TestVecMatrixConventions:
         w = v.times(shift)
         assert w == IntVec((m + 1, e * (m + 1) * m // 2, 1))
 
-    def test_matrix_power(self):
-        m = IntMatrix(((1, 1), (0, 1)))
-        assert (m**5).rows == ((1, 5), (0, 1))
-        assert (m**0) == IntMatrix.identity(2)
-
     @given(small_matrices.flatmap(lambda rows: st.tuples(
         st.just(rows),
         st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)),

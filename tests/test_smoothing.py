@@ -29,7 +29,6 @@ from kdl.fans import (
     cone_at,
     cone_is_smooth,
     deflection,
-    hopf_shift,
     ray_formula,
     share_facet,
     window_payload,
@@ -55,7 +54,7 @@ def check_names(report):
 class TestBuildFamily:
     def test_hopf_generators(self):
         fam = build_family("hopf", e=2, w=2, window=8)
-        assert fam.generators[0].lattice_part == hopf_shift(2)
+        assert fam.generators[0].lattice_part.rows == ((1, 2, 0), (0, 1, 0), (1, 0, 1))
         assert fam.generators[1].torus_part == ("1", "alpha", "1")
         assert fam.quotient_info.galois_order == 2
         assert fam.quotient_info.generic_fiber_degree == 1
@@ -87,6 +86,10 @@ class TestBuildFamily:
             build_family("hopf", e=3, w=2)
         with pytest.raises(NotDivisible):
             build_family("elliptic", e=2, w=0)
+        with pytest.raises(NotDivisible):
+            build_family("elliptic", e=3, w=2)
+        with pytest.raises(NotDivisible):
+            build_family("elliptic", e=3, w=0)
 
     def test_mumford_takes_no_params(self):
         with pytest.raises(ValueError):
@@ -702,7 +705,7 @@ class TestRecords:
             components[0],
             adjacency_edges(components)[0],
             IntVec((1, 2)),
-            hopf_shift(2),
+            fam.generators[0].lattice_part,
             cone_at(fam.kind, 0),
             fam.generators[0],
             MumfordNeron(),
