@@ -71,8 +71,13 @@ from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
 
 def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
     """What the parameter names of a ``FAMILIES`` row stand for: "e" the degree,
-    "e/w" the degree of the warp-w quotient's generic fibre; none for the curve family."""
-    return {} if e is None else {"e": e, "e/w": e // w}
+    "e/w" the degree of the warp-w quotient's generic fibre; none for the curve family.
+    A warp that is not a positive divisor of e raises NotDivisible."""
+    if e is None:
+        return {}
+    if w < 1 or e % w != 0:
+        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
+    return {"e": e, "e/w": e // w}
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
             raise ValueError(f"the {family} family needs a degree e")
         if w is None:
             w = 1
-        if w < 1 or e % w != 0:
-            raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
+        values = parameter_values(e, w)
         if e < spec.min_degree:
             raise ValueError(
                 f"the {family} family needs degree e >= {spec.min_degree}"
@@ -241,7 +245,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
                 else "degree must be nonnegative"
             )
         params = FamilyParams(e=e, w=w, **spec.labels)
-        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=parameter_values(e, w)["e/w"])
+        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=values["e/w"])
     kind, named = spec.kind(e), spec.generators(e, w)
     certified = certify(kind, named) is None
     return SmoothingFamily(

@@ -10,7 +10,7 @@ from test_lattice import maximal_minor_gcd
 from test_smoothing import family_params
 
 import kdl.fans
-from kdl.errors import ArityMismatch, DimMismatch
+from kdl.errors import ArityMismatch, DimMismatch, NotDivisible
 from kdl.fans import (
     Cone,
     EllipticSmoothing,
@@ -312,6 +312,12 @@ class TestShiftMatrices:
             for n in range(-8, 9):
                 for ray in cone_at(kind, n).rays:
                     assert ray.times(twist) == ray, (e, w)
+
+    def test_elliptic_twist_requires_divisibility(self):
+        with pytest.raises(NotDivisible):
+            named_generators("elliptic", 3, 2)
+        with pytest.raises(NotDivisible):
+            named_generators("elliptic", 3, 0)
 
     def test_rational_shifts_commute(self):
         for e, w in family_params("rational"):
