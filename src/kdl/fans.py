@@ -178,12 +178,15 @@ class GroupElement:
             raise ValueError("one torus label per lattice coordinate")
 
     @classmethod
-    def from_matrix(cls, m: IntMatrix) -> "GroupElement":
-        return cls(m, ("1",) * m.dim)
+    def _trusted(cls, m: IntMatrix, labels: tuple[str, ...]) -> "GroupElement":
+        """An element of a lattice part known unimodular and labels known to fit, stored as given."""
+        g = object.__new__(cls)
+        vars(g).update(lattice_part=m, torus_part=labels)
+        return g
 
     @classmethod
-    def translation(cls, labels: tuple[str, ...]) -> "GroupElement":
-        return cls(IntMatrix.identity(len(labels)), tuple(labels))
+    def from_matrix(cls, m: IntMatrix) -> "GroupElement":
+        return cls(m, ("1",) * m.dim)
 
 
 def ray_formula(kind: FanKind, axis: str) -> Callable[[int], IntVec]:

@@ -74,8 +74,8 @@ class IntMatrix:
     """A square integer matrix, stored row-major.
 
     ``cols`` holds the columns, computed once on construction for the
-    products; it takes no part in equality, hashing or the repr.
-    """
+    products; it takes no part in equality, hashing or the repr.  A product
+    is built by ``_trusted``, which stores its int rows and columns as they are."""
 
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -90,6 +90,13 @@ class IntMatrix:
             raise ValueError("IntMatrix must be square")
         object.__setattr__(self, "cols", tuple(zip(*rows)))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix from square, nonempty tuples of int rows, stored without conversion or checks."""
+        m = object.__new__(cls)
+        vars(m).update(rows=rows, cols=tuple(zip(*rows)))
+        return m
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -101,7 +108,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
             raise RankMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
-        return IntMatrix(tuple(tuple(sum(map(mul, row, col)) for col in other.cols) for row in self.rows))
+        return IntMatrix._trusted(tuple(tuple(sum(map(mul, row, col)) for col in other.cols) for row in self.rows))
 
 
 def det(m: IntMatrix) -> int:

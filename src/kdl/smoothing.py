@@ -24,8 +24,9 @@ in the fan data are listed as untested metadata, never silently assumed.
 formulas and the generators, and one deflection per axis proves that claim
 for Z too; the window is checked only at the indices whose cone departs
 from the formula and their neighbours (at every index where it fails).
-``build_family`` certifies once and the family carries the certificate; its
-window builds a cone only when read, and ``verify_family`` reads none.
+``FamilySpec.certified`` proves ``certify``'s claims and both generator checks
+for every (e, w) of a row, at its first ``build_family``; the family carries the
+certificate, and its window builds a cone only when read: ``verify_family`` reads none.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -88,12 +89,12 @@ class FamilySpec:
     warp.  ``group`` lists the generators as data, (name, lattice rows, torus
     labels): a row entry is an int or a name of ``parameter_values``, "e" or
     "e/w"; rows None make a pure torus translation, labels None all "1".
-    ``generators(e, w)`` evaluates them to named group elements: the first
-    ``len(kind.AXES)`` shift one step along each axis of the fan, and every
-    later one must fix the fan.  The shifts are unipotent, which a test
-    checks for every row; a shift that is not makes ``verify_family`` try
-    every power in its freeness check.  ``deflections`` maps e to the expected
-    deflection along each axis.
+    ``generators(e, w)`` evaluates them to named group elements, unvalidated
+    if ``trusted`` (a certified row's): the first ``len(kind.AXES)`` shift one
+    step along each axis of the fan, and every later one must fix the fan.
+    The shifts are unipotent, which the row certificate proves; a shift that
+    is not makes ``verify_family`` try every power in its freeness check.
+    ``deflections`` maps e to the expected deflection along each axis.
     """
 
     min_degree: int | None
@@ -103,18 +104,33 @@ class FamilySpec:
     deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
     untested: tuple[str, ...] = ()
 
-    def generators(self, e: int | None, w: int | None) -> tuple[tuple[str, GroupElement], ...]:
+    def generators(self, e: int | None, w: int | None, trusted=False) -> tuple[tuple[str, GroupElement], ...]:
         values, named = parameter_values(e, w), []
         for name, rows, labels in self.group:
-            if rows is None:
-                named.append((name, GroupElement.translation(labels)))
-                continue
             # A row that names no parameter is taken as written; most rows name none.
-            m = IntMatrix(
-                tuple(row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
-            )
-            named.append((name, GroupElement.from_matrix(m) if labels is None else GroupElement(m, labels)))
+            rows = IntMatrix.identity(len(labels)).rows if rows is None else tuple(
+                row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
+            labels, m = labels or ("1",) * len(rows), (IntMatrix._trusted if trusted else IntMatrix)(rows)
+            named.append((name, (GroupElement._trusted if trusted else GroupElement)(m, labels)))
         return tuple(named)
+
+    def certified(self) -> bool:
+        """The row certificate: ``certify`` and both generator checks hold at every admissible (e, w).
+
+        Rays and lattice parts are affine in the row's one parameter t, "e" or "e/w" (then under a kind free
+        of e), so each identity tested is a polynomial in t of degree <= D = max(2, dim), true once true at the
+        D+1 instances (e, w) = (t, 1), t = min_degree, ...; cone 0 (c0, c1) must not move, and as D+1 exceeds
+        the rank, a coordinate where c2 is 0 for every t is the freeness witness of some instance, so of all.
+        Proved again only under another ``certify``, so whoever rebinds it sees the proof."""
+        if vars(self).get("proof", (None,))[0] is not certify:
+            names = {x for _, rows, _ in self.group for row in rows or () for x in row if isinstance(x, str)}
+            low, dim = self.min_degree, len(self.group[0][1] or self.group[0][2])
+            samples = [(self.kind(t), self.generators(t, t if t is None else 1, True))
+                       for t in ([None] if low is None else range(low, low + max(2, dim) + 1))]
+            still = [k if "e/w" in names else [c[:2] for c in k.ray_coefficients.values()] for k, _ in samples]
+            vars(self)["proof"] = certify, len(names) < 2 and still.count(still[0]) == len(still) and not any(
+                certify(k, g) or check_generators_special_linear(g) or check_generators_commute(g) for k, g in samples)
+        return vars(self)["proof"][1]
 
 
 FAMILIES = {
@@ -187,7 +203,7 @@ class QuotientInfo:
 
 @dataclass(frozen=True)
 class SmoothingFamily:
-    """A fan window, its group generators, quotient bookkeeping and the certificate ``build_family`` proved."""
+    """A fan window, its generators, quotient bookkeeping and the certificate (kind, named generators, row proved)."""
 
     family: str
     kind: FanKind
@@ -246,8 +262,8 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
             )
         params = FamilyParams(e=e, w=w, **spec.labels)
         quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=values["e/w"])
-    kind, named = spec.kind(e), spec.generators(e, w)
-    certified = certify(kind, named) is None
+    kind, named = spec.kind(e), spec.generators(e, w, row := spec.certified())
+    certified = row or certify(kind, named) is None
     return SmoothingFamily(
         family=family,
         kind=kind,
@@ -256,7 +272,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
         generators=tuple(g for _, g in named),
         generator_names=tuple(name for name, _ in named),
         quotient_info=quotient_info,
-        certificate=(kind, named) if certified else None,
+        certificate=(kind, named, row) if certified else None,
     )
 
 
@@ -308,18 +324,19 @@ def certify(kind: FanKind, generators) -> str | None:
 class _Walk:
     """A family's window as the checks walk it: its sorted indices and the
     ``candidates`` each per-cone check visits, in index order.  ``certified``:
-    the family's ``certificate`` is its kind and named generators, or ``certify``
+    the family's ``certificate`` is (its kind, its named generators, whether the
+    row certificate covers them: else they are ``unproved``), or ``certify``
     holds.  Then ``fan_window``'s cones of the kind over the window's range pass
     every per-cone check unread.  On any other window with ``fan_window``'s
     indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
-    check with its neighbours, so the candidates are the other indices and their
-    neighbours; else every index."""
+    check with its neighbours, so the candidates are the other indices and their neighbours; else every index."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
         self.family, self.cones, self.indices = f, f.fan.cones, f.fan.indices()
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
-        self.certified = f.certificate == (f.kind, named) or certify(f.kind, named) is None
+        self.unproved = () if f.certificate == (f.kind, named, True) else named
+        self.certified = f.certificate in ((f.kind, named, True), (f.kind, named, False)) or not certify(f.kind, named)
         self.candidates, bound = self.indices, max((hi for _, hi in f.fan.index_range), default=0)
         if self.certified and getattr(self.cones, "formula", None) == (f.kind, f.fan.index_range):
             self.candidates = []
@@ -353,19 +370,17 @@ def check_adjacent_cones_share_facet(walk: _Walk) -> str | None:
     return None
 
 
-def check_generators_special_linear(walk: _Walk) -> str | None:
-    """The first generator whose lattice part has a determinant other than 1."""
-    f = walk.family
-    return next((name for name, g in zip(f.generator_names, f.generators) if det(g.lattice_part) != 1), None)
+def check_generators_special_linear(named) -> str | None:
+    """The first of the named generators whose lattice part has a determinant other than 1."""
+    return next((name for name, g in named if det(g.lattice_part) != 1), None)
 
 
-def check_generators_commute(walk: _Walk) -> str | None:
-    """The first pair "a*b" of generators whose lattice parts do not commute."""
-    names, gens = walk.family.generator_names, [g.lattice_part for g in walk.family.generators]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if gens[a] @ gens[b] != gens[b] @ gens[a]:
-                return f"{names[a]}*{names[b]}"
+def check_generators_commute(named) -> str | None:
+    """The first pair "a*b" of the named generators whose lattice parts do not commute."""
+    for at, (a, g) in enumerate(named):
+        for b, h in named[at + 1 :]:
+            if g.lattice_part @ h.lattice_part != h.lattice_part @ g.lattice_part:
+                return f"{a}*{b}"
     return None
 
 
@@ -443,8 +458,8 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
     checks = [
         ("cones_smooth", check_cones_smooth(walk)),
         ("adjacent_cones_share_facet", check_adjacent_cones_share_facet(walk)),
-        ("generators_special_linear", check_generators_special_linear(walk)),
-        ("generators_commute", check_generators_commute(walk)),
+        ("generators_special_linear", check_generators_special_linear(walk.unproved)),
+        ("generators_commute", check_generators_commute(walk.unproved)),
         *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
         *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
         *(

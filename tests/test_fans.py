@@ -345,11 +345,6 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(IntMatrix.identity(3), ("1", "alpha"))
 
-    def test_translation_constructor(self):
-        g = GroupElement.translation(("1", "alpha", "1"))
-        assert g.lattice_part == IntMatrix.identity(3)
-        assert g.torus_part == ("1", "alpha", "1")
-
 
 class TestFanWindow:
     def test_chain_window_contents(self):

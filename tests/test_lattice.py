@@ -308,6 +308,22 @@ class TestVecMatrixConventions:
             assert all(type(x) is int for x in result.entries)
         assert all(type(x) is int for x in u.scaled(True).entries)
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n) for _ in range(2)))))
+    @settings(max_examples=200)
+    def test_trusted_product_equals_the_validated_product(self, case):
+        # The product stores its int rows and columns without re-conversion;
+        # it must equal, hash and print as the validating IntMatrix of the
+        # same entries.
+        a, b = case
+        n = len(a)
+        product = IntMatrix(a) @ IntMatrix(b)
+        expected = IntMatrix([[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
+        assert product == expected and hash(product) == hash(expected) and repr(product) == repr(expected)
+        assert product.cols == expected.cols
+        assert all(type(x) is int for row in product.rows + product.cols for x in row)
+        assert type(product.rows) is tuple and all(type(row) is tuple for row in product.rows)
+
     def test_cached_columns_are_not_compared(self):
         m = IntMatrix(((1, 2), (3, 4)))
         assert m.cols == ((1, 3), (2, 4))

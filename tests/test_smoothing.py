@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import nullcontext, redirect_stdout
 from itertools import product
@@ -11,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kdl
 import kdl.fans
+import kdl.lattice
 import kdl.smoothing
 from kdl.boundary import adjacency_edges, enumerate_components
 from kdl.cli import main
@@ -39,9 +44,13 @@ from kdl.smoothing import (
     FAMILIES,
     FAMILY_NAMES,
     UNTESTED_COMMON,
+    FamilySpec,
     build_family,
     certify,
+    check_generators_commute,
+    check_generators_special_linear,
     family_payload,
+    parameter_values,
     report_payload,
     verify_family,
 )
@@ -295,11 +304,11 @@ class TestVerifyFamily:
                 assert calls == directions, family
 
     def test_one_basis_test_per_cone(self, monkeypatch):
-        # One basis-extension test per validated cone, whatever the window:
-        # the one certificate, made in build_family and carried to
-        # verify_family, tests cone 0, every window cone is built trusted,
-        # and a planted cone adds its own validation.  The rank is computed
-        # only for rays that fail the test.
+        # A row's first build_family proves its row certificate, which tests
+        # cone 0 once at each of its D+1 instances.  Every later build +
+        # verify of the certified family tests no basis, whatever the window:
+        # every window cone is built trusted.  A planted cone adds its own
+        # validation.  The rank is computed only for rays that fail the test.
         calls = {"extends_to_basis": 0, "rank_of": 0}
         for name, modules in (("extends_to_basis", (kdl.fans, kdl.smoothing)), ("rank_of", (kdl.fans,))):
 
@@ -309,21 +318,25 @@ class TestVerifyFamily:
 
             for module in modules:
                 monkeypatch.setattr(module, name, counting)
+        unproved_rows(monkeypatch)
         for family, e, w, window in self.VALID:
-            for half_width in (1, window):
+            for first, half_width in ((True, 1), (False, window), (False, 1)):
                 calls.update(dict.fromkeys(calls, 0))
                 fam = build_family(family, e=e, w=w, window=half_width)
                 assert verify_family(fam).all_pass
-                assert calls == {"extends_to_basis": 1, "rank_of": 0}, family
+                proofs = ROW_INSTANCES[family] if first else 0
+                assert calls == {"extends_to_basis": proofs, "rank_of": 0}, family
                 assert not verify_family(with_plants(fam, {fam.fan.indices()[-1]: ("near", 0, -1)})).all_pass
-                assert calls == {"extends_to_basis": 1 + 1, "rank_of": 0}, family
+                assert calls == {"extends_to_basis": proofs + 1, "rank_of": 0}, family
 
     def test_ray_formulas_once_per_window_ray(self, monkeypatch):
-        # build_family evaluates only the certificate's rays, 0..d+1 on each
-        # axis of degree d, whatever W is, and verify_family only the three
-        # rays of each axis's one deflection, at the first index: no window
-        # ray.  window_payload then evaluates each ray -W..W+1 of each axis
-        # once, however many cones hold the ray.
+        # A row's first build_family evaluates only the row certificate's
+        # rays, 0..d on each axis of degree d at each of its D+1 instances,
+        # whatever W is; a later build_family of the certified row evaluates
+        # none.  verify_family evaluates only the three rays of each axis's
+        # one deflection, at the first index: no window ray.  window_payload
+        # then evaluates each ray -W..W+1 of each axis once, however many
+        # cones hold the ray.
         counts = Counter()
 
         def counting(kind, axis, formula=ray_formula):
@@ -337,12 +350,15 @@ class TestVerifyFamily:
 
         for module in (kdl.fans, kdl.smoothing):
             monkeypatch.setattr(module, "ray_formula", counting)
+        unproved_rows(monkeypatch)
         for family, e, w, window in self.VALID:
             for half_width in (1, 2, window):
                 counts.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
                 axes, coefficients = fam.kind.AXES, fam.kind.ray_coefficients
-                assert counts == Counter((a, i) for a in axes for i in range(len(coefficients[a]) + 1)), family
+                proofs = ROW_INSTANCES[family] if half_width == 1 else 0
+                assert counts == Counter(
+                    {(a, i): proofs for a in axes for i in range(len(coefficients[a]) + 1)}), family
                 counts.clear()
                 assert verify_family(fam).all_pass
                 assert counts == Counter((a, i) for a in axes for i in range(-half_width - 1, 2 - half_width)), family
@@ -366,8 +382,10 @@ class TestVerifyFamily:
                 assert built == [], family
 
     def test_matrix_products_only_for_the_commute_check(self, monkeypatch):
-        # A certified build + verify multiplies matrices only to compare a*b
-        # with b*a for each pair of generators.
+        # A row's first build_family multiplies matrices only to compare a*b
+        # with b*a for each pair of generators, at each of the row
+        # certificate's D+1 instances.  A later build + verify of the
+        # certified family multiplies none.
         calls = []
         matmul = IntMatrix.__matmul__
 
@@ -376,19 +394,28 @@ class TestVerifyFamily:
             return matmul(a, b)
 
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        unproved_rows(monkeypatch)
         for family, e, w, window in self.VALID:
-            calls.clear()
-            fam = build_family(family, e=e, w=w, window=window)
-            assert verify_family(fam).all_pass
-            gens = [g.lattice_part for g in fam.generators]
-            pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
-            assert calls == [product for a, b in pairs for product in ((a, b), (b, a))], family
+            for first in (True, False):
+                calls.clear()
+                fam = build_family(family, e=e, w=w, window=window)
+                assert verify_family(fam).all_pass
+                expected = []
+                for _, named in row_instances(family) if first else ():
+                    gens = [g.lattice_part for _, g in named]
+                    pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+                    expected += [product for a, b in pairs for product in ((a, b), (b, a))]
+                assert calls == expected, family
+                n = len(fam.generators)
+                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * n * (n - 1), family
 
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
         # On a window that matches the formula, vectors are mapped only by
-        # the certificate in build_family: d+1 rays per axis (d the axis's
-        # degree) once per generator, however many cones the window has.
-        # verify_family reads the family's certificate and maps none.
+        # the row certificate at a row's first build_family: d+1 rays per
+        # axis (d the axis's degree) once per generator, at each of its D+1
+        # instances, however many cones the window has.  A later
+        # build_family of the certified row maps none, and verify_family
+        # reads the family's certificate and maps none.
         calls = []
         times = IntVec.times
 
@@ -397,19 +424,22 @@ class TestVerifyFamily:
             return times(v, m)
 
         monkeypatch.setattr(IntVec, "times", counting_times)
+        unproved_rows(monkeypatch)
         for family, e, w, window in self.VALID:
-            for half_width in (1, window):
+            for first, half_width in ((True, 1), (False, window)):
                 calls.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
                 points = sum(len(fam.kind.ray_coefficients[axis]) for axis in fam.kind.AXES)
-                assert len(calls) == len(fam.generators) * points, family
+                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * len(fam.generators) * points, family
                 calls.clear()
                 assert verify_family(fam).all_pass
                 assert calls == [], family
 
     def test_one_unipotence_test_per_shift(self, monkeypatch):
-        # The certificate tests each shift once in build_family; the
-        # freeness check of a certified family tests none again.
+        # The row certificate tests each shift once at each of its D+1
+        # instances, at the row's first build_family; a later build of the
+        # certified row tests none, nor does the freeness check of a
+        # certified family.
         calls = []
 
         def counting(m):
@@ -417,12 +447,16 @@ class TestVerifyFamily:
             return is_unipotent(m)
 
         monkeypatch.setattr(kdl.smoothing, "is_unipotent", counting)
+        unproved_rows(monkeypatch)
         for family, e, w, window in self.VALID:
-            for half_width in (1, window):
+            for first, half_width in ((True, 1), (False, window)):
                 calls.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
                 assert verify_family(fam).all_pass
-                assert calls == [g.lattice_part for g in fam.generators[: len(fam.kind.AXES)]], family
+                axes = len(fam.kind.AXES)
+                shifts = [g.lattice_part for _, named in row_instances(family) for _, g in named[:axes]]
+                assert calls == (shifts if first else []), family
+                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * axes, family
 
     def test_checks_are_called_through_module_globals(self, monkeypatch):
         # A tracer sees each check by rebinding its kdl.smoothing name, so
@@ -467,6 +501,26 @@ def family_params(family):
     if low is None:
         return [(None, None)]
     return [(e, w) for e in range(low, 9) for w in range(1, 9) if e % w == 0]
+
+
+# The number D+1 of instances each row certificate proves: D = max(2, dim)
+# for the generators' dimension dim; the mumford row has no parameter.
+ROW_INSTANCES = {"mumford": 1, "hopf": 4, "elliptic": 4, "rational": 6}
+
+
+def row_instances(family):
+    """The (kind, named generators) instances of a row's certificate, in order:
+    (e, w) = (t, 1) for the D+1 values t from the row's minimum degree on."""
+    spec, low = FAMILIES[family], FAMILIES[family].min_degree
+    ts = [None] if low is None else range(low, low + ROW_INSTANCES[family])
+    return [(spec.kind(t), spec.generators(t, None if t is None else 1)) for t in ts]
+
+
+def unproved_rows(monkeypatch):
+    """Replace every FAMILIES row by an equal copy whose certificate is not yet
+    proved, so the next build_family of each family is the row's first use."""
+    for family, spec in FAMILIES.items():
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec))
 
 
 def _fan_and_verify_outputs():
@@ -642,6 +696,191 @@ class TestCertificate:
         flipped = (("shift_m", GroupElement.from_matrix(IntMatrix(rows))),) + named[1:]
         assert certify(FAMILIES["rational"].kind(2), flipped) == "freeness_proxy"
         assert certify(FAMILIES["rational"].kind(2), named[:1] + (("shift_n", named[0][1]),) + named[2:]) == "shift_n"
+
+
+def moved_row(spec, at, r, c, slope, step, parameter=None):
+    """The row with entry (r, c) of generator ``at``'s lattice part, written
+    A0 + t*A1 in the row's parameter t, moved by ``step`` in A1 if ``slope``
+    else in A0; its generators are built unvalidated, as a certified row's."""
+
+    def generators(self, e, w, trusted=False):
+        named = FamilySpec.generators(self, e, w, True)
+        name, g = named[at]
+        rows = [list(row) for row in g.lattice_part.rows]
+        rows[r][c] += step * (parameter_values(e, w)[parameter] if slope else 1)
+        moved = GroupElement._trusted(IntMatrix(rows), g.torus_part)
+        return named[:at] + ((name, moved),) + named[at + 1 :]
+
+    row = type("MovedRow", (FamilySpec,), {"generators": generators})
+    return row(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)})
+
+
+def moved_rows():
+    """Every row mutant of FAMILIES, as (family, mutant, row): each entry of
+    each generator's lattice part (the identity of a pure translation too),
+    its A0 and, in a row with a parameter, its A1 moved by 1 either way."""
+    for family, spec in FAMILIES.items():
+        names = {x for _, rows, _ in spec.group for row in rows or () for x in row if isinstance(x, str)}
+        parts = (False, True) if names else (False,)
+        for at, (name, rows, labels) in enumerate(spec.group):
+            dim = len(rows or labels)
+            for r, c, slope, step in product(range(dim), range(dim), parts, (1, -1)):
+                mutant = f"{name}[{r}][{c}] A{int(slope)}{step:+d}"
+                yield family, mutant, moved_row(spec, at, r, c, slope, step, *names)
+
+
+def instance_fails(spec, e, w) -> bool:
+    """Whether the row's instance at (e, w) fails certify, det = 1 or commutation."""
+    kind, named = spec.kind(e), spec.generators(e, w, True)
+    return bool(certify(kind, named) or check_generators_special_linear(named) or check_generators_commute(named))
+
+
+class TestRowCertificate:
+    def test_every_row_is_certified(self):
+        for family, spec in FAMILIES.items():
+            assert dataclasses.replace(spec).certified(), family
+
+    def test_kind_rays_are_affine_in_e(self):
+        # The row certificate's premise: each ray coefficient of a family's
+        # kind is affine in its degree e.
+        for family, spec in FAMILIES.items():
+            low = spec.min_degree
+            if low is None:
+                continue
+            base, step = (spec.kind(low).ray_coefficients, spec.kind(low + 1).ray_coefficients)
+            for e in range(low, 60):
+                assert spec.kind(e).ray_coefficients == {
+                    axis: tuple(tuple(a + (e - low) * (b - a) for a, b in zip(c, d)) for c, d in zip(cs, step[axis]))
+                    for axis, cs in base.items()
+                }, (family, e)
+
+    # Row mutants no check can tell from the family: row j of a lattice part
+    # meets only coordinate j of a ray, which is 0 on every ray (coordinate 0
+    # of the elliptic fan, the gluing coordinate 4 of the rational one), and
+    # each of these entries keeps det = 1, unipotence and commutation for
+    # every t.  The elliptic twist's exponent e/w is among them.
+    EQUIVALENT = [
+        *(f"elliptic polygon_shift[0][{c}] A{k}{step:+d}" for c in (1, 2) for k in (0, 1) for step in (1, -1)),
+        *(f"elliptic base_twist[0][1] A{k}{step:+d}" for k in (0, 1) for step in (1, -1)),
+        *(f"rational {name}[4][{c}] A{k}{step:+d}"
+          for name, columns in (("shift_m", (0, 1, 2)), ("shift_n", (1, 3)), ("horizontal_gluing", (1,)))
+          for c in columns for k in (0, 1) for step in (1, -1)),
+    ]
+
+    def test_row_mutants_fail_exactly_when_an_instance_fails(self):
+        # A mutant fails the row certificate exactly when some instance with
+        # e <= 8 and w | e fails certify, det = 1 or commutation.
+        mutants, equivalent = 0, []
+        for family, mutant, row in moved_rows():
+            failing = [(e, w) for e, w in family_params(family) if instance_fails(row, e, w)]
+            assert row.certified() is not bool(failing), (family, mutant, failing[:1])
+            mutants += 1
+            if not failing:
+                equivalent.append(f"{family} {mutant}")
+        assert (mutants, equivalent) == (452, self.EQUIVALENT)
+
+    def test_a_failing_row_falls_back_to_the_instance(self, monkeypatch):
+        # The twist with a column-2 entry t in row 0 stops commuting with the
+        # shift for t != 0, so the row fails; its instance at e = 0 passes
+        # certify alone, and the battery still checks the generators there.
+        row = moved_row(FAMILIES["elliptic"], 1, 0, 2, True, 1, "e/w")
+        assert not row.certified()
+        monkeypatch.setitem(FAMILIES, "elliptic", row)
+        for e, w, passes in ((0, 1, True), (4, 2, False)):
+            fam = build_family("elliptic", e=e, w=w, window=2)
+            assert fam.certificate[2] is False
+            report = report_payload(verify_family(fam))
+            assert report["all_pass"] is passes and report == full_walk(fam), (e, w)
+            assert check_names(verify_family(fam))["generators_commute"].passed is passes
+
+    def test_a_row_of_two_parameters_is_not_certified(self, monkeypatch):
+        # Its data depend on e and on e/w, which the instances (e, w) = (t, 1)
+        # do not tell apart: a hopf shift that reads e/w under a kind in e
+        # holds at every such instance but not at (4, 2).  An elliptic shift
+        # that reads e in row 0, which no ray meets, holds everywhere, but
+        # the row is not proved either; its families are certified one by one.
+        hopf, elliptic = FAMILIES["hopf"], FAMILIES["elliptic"]
+        rows = {
+            "hopf": dataclasses.replace(hopf, group=(
+                ("polygon_shift", ((1, "e/w", 0), (0, 1, 0), (1, 0, 1)), None),) + hopf.group[1:]),
+            "elliptic": dataclasses.replace(elliptic, group=(
+                ("polygon_shift", ((1, "e", 0), (0, 1, 0), (0, 1, 1)), None),) + elliptic.group[1:]),
+        }
+        for family, row in rows.items():
+            assert not row.certified(), family
+            monkeypatch.setitem(FAMILIES, family, row)
+            for e, w in ((2, 1), (4, 2)):
+                fam = build_family(family, e=e, w=w, window=2)
+                report = report_payload(verify_family(fam))
+                assert report["all_pass"] is (family == "elliptic" or w == 1), (family, e, w)
+                assert report == full_walk(fam) and (fam.certificate is None or not fam.certificate[2]), (family, e, w)
+
+    def test_a_row_whose_cone_zero_moves_is_not_certified(self, monkeypatch):
+        # Cone 0's basis test is no polynomial identity, so a kind whose
+        # c0 or c1 moves with t fails the row certificate.  Rays
+        # (m, e + e*binom2(m), 1) still pass at every e, one family at a time.
+        kind = type("HopfSmoothing", (HopfSmoothing,), {
+            "ray_coefficients": property(lambda self: {"m": ((0, self.e, 1), (1, 0, 0), (0, self.e, 0))})})
+        lifted = dataclasses.replace(FAMILIES["hopf"], kind=kind)
+        assert not lifted.certified()
+        monkeypatch.setitem(FAMILIES, "hopf", lifted)
+        for e in (1, 2, 5):
+            fam = build_family("hopf", e=e, w=1, window=2)
+            report = report_payload(verify_family(fam))
+            assert report["all_pass"] and report == full_walk(fam) and fam.certificate[2] is False, e
+
+    def test_proved_at_first_use_and_again_under_another_certify(self, monkeypatch):
+        # Importing kdl proves no row; build_family proves a row once, with
+        # D+1 instance certificates, and again only when certify is rebound.
+        code = "import kdl, kdl.smoothing as s; print(sorted(f for f, r in s.FAMILIES.items() if 'proof' in vars(r)))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.path.dirname(kdl.__path__[0])})
+        assert done.stdout == "[]\n"
+        unproved_rows(monkeypatch)
+        calls = []
+        for family in FAMILY_NAMES:
+            e = FAMILIES[family].min_degree
+            for _ in range(2):  # a certify bound anew, once per round
+
+                def counting(kind, named, original=certify):
+                    calls.append(kind)
+                    return original(kind, named)
+
+                monkeypatch.setattr(kdl.smoothing, "certify", counting)
+                calls.clear()
+                for _ in range(3):
+                    build_family(family, e=e, w=None if e is None else 1, window=1)
+                assert len(calls) == ROW_INSTANCES[family], family
+
+    def test_every_e_after_a_rows_first_use(self, monkeypatch):
+        # Once a row is proved, a build + verify at any degree and warp makes
+        # no determinant, unipotence, basis test or matrix product; a family
+        # with a replaced generator still runs both generator checks.
+        cases = [("hopf", 10**6, 1), ("rational", 10**6, 1), ("elliptic", 10**6, 1), ("elliptic", 10**6, 10**6)]
+        for family, _, _ in cases:
+            build_family(family, e=1, w=1, window=1)
+        calls = Counter()
+        for owner, name in ((kdl.lattice, "det"), (kdl.smoothing, "det"), (kdl.smoothing, "is_unipotent"),
+                            (kdl.fans, "extends_to_basis"), (kdl.smoothing, "extends_to_basis"),
+                            (IntMatrix, "__matmul__")):
+
+            def counting(*args, name=name, original=getattr(owner, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        for family, e, w in cases:
+            fam = build_family(family, e=e, w=w, window=3)
+            assert verify_family(fam).all_pass, (family, e, w)
+            assert e // w in (g.lattice_part.rows[0][1] for g in fam.generators) and calls == Counter(), (family, e, w)
+            relabelled = GroupElement(fam.generators[-1].lattice_part, ("x",) * fam.generators[-1].lattice_part.dim)
+            replaced = dataclasses.replace(fam, generators=fam.generators[:-1] + (relabelled,))
+            calls.clear()
+            assert verify_family(replaced).all_pass, (family, e, w)
+            n, axes = len(fam.generators), len(fam.kind.AXES)
+            assert calls == Counter(
+                {"det": n, "__matmul__": n * (n - 1), "is_unipotent": axes, "extends_to_basis": 1}), (family, e, w)
+            calls.clear()
 
 
 class TestFamilyInvariants:
