@@ -22,8 +22,8 @@ cone at an index takes, along each axis, that axis's rays at i and i+1;
 ``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
 written once over the axes, so a new kind is one more class here.
 
-A window builds a cone when it is first read, and each ray once; its cones
-share the rays.  A ``Cone`` validates its rays with one basis-extension test,
+A window keeps no index map; it builds a cone when first read, and each ray
+once, which its cones share.  A ``Cone`` validates its rays with one basis-extension test,
 which also decides its smoothness; the cone stores the answer, and ``apply``
 hands it on to images.  A formula cone carries its kind and index as ``formula``.
 
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Callable, ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch
@@ -138,7 +139,7 @@ class Cone:
     formula: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rays = tuple(sorted(self.rays, key=lambda v: v.entries))
+        rays = tuple(sorted(self.rays, key=attrgetter("entries")))
         object.__setattr__(self, "rays", rays)
         if not rays:
             raise ValueError("a cone needs at least one ray")
@@ -155,7 +156,7 @@ class Cone:
     def _trusted(cls, rays, rank: int, smooth: bool, formula: tuple | None = None) -> "Cone":
         """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
         cone = object.__new__(cls)
-        vars(cone).update(rays=tuple(sorted(rays, key=lambda v: v.entries)), rank=rank, smooth=smooth, formula=formula)
+        vars(cone).update(rays=tuple(sorted(rays, key=attrgetter("entries"))), rank=rank, smooth=smooth, formula=formula)
         return cone
 
 
@@ -261,7 +262,8 @@ def share_facet(c1: Cone, c2: Cone) -> bool:
 
 
 def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
-    """Second difference v_{i-1} + v_{i+1} - 2 v_i at the hinge ray of an index.
+    """Second difference v_{i-1} + v_{i+1} - 2 v_i at the hinge ray of an index: the direction's c2 at
+    every index, for rays c0 + i*c1 + binom2(i)*c2 (the ``ray_coefficients`` ``ray_formula`` evaluates).
 
     The hinge ray of index i is the ray shared by the cones at i-1 and i.  The
     result measures the C*-bundle degree of the central fibre over the polygon
@@ -277,8 +279,8 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
         direction = kind.AXES[0]
     elif direction not in kind.AXES:
         raise ArityMismatch(f"direction must be {' or '.join(map(repr, kind.AXES))} for {name}")
-    ray, i = ray_formula(kind, direction), axis_indices(kind, index)[kind.AXES.index(direction)]
-    return ray(i - 1) + ray(i + 1) - ray(i).scaled(2)
+    axis_indices(kind, index)  # an index of the wrong arity raises ArityMismatch
+    return IntVec._trusted((*kind.ray_coefficients[direction], (0,) * kind.AMBIENT_RANK, (0,) * kind.AMBIENT_RANK)[2])
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ class FanWindow:
     ``index_range`` holds one inclusive (lo, hi) interval per index axis;
     ``cones`` maps each index in the window to its cone, keyed by an int on
     one axis and by a tuple over the kind's ``AXES`` on more (``fan_window``
-    builds each cone when it is first read).
+    builds each cone when it is first read).  ``indices()`` lists them sorted.
     """
 
     kind: FanKind
@@ -296,37 +298,47 @@ class FanWindow:
     cones: Mapping
 
     def indices(self) -> list:
-        return sorted(self.cones)
-
-
-def window_indices(kind: FanKind, bound: int) -> list:
-    """(index, per-axis integers) of each cone index with |index| <= bound on every axis, in sorted order."""
-    return [(at if len(at) > 1 else at[0], at) for at in product(range(-bound, bound + 1), repeat=len(kind.AXES))]
+        return list(self.cones) if isinstance(self.cones, _FormulaCones) else sorted(self.cones)
 
 
 class _FormulaCones(Mapping):
-    """``fan_window``'s cones, each built when first read and kept, from rays each
-    built once; ``len``, ``in`` and iteration build none.  It compares, prints,
-    pickles and copies as a dict does; ``formula`` is (kind, index range)."""
+    """``fan_window``'s cones, each built when first read and kept, from rays each built
+    once; ``len``, ``in``, iteration (in sorted order) and ``at`` are arithmetic in the bound.
+    It finds, compares, prints, pickles and copies as a dict of its indices does; ``formula`` is (kind, index range)."""
+
+    rays = cached_property(lambda self: [cache(ray_formula(self.kind, axis)) for axis in self.kind.AXES])
 
     def __init__(self, kind: FanKind, bound: int, certified: bool, built=()):
         self.kind, self.bound, self.certified, self.built = kind, bound, certified, dict(built)
-        self.formula, self.at = (kind, ((-bound, bound),) * len(kind.AXES)), dict(window_indices(kind, bound))
-        self.rays = [cache(ray_formula(kind, axis)) for axis in kind.AXES]
+        self.formula = (kind, ((-bound, bound),) * len(kind.AXES))
+
+    def at(self, index) -> tuple[int, ...] | None:
+        """The per-axis integers of a window index, None outside the window: for each part, the int j a dict keyed
+        by them finds, equal to the part and of its hash (hash(j) is j for |j| < 2**61 - 1, but hash(-1) is -2)."""
+        b = self.bound
+        if type(index) is int and len(self.kind.AXES) == 1:  # an index as the window lists it
+            return (index,) if -b <= index <= b else None
+        parts = index if isinstance(index, tuple) and len(self.kind.AXES) > 1 else (index,)
+        at = tuple([x if type(x) is int else next((j for j in (hash(x), -1) if hash(j) == hash(x) and j == x), b + 1)
+                    for x in parts])
+        return at if len(at) == len(self.kind.AXES) and -b <= min(at) and max(at) <= b else None
 
     def __getitem__(self, index) -> Cone:
         if index not in self.built:
-            self.built[index] = _cone(self.kind, self.at[index], self.rays, self.certified)
+            if (at := self.at(index)) is None:
+                raise KeyError(index)
+            self.built[index] = _cone(self.kind, at, self.rays, self.certified)
         return self.built[index]
 
     def __iter__(self):
-        return iter(self.at)
+        span = range(-self.bound, self.bound + 1)
+        return iter(span) if len(self.kind.AXES) == 1 else product(span, repeat=len(self.kind.AXES))
 
     def __len__(self) -> int:
-        return len(self.at)
+        return (2 * self.bound + 1) ** len(self.kind.AXES)
 
     def __contains__(self, index) -> bool:
-        return index in self.at
+        return self.at(index) is not None
 
     def __repr__(self) -> str:
         return repr(dict(self))

@@ -26,7 +26,7 @@ for Z too; the window is checked only at the indices whose cone departs
 from the formula and their neighbours (at every index where it fails).
 ``FamilySpec.certified`` proves ``certify``'s claims and both generator checks
 for every (e, w) of a row, at its first ``build_family``; the family carries the
-certificate, and its window builds a cone only when read: ``verify_family`` reads none.
+certificate, and its window builds a cone only when read: ``verify_family`` reads and lists none.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -64,7 +64,6 @@ from .fans import (
     fan_window,
     ray_formula,
     share_facet,
-    window_indices,
     window_payload,
 )
 from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
@@ -107,9 +106,9 @@ class FamilySpec:
     def generators(self, e: int | None, w: int | None, trusted=False) -> tuple[tuple[str, GroupElement], ...]:
         values, named = parameter_values(e, w), []
         for name, rows, labels in self.group:
-            # A row that names no parameter is taken as written; most rows name none.
-            rows = IntMatrix.identity(len(labels)).rows if rows is None else tuple(
-                row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
+            # Rows None are the identity's (a torus translation); a row naming no parameter is taken as written.
+            rows = rows or tuple((0,) * i + (1,) + (0,) * (len(labels) - 1 - i) for i in range(len(labels)))
+            rows = tuple(row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
             labels, m = labels or ("1",) * len(rows), (IntMatrix._trusted if trusted else IntMatrix)(rows)
             named.append((name, (GroupElement._trusted if trusted else GroupElement)(m, labels)))
         return tuple(named)
@@ -322,30 +321,30 @@ def certify(kind: FanKind, generators) -> str | None:
 
 
 class _Walk:
-    """A family's window as the checks walk it: its sorted indices and the
-    ``candidates`` each per-cone check visits, in index order.  ``certified``:
-    the family's ``certificate`` is (its kind, its named generators, whether the
-    row certificate covers them: else they are ``unproved``), or ``certify``
-    holds.  Then ``fan_window``'s cones of the kind over the window's range pass
-    every per-cone check unread.  On any other window with ``fan_window``'s
-    indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
+    """A family's window as the checks walk it: ``first``, a list of its least index
+    (if any), and the ``candidates`` each per-cone check visits, in index order.
+    ``certified``: the family's ``certificate`` is (its kind, its named generators,
+    whether the row certificate covers them: else they are ``unproved``), or
+    ``certify`` holds.  Then ``fan_window``'s cones of the kind over the window's
+    range pass every per-cone check unread and unlisted.  On any other window with
+    ``fan_window``'s indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
     check with its neighbours, so the candidates are the other indices and their neighbours; else every index."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
-        self.family, self.cones, self.indices = f, f.fan.cones, f.fan.indices()
+        self.family, self.cones = f, f.fan.cones
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
         self.unproved = () if f.certificate == (f.kind, named, True) else named
         self.certified = f.certificate in ((f.kind, named, True), (f.kind, named, False)) or not certify(f.kind, named)
-        self.candidates, bound = self.indices, max((hi for _, hi in f.fan.index_range), default=0)
         if self.certified and getattr(self.cones, "formula", None) == (f.kind, f.fan.index_range):
-            self.candidates = []
-        elif self.certified and (box := window_indices(f.kind, bound)) and (f.fan.index_range, self.indices) == (
-            ((-bound, bound),) * len(axes), [i for i, _ in box]
-        ):
-            departed = {i for i, at in box if self.cones[i].formula != (f.kind, at)}
+            self.first, self.candidates = [next(iter(self.cones))], []
+            return
+        self.candidates = f.fan.indices()
+        self.first, box = self.candidates[:1], fan_window(f.kind, max([1, *(hi for _, hi in f.fan.index_range)])).cones
+        if self.certified and f.fan.index_range == box.formula[1] and self.candidates == list(box):
+            departed = {i for i in box if self.cones[i].formula != (f.kind, i if len(axes) > 1 else (i,))}
             departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
-            self.candidates = [i for i in self.indices if i in departed]
+            self.candidates = [i for i in self.candidates if i in departed]
 
     def near(self, i, axis: int, step: int):
         """The window index ``step`` along an axis from i, or None outside the window."""
@@ -402,8 +401,7 @@ def check_fixes_fan(walk: _Walk, gen: GroupElement) -> str | None:
 def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> str | None:
     """The first window index whose deflection along a direction is not `expected`; rays of
     degree at most 2 have the same deflection at every index in Z, so one index decides."""
-    first = walk.indices[:1]
-    return next((str(i) for i in first if deflection(walk.family.kind, i, direction) != expected), None)
+    return next((str(i) for i in walk.first if deflection(walk.family.kind, i, direction) != expected), None)
 
 
 def check_freeness_proxy(walk: _Walk) -> str | None:
@@ -434,7 +432,7 @@ def check_shift_orbit_transitive(walk: _Walk) -> str | None:
     """
     lows = [lo for lo, _ in walk.family.fan.index_range]
     for i in walk.candidates:
-        if i == walk.indices[0]:
+        if i in walk.first:
             continue
         axis = max(a for a, (x, lo) in enumerate(zip(axis_indices(walk.family.kind, i), lows)) if x > lo)
         if apply(walk.family.generators[axis], walk.cones[walk.near(i, axis, -1)]) != walk.cones[i]:

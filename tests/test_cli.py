@@ -397,6 +397,13 @@ class TestVerifyCommand:
         names = {c["name"] for c in payload["checks"]}
         assert {"shift_m", "shift_n", "deflection_m", "deflection_n"} <= names
 
+    def test_a_window_of_any_size(self):
+        # A certified family's verification does the same work for every
+        # window: W = 10**6 lists none of the rational window's 4*10**12 cones.
+        code, out, _ = run_cli(["verify", "--family", "rational", "--e", "1", "--window", "1000000"])
+        assert code == 0
+        assert json.loads(out)["all_pass"] is True
+
     def test_nondivisible_warp_rejected(self):
         code, _, err = run_cli(["verify", "--family", "hopf", "--e", "3", "--w", "2"])
         assert code == 2

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -261,6 +263,18 @@ class TestDeflection:
                 assert deflection(kind, m).entries == (0, e, 0)
 
 
+    @pytest.mark.parametrize("kind", [MumfordNeron(), HopfSmoothing(3), EllipticSmoothing(), RationalSmoothing(2)])
+    def test_the_second_difference_of_the_rays(self, kind):
+        # The deflection is read from the ray coefficients; it is the second
+        # difference of the rays ray_formula evaluates, at every index.
+        for axis in kind.AXES:
+            ray = ray_formula(kind, axis)
+            for i in range(-12, 13):
+                index = i if len(kind.AXES) == 1 else (i, -i)
+                second = ray(i - 1) + ray(i + 1) - ray(i).scaled(2)
+                assert deflection(kind, index, None if len(kind.AXES) == 1 else axis) == second, (axis, i)
+
+
 class TestShiftMatrices:
     # Every generator of every FAMILIES row, at every e <= 8 and w | e.
     def test_all_special_linear(self):
@@ -393,6 +407,42 @@ def eager_window(kind, bound):
     return {index: cone_at(kind, index) for index in (at if len(at) > 1 else at[0] for at in indices)}
 
 
+def window_keys():
+    """Keys to look up in a window: ints in and out of range, equal numbers of
+    other types, non-numbers, unhashables and tuples of them of any arity."""
+    numbers = st.integers(-4, 4) | st.integers(-2**70, 2**70)
+    scalars = st.one_of(
+        numbers, st.booleans(), numbers.map(float), st.floats(-5, 5), st.sampled_from([math.nan, math.inf]),
+        numbers.map(Fraction), st.fractions(-5, 5), numbers.map(complex), st.complex_numbers(max_magnitude=5),
+        numbers.map(Decimal), st.none(), st.text(max_size=2), st.lists(numbers, max_size=2))
+    tuples = st.lists(scalars | st.tuples(numbers), max_size=3).map(tuple)
+    return st.booleans().flatmap(lambda tuple_: tuples if tuple_ else scalars)
+
+
+class EqualsMinusOne:
+    """Equal to -1 but not of its hash, so a dict keyed by -1 does not find it."""
+
+    def __eq__(self, other):
+        return other == -1
+
+    def __hash__(self):
+        return 7
+
+
+# Keys every lookup test tries besides the drawn ones; hash(-1) is -2.
+FIXED_KEYS = [True, False, 1.0, -1.0, -2.0, Fraction(-1), Decimal(-1), complex(-1), 2**61 + 1, [1], "1", None,
+              EqualsMinusOne(), (1,), (True, False), (1.0, -1.0), (-1, -2), (0, 0, 0), (1, [0]), ((1,), 0),
+              (EqualsMinusOne(), 0)]
+
+
+def outcome(read):
+    """What a read returns, or the type of what it raises."""
+    try:
+        return read()
+    except (KeyError, TypeError) as error:
+        return type(error)
+
+
 class TestConesBuiltOnRead:
     KINDS = [MumfordNeron(), HopfSmoothing(3), EllipticSmoothing(), RationalSmoothing(2)]
 
@@ -443,6 +493,23 @@ class TestConesBuiltOnRead:
             assert repr(window) == repr(plain) and repr(window.cones) == repr(oracle)
         # Each of the three windows built every cone once, but the one read before copying.
         assert len(built) == 3 * (len(oracle) - 1)
+
+    @given(st.sampled_from(KINDS), st.integers(1, 3), st.lists(window_keys(), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_finds_keys_as_a_dict_window(self, kind, bound, keys):
+        # Membership and lookup answer as a dict of the window's indices for
+        # any key: True, 1.0, Fraction(1), 1+0j or Decimal(1) finds index 1
+        # (cone 1, whose per-axis integers are ints), an out-of-range,
+        # wrong-arity or non-numeric key finds nothing, and an unhashable key
+        # raises TypeError.
+        oracle, window = eager_window(kind, bound), fan_window(kind, bound).cones
+        for key in keys + FIXED_KEYS:
+            assert outcome(lambda: key in window) == outcome(lambda: key in oracle), key
+            assert outcome(lambda: window.get(key)) == outcome(lambda: oracle.get(key)), key
+            found = outcome(lambda: window[key])
+            assert found == outcome(lambda: oracle[key]), key
+            if isinstance(found, Cone):
+                assert all(type(x) is int for x in found.formula[1]), key
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_certified_decides_trusted_or_validated_on_read(self, kind, monkeypatch):

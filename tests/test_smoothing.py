@@ -333,10 +333,9 @@ class TestVerifyFamily:
         # A row's first build_family evaluates only the row certificate's
         # rays, 0..d on each axis of degree d at each of its D+1 instances,
         # whatever W is; a later build_family of the certified row evaluates
-        # none.  verify_family evaluates only the three rays of each axis's
-        # one deflection, at the first index: no window ray.  window_payload
-        # then evaluates each ray -W..W+1 of each axis once, however many
-        # cones hold the ray.
+        # none.  verify_family evaluates no ray: a deflection is the c2 of its
+        # axis's ray formula.  window_payload then evaluates each ray -W..W+1
+        # of each axis once, however many cones hold the ray.
         counts = Counter()
 
         def counting(kind, axis, formula=ray_formula):
@@ -361,7 +360,7 @@ class TestVerifyFamily:
                     {(a, i): proofs for a in axes for i in range(len(coefficients[a]) + 1)}), family
                 counts.clear()
                 assert verify_family(fam).all_pass
-                assert counts == Counter((a, i) for a in axes for i in range(-half_width - 1, 2 - half_width)), family
+                assert counts == Counter(), family
                 counts.clear()
                 window_payload(fam.fan)
                 assert counts == Counter((a, i) for a in axes for i in range(-half_width, half_width + 2)), family
@@ -379,6 +378,42 @@ class TestVerifyFamily:
         for family, e, w, window in self.VALID:
             for half_width in (1, 2, window):
                 assert verify_family(build_family(family, e=e, w=w, window=half_width)).all_pass
+                assert built == [], family
+
+    def test_work_is_independent_of_the_window_size(self, monkeypatch):
+        # For every FAMILIES row, a build + verify at W = 10**6 builds no cone
+        # and evaluates the same rays as at W = 1: the row certificate's at the
+        # row's first build_family, none later.  A window that listed its
+        # indices would hold 4*10**12 of them for the rational family.
+        built, counts = [], Counter()
+
+        def counting_cone(kind, at, rays, certified=False, original=kdl.fans._cone):
+            built.append(at)
+            return original(kind, at, rays, certified)
+
+        def counting_formula(kind, axis, formula=ray_formula):
+            ray = formula(kind, axis)
+
+            def evaluate(i):
+                counts[axis, i] += 1
+                return ray(i)
+
+            return evaluate
+
+        monkeypatch.setattr(kdl.fans, "_cone", counting_cone)
+        for module in (kdl.fans, kdl.smoothing):
+            monkeypatch.setattr(module, "ray_formula", counting_formula)
+        unproved_rows(monkeypatch)
+        for family, e, w, _ in self.VALID:
+            for first, half_width in ((True, 10**6), (False, 10**6), (False, 1)):
+                counts.clear()
+                fam = build_family(family, e=e, w=w, window=half_width)
+                assert verify_family(fam).all_pass, family
+                axes, coefficients = fam.kind.AXES, fam.kind.ray_coefficients
+                assert len(fam.fan.cones) == (2 * half_width + 1) ** len(axes)
+                proofs = ROW_INSTANCES[family] if first else 0
+                assert counts == Counter(
+                    {(a, i): proofs for a in axes for i in range(len(coefficients[a]) + 1)}), family
                 assert built == [], family
 
     def test_matrix_products_only_for_the_commute_check(self, monkeypatch):
@@ -881,6 +916,31 @@ class TestRowCertificate:
             assert calls == Counter(
                 {"det": n, "__matmul__": n * (n - 1), "is_unipotent": axes, "extends_to_basis": 1}), (family, e, w)
             calls.clear()
+
+
+    def test_a_certified_rows_later_builds_validate_no_matrix(self, monkeypatch):
+        # A certified row builds every generator trusted, a pure torus
+        # translation's identity included: after the row's first use no
+        # build_family at any degree or warp calls IntMatrix's validating
+        # constructor.
+        calls = []
+        init = IntMatrix.__init__
+
+        def counting(m, *args, **kwargs):
+            calls.append(args)
+            init(m, *args, **kwargs)
+
+        for family in FAMILY_NAMES:
+            build_family(family, **dict(zip("ew", family_params(family)[0])), window=1)
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        for family in FAMILY_NAMES:
+            for e, w in family_params(family):
+                fam = build_family(family, e=e, w=w, window=2)
+                assert verify_family(fam).all_pass and calls == [], (family, e, w)
+        # Evaluated untrusted, every lattice part is validated, the translation's identity too.
+        named = FAMILIES["hopf"].generators(2, 1)
+        assert dict(named)["fiber_gluing"].lattice_part.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert len(calls) == len(named)
 
 
 class TestFamilyInvariants:
