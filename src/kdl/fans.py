@@ -10,7 +10,7 @@ generator formula:
   rays (last coordinate split) and two consecutive elliptic-type rays.
 
 Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
-``FanWindow`` is a finite slice of such a fan, built cone by cone as read;
+``FanWindow`` is a finite slice of such a fan, built whole at its first read;
 ``kdl.smoothing.certify`` proves the verification claims for every index in
 Z, and a window is checked only where it differs from the formula.
 
@@ -22,7 +22,7 @@ cone at an index takes, along each axis, that axis's rays at i and i+1;
 ``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
 written once over the axes, so a new kind is one more class here.
 
-A window keeps no index map; it builds a cone when first read, and each ray
+A window's first lookup builds all its cones (``window_cones``), and each ray
 once, which its cones share.  A ``Cone`` validates its rays with one basis-extension test,
 which also decides its smoothness; the cone stores the answer, and ``apply``
 hands it on to images.  A formula cone carries its kind and index as ``formula``.
@@ -290,7 +290,7 @@ class FanWindow:
     ``index_range`` holds one inclusive (lo, hi) interval per index axis;
     ``cones`` maps each index in the window to its cone, keyed by an int on
     one axis and by a tuple over the kind's ``AXES`` on more (``fan_window``
-    builds each cone when it is first read).  ``indices()`` lists them sorted.
+    builds them all at the first read).  ``indices()`` lists them sorted.
     """
 
     kind: FanKind
@@ -298,37 +298,30 @@ class FanWindow:
     cones: Mapping
 
     def indices(self) -> list:
-        return list(self.cones) if isinstance(self.cones, _FormulaCones) else sorted(self.cones)
+        return sorted(self.cones)
+
+
+def window_cones(kind: FanKind, bound: int, certified: bool = False) -> dict:
+    """Every cone with |index| <= bound on every axis, keyed and ordered as ``FanWindow.cones``: trusted if
+    ``certified`` (``kdl.smoothing.certify`` proved them smooth), and each ray -bound..bound+1 of an axis built once."""
+    rays, one = [cache(ray_formula(kind, axis)) for axis in kind.AXES], len(kind.AXES) == 1
+    span = range(-bound, bound + 1)
+    return {at[0] if one else at: _cone(kind, at, rays, certified) for at in product(span, repeat=len(kind.AXES))}
 
 
 class _FormulaCones(Mapping):
-    """``fan_window``'s cones, each built when first read and kept, from rays each built
-    once; ``len``, ``in``, iteration (in sorted order) and ``at`` are arithmetic in the bound.
-    It finds, compares, prints, pickles and copies as a dict of its indices does; ``formula`` is (kind, index range)."""
+    """``fan_window``'s cones: ``len`` and iteration (in sorted order) are arithmetic in the bound and
+    build nothing; the first lookup builds the whole window through ``window_cones`` and keeps it as ``cones``.
+    It finds, compares, prints, pickles and copies as that dict does; ``formula`` is (kind, index range)."""
 
-    rays = cached_property(lambda self: [cache(ray_formula(self.kind, axis)) for axis in self.kind.AXES])
+    cones = cached_property(lambda self: window_cones(self.kind, self.bound, self.certified))
 
-    def __init__(self, kind: FanKind, bound: int, certified: bool, built=()):
-        self.kind, self.bound, self.certified, self.built = kind, bound, certified, dict(built)
+    def __init__(self, kind: FanKind, bound: int, certified: bool):
+        self.kind, self.bound, self.certified = kind, bound, certified
         self.formula = (kind, ((-bound, bound),) * len(kind.AXES))
 
-    def at(self, index) -> tuple[int, ...] | None:
-        """The per-axis integers of a window index, None outside the window: for each part, the int j a dict keyed
-        by them finds, equal to the part and of its hash (hash(j) is j for |j| < 2**61 - 1, but hash(-1) is -2)."""
-        b = self.bound
-        if type(index) is int and len(self.kind.AXES) == 1:  # an index as the window lists it
-            return (index,) if -b <= index <= b else None
-        parts = index if isinstance(index, tuple) and len(self.kind.AXES) > 1 else (index,)
-        at = tuple([x if type(x) is int else next((j for j in (hash(x), -1) if hash(j) == hash(x) and j == x), b + 1)
-                    for x in parts])
-        return at if len(at) == len(self.kind.AXES) and -b <= min(at) and max(at) <= b else None
-
     def __getitem__(self, index) -> Cone:
-        if index not in self.built:
-            if (at := self.at(index)) is None:
-                raise KeyError(index)
-            self.built[index] = _cone(self.kind, at, self.rays, self.certified)
-        return self.built[index]
+        return self.cones[index]
 
     def __iter__(self):
         span = range(-self.bound, self.bound + 1)
@@ -337,22 +330,15 @@ class _FormulaCones(Mapping):
     def __len__(self) -> int:
         return (2 * self.bound + 1) ** len(self.kind.AXES)
 
-    def __contains__(self, index) -> bool:
-        return self.at(index) is not None
-
     def __repr__(self) -> str:
-        return repr(dict(self))
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.bound, self.certified, self.built)
+        return repr(self.cones)
 
 
 def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWindow:
     """The window of all cone indices with |index| <= bound on every axis.
 
-    A cone is built when first read, trusted if ``certified`` (``kdl.smoothing.certify``
-    proved them smooth); the 2*bound + 2 rays -bound..bound+1 per axis are each built
-    once and shared by every cone that holds it.
+    Its cones are built by ``window_cones`` at the first lookup, all at once, trusted if
+    ``certified``; ``len`` and iteration build none.
     """
     if bound < 1:
         raise ValueError("window bound must be at least 1")

@@ -22,9 +22,9 @@ class IntVec:
     """An integer row vector; ``rank`` is its length.
 
     ``IntVec(...)`` converts every entry with ``int`` and rejects an empty
-    tuple.  Results computed from entries that are already ints (``times``,
-    ``+``, ``-``) are built with the private ``_trusted`` instead, which
-    stores the tuple as it is.
+    tuple.  The right action ``times``, computed from entries that are
+    already ints, builds its result with the private ``_trusted`` instead,
+    which stores the tuple as it is.
     """
 
     entries: tuple[int, ...]
@@ -48,19 +48,6 @@ class IntVec:
     def is_primitive(self) -> bool:
         """True when the entries have gcd 1 (the vector generates a saturated Z)."""
         return math.gcd(*self.entries) == 1
-
-    def __add__(self, other: "IntVec") -> "IntVec":
-        if self.rank != other.rank:
-            raise RankMismatch(f"cannot add vectors of rank {self.rank} and {other.rank}")
-        return IntVec._trusted(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "IntVec") -> "IntVec":
-        if self.rank != other.rank:
-            raise RankMismatch(f"cannot subtract vectors of rank {self.rank} and {other.rank}")
-        return IntVec._trusted(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scaled(self, k: int) -> "IntVec":
-        return IntVec(tuple(k * a for a in self.entries))
 
     def times(self, m: "IntMatrix") -> "IntVec":
         """Right action: the row vector self @ m."""
@@ -100,10 +87,6 @@ class IntMatrix:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def identity(cls, dim: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:

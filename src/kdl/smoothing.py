@@ -26,7 +26,7 @@ for Z too; the window is checked only at the indices whose cone departs
 from the formula and their neighbours (at every index where it fails).
 ``FamilySpec.certified`` proves ``certify``'s claims and both generator checks
 for every (e, w) of a row, at its first ``build_family``; the family carries the
-certificate, and its window builds a cone only when read: ``verify_family`` reads and lists none.
+certificate, and its window builds all its cones at their first read: ``verify_family`` reads and lists none.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -233,7 +233,7 @@ class VerificationReport:
 
 
 def build_family(family: str, e: int | None = None, w: int | None = None, window: int = 16) -> SmoothingFamily:
-    """One smoothing family over a window of the given half-width, whose cones are built as read.
+    """One smoothing family over a window of the given half-width, whose cones are all built at the first read.
 
     The three surface families need a degree e.  Their warp w must satisfy
     w >= 1 and w | e, and defaults to 1: the warp-w family is the covering

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lattice import maximal_minor_gcd
+from test_lattice import identity, maximal_minor_gcd
 from test_smoothing import family_params
 
 import kdl.fans
@@ -29,6 +29,7 @@ from kdl.fans import (
     fan_window,
     ray_formula,
     share_facet,
+    window_cones,
     window_payload,
 )
 from kdl.lattice import IntMatrix, IntVec, det
@@ -182,7 +183,7 @@ class TestApply:
 
     def test_identity_fixes_cone(self):
         kind = HopfSmoothing(2)
-        g = GroupElement.from_matrix(IntMatrix.identity(3))
+        g = GroupElement.from_matrix(identity(3))
         assert apply(g, cone_at(kind, 5)) == cone_at(kind, 5)
 
     def test_mumford_shift(self):
@@ -198,7 +199,7 @@ class TestApply:
             assert apply(named["shift_n"], cone_at(kind, (0, 0))) == cone_at(kind, (0, 1)), (e, w)
 
     def test_dim_mismatch(self):
-        g = GroupElement.from_matrix(IntMatrix.identity(2))
+        g = GroupElement.from_matrix(identity(2))
         with pytest.raises(DimMismatch):
             apply(g, cone_at(HopfSmoothing(1), 0))
 
@@ -271,7 +272,7 @@ class TestDeflection:
             ray = ray_formula(kind, axis)
             for i in range(-12, 13):
                 index = i if len(kind.AXES) == 1 else (i, -i)
-                second = ray(i - 1) + ray(i + 1) - ray(i).scaled(2)
+                second = IntVec(tuple(a + c - 2 * b for a, b, c in zip(ray(i - 1).entries, ray(i).entries, ray(i + 1).entries)))
                 assert deflection(kind, index, None if len(kind.AXES) == 1 else axis) == second, (axis, i)
 
 
@@ -298,7 +299,7 @@ class TestShiftMatrices:
         for e, w in family_params("hopf"):
             assert lattice_parts("hopf", e, w) == {
                 "polygon_shift": ((1, e, 0), (0, 1, 0), (1, 0, 1)),
-                "fiber_gluing": IntMatrix.identity(3).rows,
+                "fiber_gluing": identity(3).rows,
             }, (e, w)
         for e, w in family_params("elliptic"):
             assert lattice_parts("elliptic", e, w) == {
@@ -309,7 +310,7 @@ class TestShiftMatrices:
             assert lattice_parts("rational", e, w) == {
                 "shift_m": ((1, e, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 0, 0, 1)),
                 "shift_n": ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)),
-                "horizontal_gluing": IntMatrix.identity(5).rows,
+                "horizontal_gluing": identity(5).rows,
             }, (e, w)
 
     def test_elliptic_shift_moves_index(self):
@@ -342,7 +343,7 @@ class TestShiftMatrices:
     def test_shift_powers_have_no_fixed_cone(self):
         for e, w in family_params("hopf"):
             kind, g = HopfSmoothing(e), named_generators("hopf", e, w)["polygon_shift"].lattice_part
-            gk = IntMatrix.identity(3)
+            gk = identity(3)
             for k in range(1, 9):
                 gk = gk @ g
                 for m in range(-8, 9):
@@ -357,7 +358,7 @@ class TestGroupElement:
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
-            GroupElement(IntMatrix.identity(3), ("1", "alpha"))
+            GroupElement(identity(3), ("1", "alpha"))
 
 
 class TestFanWindow:
@@ -460,14 +461,17 @@ class TestConesBuiltOnRead:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_len_in_and_iteration_build_no_cone(self, kind, built):
+        # len, iteration and indices() are arithmetic in the bound; the first
+        # lookup (here an `in`) builds every cone of the window once.
         oracle = eager_window(kind, 3)
         built.clear()
         window = fan_window(kind, 3)
         outside = 4 if len(kind.AXES) == 1 else (4, 0)
         assert len(window.cones) == len(oracle) and list(window.cones) == sorted(oracle)
-        assert all(index in window.cones for index in oracle) and outside not in window.cones
         assert window.indices() == sorted(oracle)
         assert built == []
+        assert all(index in window.cones for index in oracle) and outside not in window.cones
+        assert sorted(built) == sorted(cone.formula[1] for cone in oracle.values())
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_cone_is_built_once_however_often_read(self, kind, built):
@@ -483,16 +487,36 @@ class TestConesBuiltOnRead:
     def test_compares_prints_pickles_and_copies_as_a_dict_window(self, kind, built):
         oracle = eager_window(kind, 2)
         plain = FanWindow(kind, ((-2, 2),) * len(kind.AXES), oracle)
+        built.clear()
         window = fan_window(kind, 2)
-        window.cones[next(iter(oracle))]  # one cone built before copying
+        window.cones[next(iter(oracle))]  # the first lookup builds every cone
+        assert len(built) == len(oracle)
         built.clear()
         copies = [pickle.loads(pickle.dumps(window)), copy.deepcopy(window)]
-        assert built == []  # a copy keeps the cones built so far and builds no other
         for window in (window, *copies):
             assert window == plain and plain == window and window.cones == oracle and oracle == window.cones
             assert repr(window) == repr(plain) and repr(window.cones) == repr(oracle)
-        # Each of the three windows built every cone once, but the one read before copying.
-        assert len(built) == 3 * (len(oracle) - 1)
+        assert built == []  # a copy carries every cone built before it and builds none
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copying_an_unread_window_builds_nothing(self, kind, built):
+        window = fan_window(kind, 2)
+        copies = [pickle.loads(pickle.dumps(window)), copy.deepcopy(window), copy.copy(window)]
+        assert built == []
+        oracle = eager_window(kind, 2)
+        built.clear()
+        for each in copies:
+            assert dict(each.cones) == oracle and each.cones.formula == window.cones.formula
+        assert len(built) == len(copies) * len(oracle)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_window_cones_is_the_dict_of_a_window(self, kind, bound, certified):
+        cones = window_cones(kind, bound, certified)
+        read = dict(fan_window(kind, bound, certified).cones)
+        assert type(cones) is dict and cones == read and list(cones) == list(read)
+        assert [(c.smooth, c.formula) for c in cones.values()] == [(c.smooth, c.formula) for c in read.values()]
 
     @given(st.sampled_from(KINDS), st.integers(1, 3), st.lists(window_keys(), min_size=1, max_size=8))
     @settings(max_examples=150, deadline=None)

@@ -20,6 +20,11 @@ from kdl.lattice import (
 )
 
 
+def identity(dim):
+    """The dim x dim identity matrix."""
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+
+
 def det_by_permutations(rows):
     """Independent determinant oracle: Leibniz expansion over all permutations."""
     n = len(rows)
@@ -60,7 +65,7 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestDet:
     def test_identity(self):
-        assert det(IntMatrix.identity(3)) == 1
+        assert det(identity(3)) == 1
 
     def test_triangular(self):
         assert det(IntMatrix(((1, 0), (1, 2)))) == 2
@@ -160,7 +165,7 @@ class TestExtendsToBasis:
     def test_invariant_under_unimodular_transform(self, row):
         vec = IntVec(tuple(row))
         rng = random.Random(sum(abs(x) for x in row))
-        m = IntMatrix.identity(3)
+        m = identity(3)
         for _ in range(6):
             i, j = rng.sample(range(3), 2)
             factor = rng.choice((-1, 1))
@@ -192,7 +197,7 @@ class TestExtendsToBasis:
 
 class TestUnimodular:
     def test_identity(self):
-        assert is_unimodular(IntMatrix.identity(4))
+        assert is_unimodular(identity(4))
 
     def test_rational_shift_is_unimodular(self):
         m = IntMatrix(
@@ -212,7 +217,7 @@ class TestUnimodular:
 
 class TestUnipotent:
     def test_identity_and_jordan_blocks(self):
-        assert is_unipotent(IntMatrix.identity(3))
+        assert is_unipotent(identity(3))
         assert is_unipotent(IntMatrix(((1, 1, 0), (0, 1, 1), (0, 0, 1))))
 
     def test_rational_shift_is_unipotent(self):
@@ -289,24 +294,16 @@ class TestVecMatrixConventions:
     @given(small_matrices.flatmap(lambda rows: st.tuples(
         st.just(rows),
         st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)),
-        st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)),
     )))
     @settings(max_examples=200)
     def test_exact_results_equal_validated_vectors(self, case):
-        # times, + and - store their int tuples without re-conversion; each
-        # must equal, and hash like, the validating IntVec of the same entries.
-        rows, a, b = case
-        m, u, v = IntMatrix(tuple(map(tuple, rows))), IntVec(a), IntVec(b)
-        n = len(rows)
-        expected = [
-            (u.times(m), [sum(a[i] * rows[i][j] for i in range(n)) for j in range(n)]),
-            (u + v, [x + y for x, y in zip(a, b)]),
-            (u - v, [x - y for x, y in zip(a, b)]),
-        ]
-        for result, entries in expected:
-            assert result == IntVec(entries) and hash(result) == hash(IntVec(entries))
-            assert all(type(x) is int for x in result.entries)
-        assert all(type(x) is int for x in u.scaled(True).entries)
+        # times stores its int tuple without re-conversion; it must equal,
+        # and hash like, the validating IntVec of the same entries.
+        rows, a = case
+        m, u, n = IntMatrix(tuple(map(tuple, rows))), IntVec(a), len(rows)
+        result, expected = u.times(m), IntVec([sum(a[i] * rows[i][j] for i in range(n)) for j in range(n)])
+        assert result == expected and hash(result) == hash(expected)
+        assert all(type(x) is int for x in result.entries)
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(
         st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n) for _ in range(2)))))

@@ -13,6 +13,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import identity
 
 import kdl
 import kdl.fans
@@ -622,7 +623,7 @@ class TestFamilyTable:
             cone = Cone((bent,) + cone.rays[1:], cone.rank)
             assert not cone_is_smooth(cone)
         gens = [g.lattice_part for _, g in spec.generators(e, w)]
-        lattice = IntMatrix.identity(gens[0].dim)
+        lattice = identity(gens[0].dim)
         for k in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=5)):
             lattice = lattice @ gens[k]
         pad = (0,) * (lattice.dim - cone.rank)
@@ -650,7 +651,7 @@ def off_by_one_mutants():
                 yield family, e, w, f"ray_{axis} c{k}[{j}]{step:+d}", mutant(**dataclasses.asdict(kind)), named
         for at, (name, g) in enumerate(named):
             rows = g.lattice_part.rows
-            if rows == IntMatrix.identity(len(rows)).rows:
+            if rows == identity(len(rows)).rows:
                 continue
             for r, c, step in product(range(len(rows)), range(len(rows)), (1, -1)):
                 moved = [list(row) for row in rows]
