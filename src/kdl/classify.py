@@ -243,15 +243,15 @@ def hopf_dsemistable(h: HopfDatum) -> bool:
 def hopf_dsemistable_oracle(h: HopfDatum) -> bool:
     """Independent d-semistability test via the lifted gluing homomorphism.
 
-    With m_i the inverse of n_i mod n, triviality of the first-order
-    deformation sheaf amounts to m2*n1 + m1*n2 = 2 and b*m1*n2 = b in Z/n
-    (linearity of the lift up to an integral homomorphism, after substituting
-    the twisted period).  Agrees with hopf_dsemistable everywhere; the two
-    sides are kept separate as a machine check.
+    With m_i the inverse of n_i mod n (m1 = n2*u, m2 = n1*u for u the inverse
+    of n1*n2), triviality of the first-order deformation sheaf amounts to
+    m2*n1 + m1*n2 = 2 and b*m1*n2 = b in Z/n (linearity of the lift up to an integral
+    homomorphism, after substituting the twisted period).  Agrees with hopf_dsemistable
+    everywhere; the two sides are kept separate as a machine check.
     """
     n, n1, n2, b = h.n, h.n1, h.n2, h.b
-    m1 = mod_inverse(n1, n)
-    m2 = mod_inverse(n2, n)
+    u = mod_inverse(n1 * n2, n)
+    m1, m2 = n2 * u, n1 * u
     return (m2 * n1 + m1 * n2 - 2) % n == 0 and (b * m1 * n2 - b) % n == 0
 
 

@@ -22,11 +22,11 @@ of report names and check calls.  Analytic facts with no finite certificate
 in the fan data are listed as untested metadata, never silently assumed.
 ``certify`` proves every per-cone claim for every index in Z from the ray
 formulas and the generators, and one deflection per axis proves that claim
-for Z too; the window is checked only at the indices whose cone departs
-from the formula and their neighbours (at every index where it fails).
-``FamilySpec.certified`` proves ``certify``'s claims and both generator checks
-for every (e, w) of a row, at its first ``build_family``; the family carries the
-certificate, and its window builds all its cones at their first read: ``verify_family`` reads and lists none.
+for Z too.  ``FamilySpec.certified``, the only proof, holds these claims and
+both generator checks for every (e, w) of a row; a certified row's family carries
+the certificate, its window builds all its cones at their first read, and
+``verify_family`` checks it only where a cone departs from the formula and next
+to it.  Every other family, a replaced or hand-made one too, is walked in full.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -202,7 +202,7 @@ class QuotientInfo:
 
 @dataclass(frozen=True)
 class SmoothingFamily:
-    """A fan window, its generators, quotient bookkeeping and the certificate (kind, named generators, row proved)."""
+    """A fan window, its generators, quotient bookkeeping and a proved row's certificate (kind, named generators)."""
 
     family: str
     kind: FanKind
@@ -250,8 +250,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
     else:
         if e is None:
             raise ValueError(f"the {family} family needs a degree e")
-        if w is None:
-            w = 1
+        w = 1 if w is None else w
         values = parameter_values(e, w)
         if e < spec.min_degree:
             raise ValueError(
@@ -261,8 +260,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
             )
         params = FamilyParams(e=e, w=w, **spec.labels)
         quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=values["e/w"])
-    kind, named = spec.kind(e), spec.generators(e, w, row := spec.certified())
-    certified = row or certify(kind, named) is None
+    kind, named = spec.kind(e), spec.generators(e, w, certified := spec.certified())
     return SmoothingFamily(
         family=family,
         kind=kind,
@@ -271,7 +269,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
         generators=tuple(g for _, g in named),
         generator_names=tuple(name for name, _ in named),
         quotient_info=quotient_info,
-        certificate=(kind, named, row) if certified else None,
+        certificate=(kind, named) if certified else None,
     )
 
 
@@ -284,7 +282,7 @@ UNTESTED_COMMON = (
 
 
 def certify(kind: FanKind, generators) -> str | None:
-    """The first check the family's certificate fails, or None: then it holds for every index in Z.
+    """The first check an instance of a row fails, or None: then it holds for every index in Z.
 
     ``generators`` are the family's (name, element) pairs, shifts first.  Rays
     have degree d <= 2, so ray identities hold everywhere once they hold at
@@ -323,19 +321,19 @@ def certify(kind: FanKind, generators) -> str | None:
 class _Walk:
     """A family's window as the checks walk it: ``first``, a list of its least index
     (if any), and the ``candidates`` each per-cone check visits, in index order.
-    ``certified``: the family's ``certificate`` is (its kind, its named generators,
-    whether the row certificate covers them: else they are ``unproved``), or
-    ``certify`` holds.  Then ``fan_window``'s cones of the kind over the window's
-    range pass every per-cone check unread and unlisted.  On any other window with
+    ``certified``: the family's ``certificate`` is (its kind, its named generators), which
+    only a proved row gives; else the generators are ``unproved`` and every index is a
+    candidate.  A certified family's ``fan_window`` cones of its kind over the window's
+    range pass every per-cone check unread and unlisted; on any other window with
     ``fan_window``'s indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
-    check with its neighbours, so the candidates are the other indices and their neighbours; else every index."""
+    check with its neighbours, so the candidates are the other indices and their neighbours."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
         self.family, self.cones = f, f.fan.cones
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
-        self.unproved = () if f.certificate == (f.kind, named, True) else named
-        self.certified = f.certificate in ((f.kind, named, True), (f.kind, named, False)) or not certify(f.kind, named)
+        self.certified = f.certificate == (f.kind, named)
+        self.unproved = () if self.certified else named
         if self.certified and getattr(self.cones, "formula", None) == (f.kind, f.fan.index_range):
             self.first, self.candidates = [next(iter(self.cones))], []
             return
@@ -407,8 +405,8 @@ def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> st
 def check_freeness_proxy(walk: _Walk) -> str | None:
     """The first "shift^k fixes i": no power k >= 1 of a shift may fix a window cone.
 
-    k = 1 decides it for a unipotent shift (module docstring), as a certified
-    walk's are; a shift that is not unipotent tries every k up to the span.
+    k = 1 decides it for a unipotent shift (module docstring), as the row certificate
+    proves a certified walk's are; elsewhere a non-unipotent shift tries every k up to the span.
     """
     f = walk.family
     span = max(hi - lo for lo, hi in f.fan.index_range)
@@ -425,17 +423,18 @@ def check_freeness_proxy(walk: _Walk) -> str | None:
 def check_shift_orbit_transitive(walk: _Walk) -> str | None:
     """The first window index that shift powers started at the least index do not reach.
 
-    Each cone is reached from one step back along the last axis that is above
-    its lower bound.  Only the first failure is read, so every cone before it
-    equals the cone the walk reached there.  The index prints as "3" on one
-    axis and as "(m,n)", with no space, on two.
+    Each cone is reached from the cone one step back along the last axis above
+    its lower bound, if both exist.  Only the first failure is read, so every cone
+    before it equals the cone the walk reached there.  The index prints as "3"
+    on one axis and as "(m,n)", with no space, on two.
     """
-    lows = [lo for lo, _ in walk.family.fan.index_range]
+    kind, lows = walk.family.kind, [lo for lo, _ in walk.family.fan.index_range]
     for i in walk.candidates:
         if i in walk.first:
             continue
-        axis = max(a for a, (x, lo) in enumerate(zip(axis_indices(walk.family.kind, i), lows)) if x > lo)
-        if apply(walk.family.generators[axis], walk.cones[walk.near(i, axis, -1)]) != walk.cones[i]:
+        axis = max((a for a, (x, lo) in enumerate(zip(axis_indices(kind, i), lows)) if x > lo), default=None)
+        j = None if axis is None else walk.near(i, axis, -1)
+        if j is None or apply(walk.family.generators[axis], walk.cones[j]) != walk.cones[i]:
             return str(i).replace(" ", "")
     return None
 

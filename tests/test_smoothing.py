@@ -46,6 +46,7 @@ from kdl.smoothing import (
     FAMILY_NAMES,
     UNTESTED_COMMON,
     FamilySpec,
+    SmoothingFamily,
     build_family,
     certify,
     check_generators_commute,
@@ -237,6 +238,26 @@ class TestVerifyFamily:
             ("shift", "-3"), ("deflection", None), ("freeness_proxy", "shift^2 fixes -3"),
             ("shift_orbit_transitive", "-2"),
         ]
+
+    def test_a_hole_or_a_narrowed_range_is_unreached(self):
+        # A hand-built window may lack a cone's predecessor, or hold a cone at
+        # the lower bound of a narrower index range than its cones span.  The
+        # transitivity walk reports the first such cone as unreached, and
+        # every other check passes.
+        def unreached(fam, index_range, cones):
+            report = verify_family(dataclasses.replace(fam, fan=FanWindow(fam.kind, index_range, cones)))
+            assert all(c.passed for c in report.checks[:-1]), report
+            return report.checks[-1].counterexample
+
+        hopf = build_family("hopf", e=2, window=3)
+        assert unreached(hopf, ((-2, 2),), dict(hopf.fan.cones)) == "-2"
+        assert unreached(hopf, hopf.fan.index_range, {i: c for i, c in hopf.fan.cones.items() if i != 0}) == "1"
+        rational = build_family("rational", e=1, window=1)
+        holes = {(-1, -1): "(0,-1)", (-1, 0): "(-1,1)", (0, -1): "(0,0)", (0, 0): "(0,1)", (1, -1): "(1,0)",
+                 (1, 0): "(1,1)", (-1, 1): None, (0, 1): None, (1, 1): None}
+        for hole, first in holes.items():
+            cones = {i: c for i, c in rational.fan.cones.items() if i != hole}
+            assert unreached(rational, rational.fan.index_range, cones) == first, hole
 
     # Each family's valid window: (family, e, w, window).
     VALID = [("mumford", None, None, 8), ("hopf", 3, 1, 8), ("elliptic", 4, 2, 8), ("rational", 2, 1, 4)]
@@ -815,16 +836,17 @@ class TestRowCertificate:
                 equivalent.append(f"{family} {mutant}")
         assert (mutants, equivalent) == (452, self.EQUIVALENT)
 
-    def test_a_failing_row_falls_back_to_the_instance(self, monkeypatch):
+    def test_a_failing_row_is_walked_in_full(self, monkeypatch):
         # The twist with a column-2 entry t in row 0 stops commuting with the
-        # shift for t != 0, so the row fails; its instance at e = 0 passes
-        # certify alone, and the battery still checks the generators there.
+        # shift for t != 0, so the row fails.  No family of it carries a
+        # certificate, so each is walked in full with both generator checks,
+        # and passes at e = 0 only.
         row = moved_row(FAMILIES["elliptic"], 1, 0, 2, True, 1, "e/w")
         assert not row.certified()
         monkeypatch.setitem(FAMILIES, "elliptic", row)
         for e, w, passes in ((0, 1, True), (4, 2, False)):
             fam = build_family("elliptic", e=e, w=w, window=2)
-            assert fam.certificate[2] is False
+            assert fam.certificate is None
             report = report_payload(verify_family(fam))
             assert report["all_pass"] is passes and report == full_walk(fam), (e, w)
             assert check_names(verify_family(fam))["generators_commute"].passed is passes
@@ -834,7 +856,7 @@ class TestRowCertificate:
         # do not tell apart: a hopf shift that reads e/w under a kind in e
         # holds at every such instance but not at (4, 2).  An elliptic shift
         # that reads e in row 0, which no ray meets, holds everywhere, but
-        # the row is not proved either; its families are certified one by one.
+        # the row is not proved either; its families are walked in full.
         hopf, elliptic = FAMILIES["hopf"], FAMILIES["elliptic"]
         rows = {
             "hopf": dataclasses.replace(hopf, group=(
@@ -849,12 +871,12 @@ class TestRowCertificate:
                 fam = build_family(family, e=e, w=w, window=2)
                 report = report_payload(verify_family(fam))
                 assert report["all_pass"] is (family == "elliptic" or w == 1), (family, e, w)
-                assert report == full_walk(fam) and (fam.certificate is None or not fam.certificate[2]), (family, e, w)
+                assert report == full_walk(fam) and fam.certificate is None, (family, e, w)
 
     def test_a_row_whose_cone_zero_moves_is_not_certified(self, monkeypatch):
         # Cone 0's basis test is no polynomial identity, so a kind whose
         # c0 or c1 moves with t fails the row certificate.  Rays
-        # (m, e + e*binom2(m), 1) still pass at every e, one family at a time.
+        # (m, e + e*binom2(m), 1) still pass at every e, walked in full.
         kind = type("HopfSmoothing", (HopfSmoothing,), {
             "ray_coefficients": property(lambda self: {"m": ((0, self.e, 1), (1, 0, 0), (0, self.e, 0))})})
         lifted = dataclasses.replace(FAMILIES["hopf"], kind=kind)
@@ -863,7 +885,7 @@ class TestRowCertificate:
         for e in (1, 2, 5):
             fam = build_family("hopf", e=e, w=1, window=2)
             report = report_payload(verify_family(fam))
-            assert report["all_pass"] and report == full_walk(fam) and fam.certificate[2] is False, e
+            assert report["all_pass"] and report == full_walk(fam) and fam.certificate is None, e
 
     def test_proved_at_first_use_and_again_under_another_certify(self, monkeypatch):
         # Importing kdl proves no row; build_family proves a row once, with
@@ -890,8 +912,9 @@ class TestRowCertificate:
 
     def test_every_e_after_a_rows_first_use(self, monkeypatch):
         # Once a row is proved, a build + verify at any degree and warp makes
-        # no determinant, unipotence, basis test or matrix product; a family
-        # with a replaced generator still runs both generator checks.
+        # no determinant, unipotence, basis test or matrix product.  A family
+        # with a replaced generator is walked in full: it runs both generator
+        # checks and a unipotence test per shift, but proves nothing.
         cases = [("hopf", 10**6, 1), ("rational", 10**6, 1), ("elliptic", 10**6, 1), ("elliptic", 10**6, 10**6)]
         for family, _, _ in cases:
             build_family(family, e=1, w=1, window=1)
@@ -915,7 +938,7 @@ class TestRowCertificate:
             assert verify_family(replaced).all_pass, (family, e, w)
             n, axes = len(fam.generators), len(fam.kind.AXES)
             assert calls == Counter(
-                {"det": n, "__matmul__": n * (n - 1), "is_unipotent": axes, "extends_to_basis": 1}), (family, e, w)
+                {"det": n, "__matmul__": n * (n - 1), "is_unipotent": axes, "extends_to_basis": 0}), (family, e, w)
             calls.clear()
 
 
@@ -1284,6 +1307,36 @@ def test_a_replaced_kind_matches_the_full_walk():
                     replaced = dataclasses.replace(fam, kind=other, fan=fan)
                     report = report_payload(verify_family(replaced))
                     assert report["all_pass"] is passes and report == full_walk(replaced), (family, e, other)
+
+
+def test_verify_family_proves_nothing(monkeypatch):
+    # A family is proved by its row's certificate or walked in full:
+    # verify_family calls certify for no family, built, planted, with a
+    # replaced generator or kind, or made by hand, and each answers as the
+    # full walk.
+    families = []
+    for family, e, w, window in TestVerifyFamily.VALID:
+        fam = build_family(family, e=e, w=w, window=2)
+        shift = fam.generators[0].lattice_part
+        families += [
+            fam,
+            with_plants(fam, {fam.fan.indices()[0]: ("near", 0, 1)}),
+            dataclasses.replace(fam, generators=(GroupElement.from_matrix(shift @ shift),) + fam.generators[1:]),
+            SmoothingFamily(fam.family, fam.kind, fam.params, kdl.fans.fan_window(fam.kind, 2), fam.generators,
+                            fam.generator_names, fam.quotient_info),
+        ]
+    for family, kind in (("hopf", HopfSmoothing), ("rational", RationalSmoothing)):
+        families.append(dataclasses.replace(build_family(family, e=1, window=2), kind=kind(2)))
+    calls = []
+
+    def counting(kind, named, original=certify):
+        calls.append(kind)
+        return original(kind, named)
+
+    monkeypatch.setattr(kdl.smoothing, "certify", counting)
+    for fam in families:
+        report = report_payload(verify_family(fam))
+        assert calls == [] and report == full_walk(fam), (fam.family, fam.certificate is None)
 
 
 def test_a_copied_or_rekinded_window_is_scanned_tag_by_tag(monkeypatch):
