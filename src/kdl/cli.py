@@ -7,6 +7,8 @@ result.  Each input document is one row of ``_DOCUMENTS``, which gives every
 field a kind from ``_KINDS``; ``_read`` checks all five documents.  Exit codes:
 0 success, 1 a verification or selftest failure, 2 bad input (with a JSON error
 object on stderr, or argparse's usage text), 141 stdout closed by its reader.
+A request takes one argparse pass, by its command's parser or else the full one;
+``emit`` writes indented documents byte-identical to ``json.dumps(indent=2)``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import selfcheck
 from .boundary import adjacency_edges, boundary_payload, enumerate_components, render_dot
@@ -45,10 +48,31 @@ from .graphs import (
 from .smoothing import FAMILY_NAMES, build_family, family_payload, report_payload, verify_family
 
 SCHEMA = "kdl/1"
+# The text json.dumps writes for each scalar type that ``emit`` takes.
+_LITERAL = {True: "true", False: "false", None: "null"}.get
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
+def emit(payload: dict) -> None:
+    """Print ``payload`` under the schema field as an indented JSON document."""
+    print(_encode({"schema": SCHEMA, **payload}, "\n"))
+
+
+def _encode(value, newline: str) -> str:
+    # json.dumps(value, indent=2) without its pure-Python encoder; ``newline`` ends in the
+    # enclosing value's indentation.  Any other type, or a key that is not a str, raises TypeError.
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
+    if kind is dict:
+        body, ends = (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in value.items()), "{}"
+    elif kind is list or kind is tuple:
+        body, ends = (_encode(v, inner) for v in value), "[]"
+    else:
+        raise TypeError(f"kdl does not encode {kind.__name__} values")
+    return f"{ends[0]}{inner}{(',' + inner).join(body)}{newline}{ends[1]}" if value else ends
 
 
 def _load_json(text: str) -> dict:
@@ -163,19 +187,19 @@ def _cmd_classify(args) -> int:
     if surface_type == HOPF and (math.gcd(datum.n1, datum.n) != 1 or math.gcd(datum.n2, datum.n) != 1):
         raise MalformedInput("n1 and n2 must be units modulo n")
     matrix = _value("matrix", "matrix", data["matrix"]) if "matrix" in data else None
-    _emit(surface_class_payload(classify(datum, matrix)))
+    emit(surface_class_payload(classify(datum, matrix)))
     return 0
 
 
 def _cmd_fan(args) -> int:
     fam = build_family(args.family, e=args.e, w=args.w, window=args.window)
-    _emit(family_payload(fam) if args.full else window_payload(fam.fan))
+    emit(family_payload(fam) if args.full else window_payload(fam.fan))
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = verify_family(build_family(args.family, e=args.e, w=args.w, window=args.window))
-    _emit(report_payload(report))
+    emit(report_payload(report))
     return 0 if report.all_pass else 1
 
 
@@ -198,10 +222,10 @@ def _gluing_result_payload(p: PolygonGluing) -> dict:
 def _cmd_graph(args) -> int:
     if args.betti is not None:
         graph = _read_record(BicolouredGraph, args.betti, "graph")
-        _emit({"betti1": betti1(graph), "components": graph.component_count()})
+        emit({"betti1": betti1(graph), "components": graph.component_count()})
         return 0
     if args.gluing is not None:
-        _emit(_gluing_result_payload(_read_record(PolygonGluing, args.gluing, "gluing")))
+        emit(_gluing_result_payload(_read_record(PolygonGluing, args.gluing, "gluing")))
         return 0
     survey = enumerate_gluings(up_to_symmetry=args.up_to_symmetry)
     for p, _ in survey.results:
@@ -226,7 +250,7 @@ def _cmd_boundary(args) -> int:
         components = enumerate_components(args.degree, args.max_warp)
         sys.stdout.write(render_dot(components, adjacency_edges(components)))
         return 0
-    _emit(boundary_payload(args.degree, args.max_warp))
+    emit(boundary_payload(args.degree, args.max_warp))
     return 0
 
 
@@ -260,6 +284,7 @@ def _make_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name, for ``main``
     add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
     p = add_parser("classify", help="classify a surface datum (JSON via --data, --file, or stdin)")
@@ -304,7 +329,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A named command's own parser sees what the full parser would pass it; it takes the rest.
+        command = parser.commands.get(argv[0]) if argv else None
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
+        if args is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -321,7 +350,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     try:
-        code = main()
+        code = main(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout: exit as SIGPIPE would, with fd 1 on /dev/null for the flush at exit.

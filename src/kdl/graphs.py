@@ -11,7 +11,8 @@ The polygon-gluing analysis concerns one fixed situation: the Neron 6-gon C
 (components C0..C5, nodes p_i = C_i meet C_{i+1}) mapping 2:1 onto the
 triple-line curve D (components D0,D1,D2 all passing through two points
 q0,q1).  Gluings are classified Untwisted / Twisted / Invalid rather than
-rejected, so exhaustive sweeps can cover every identification.
+rejected, so exhaustive sweeps can cover every identification.  C and D are
+built once, at import, and a coboundary's rank is |V| - #components.
 """
 
 from __future__ import annotations
@@ -123,16 +124,16 @@ def pullback_rank(phi: GraphMorphism) -> int:
 
     Pulled-back coboundaries are coboundaries, so the rank equals
     rank[P | d_source] - rank[d_source], where P is the pullback on
-    1-cochains and d_source the coboundary matrix of the source.
+    1-cochains and d_source the coboundary matrix of the source, of rank
+    |V| - #components: its kernel is the locally constant 0-cochains.
     """
-    d_rows = _coboundary_rows(phi.source)
-    n_target_edges = len(phi.target.edges)
+    source, n_target_edges = phi.source, len(phi.target.edges)
     aug = []
-    for pos, d_row in zip(phi.edge_map, d_rows):
+    for pos, d_row in zip(phi.edge_map, _coboundary_rows(source)):
         p_row = [0] * n_target_edges
         p_row[pos] = 1
         aug.append(p_row + d_row)
-    return rank_of(aug) - rank_of(d_rows)
+    return rank_of(aug) - (source.vertex_count() - source.component_count())
 
 
 def neron_polygon_graph(k: int) -> BicolouredGraph:
@@ -154,6 +155,11 @@ def triple_line_graph() -> BicolouredGraph:
     black = ("q0", "q1")
     edges = tuple((w, b) for w in white for b in black)
     return BicolouredGraph(white, black, edges)
+
+
+_HEXAGON = neron_polygon_graph(6)
+_TRIPLE_LINE = triple_line_graph()
+_TRIPLE_LINE_POSITION = {edge: pos for pos, edge in enumerate(_TRIPLE_LINE.edges)}
 
 
 class GluingClass(Enum):
@@ -228,15 +234,10 @@ def gluing_morphism(p: PolygonGluing) -> GraphMorphism:
     """The induced dual-graph morphism of a valid (untwisted or twisted) gluing."""
     if classify_gluing(p) is GluingClass.INVALID:
         raise MalformedMorphism("an invalid gluing induces no curve morphism")
-    source = neron_polygon_graph(6)
-    target = triple_line_graph()
     white_map = {f"C{i}": f"D{p.component_targets[i]}" for i in range(6)}
     black_map = {f"p{i}": f"q{p.node_targets[i]}" for i in range(6)}
-    target_pos = {edge: pos for pos, edge in enumerate(target.edges)}
-    edge_map = tuple(
-        target_pos[(white_map[w], black_map[b])] for w, b in source.edges
-    )
-    return GraphMorphism(source, target, white_map, black_map, edge_map)
+    edge_map = tuple(_TRIPLE_LINE_POSITION[(white_map[w], black_map[b])] for w, b in _HEXAGON.edges)
+    return GraphMorphism(_HEXAGON, _TRIPLE_LINE, white_map, black_map, edge_map)
 
 
 def all_gluings():

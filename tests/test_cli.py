@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -565,6 +567,45 @@ class TestParserReuse:
         assert usage_first[:2] == (2, "") and usage_first[2].startswith("usage: kdl")
 
 
+def emitted(payload):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.emit(payload)
+    return out.getvalue()
+
+
+# Strings with every kind of character the encoder must escape or keep.
+STRINGS = st.one_of(
+    st.text(st.characters(blacklist_categories=())),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "/", "é", "∞", "\U0001f600", "\ud800", "\udfff", "a\n\tb"]),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | STRINGS,
+    lambda values: st.lists(values) | st.lists(values).map(tuple) | st.dictionaries(STRINGS, values),
+    max_leaves=40,
+)
+
+
+class IntSubclass(int):
+    pass
+
+
+class TestEmit:
+    @given(JSON_VALUES)
+    @example([[], {}, (), [[]], {"a": {}}, -(2**64) - 1, 2**64, True, None, ""])
+    def test_matches_indented_json_dumps(self, value):
+        payload = {"value": value}
+        assert emitted(payload) == json.dumps({"schema": "kdl/1", **payload}, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [1.5, IntSubclass(3), {1: 2}, [{"a": [0.0]}]], ids=["float", "int subclass", "int key", "nested"]
+    )
+    def test_other_types_raise_and_print_nothing(self, value, capsys):
+        with pytest.raises(TypeError):
+            cli.emit({"value": value})
+        assert capsys.readouterr().out == ""
+
+
 # Requests for the contract test.  Every one finishes in milliseconds: no
 # selftest, no --enumerate, and small windows.
 VALID_REQUESTS = [
@@ -710,3 +751,130 @@ class TestContract:
                 assert run_cli(argv) == result
                 assert build_parser() is not reused
             assert build_parser() is reused
+
+
+# The request dump: the valid, help and usage-error requests above, a few
+# hand-picked shapes, then seeded mutants of the valid requests, each with one
+# to three edits.  No request runs selftest, --enumerate or --file, so every
+# answer takes milliseconds and none depends on the working directory.
+DUMP_SIZE = 5000
+DUMP_SEED = 21
+DUMP_SHAPES = [
+    ["fan", "--fam", "hopf", "--e", "3", "--win", "2"],
+    ["verify", "--fam", "mumford", "--win", "2"],
+    ["boundary", "--deg", "2", "--max", "2"],
+    ["boundary", "--degree=2", "--max-warp=2", "--format=dot"],
+    ["fan", "--family=hopf", "--e=3", "--window=2", "--full"],
+    ["fan", "--family", "hopf", "--family", "elliptic", "--e", "3", "--e", "4", "--window", "1"],
+    ["verify", "--family", "mumford", "--", "--window", "2"],
+    ["classify", "--data", "{}", "extra"],
+    ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2}', "--", "extra"],
+    ["graph", "--gluing", '{"components":[0,1,2,0,1,2],"nodes":[0,1,0,1,0,1]}', "extra"],
+    ["boundary", "--degree", "1", "--max-warp", "1", "-h"],
+    [""],
+    ["--"],
+    ["--", "fan", "--family", "mumford"],
+    ["-x", "fan"],
+]
+DUMP_COMMANDS = ["", "no-such-command", "Classify", "fa", "verify2", "-x", "--", "-h"]
+DUMP_LEFTOVERS = ["extra", "{}", "-1", "--bogus", "x=1", "--", "-h"]
+DUMP_TOKENS = [token for token in ARGV_TOKENS if token != "--file"]
+
+
+def _options(argv):
+    return [i for i, token in enumerate(argv) if token.startswith("--") and len(token) > 2]
+
+
+def _abbreviate(rng, argv):
+    at = _options(argv)
+    if at:
+        i = rng.choice(at)
+        argv[i] = argv[i][: rng.randint(3, len(argv[i]))]
+
+
+def _join_value(rng, argv):
+    at = [i for i in _options(argv) if i + 1 < len(argv)]
+    if at:
+        i = rng.choice(at)
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+
+
+def _repeat(rng, argv):
+    at = _options(argv)
+    if at:
+        i = rng.choice(at)
+        argv[rng.randint(1, len(argv)) : 0] = argv[i : i + rng.randint(1, 2)]
+
+
+def _separate(rng, argv):
+    argv.insert(rng.randint(0, len(argv)), "--")
+
+
+def _leave_over(rng, argv):
+    argv.insert(rng.randint(1, len(argv)), rng.choice(DUMP_LEFTOVERS))
+
+
+def _ask_help(rng, argv):
+    argv.insert(rng.randint(0, len(argv)), rng.choice(["-h", "--help"]))
+
+
+def _rename_command(rng, argv):
+    if rng.random() < 0.1:
+        argv.clear()
+    else:
+        argv[0] = rng.choice(DUMP_COMMANDS)
+
+
+def _edit_token(rng, argv):
+    at = rng.randrange(len(argv))
+    edit = rng.choice(["replace", "insert", "delete"])
+    if edit == "replace":
+        argv[at] = rng.choice(DUMP_TOKENS)
+    elif edit == "insert":
+        argv.insert(at, rng.choice(DUMP_TOKENS))
+    else:
+        del argv[at]
+
+
+DUMP_EDITS = [_abbreviate, _join_value, _repeat, _separate, _leave_over, _ask_help, _rename_command, _edit_token]
+
+
+def _dump_safe(argv):
+    # An option is written out, abbreviated or joined to its value; each of
+    # these would run --enumerate in graph or read a --file in classify.  An
+    # option joined to "--" reaches its handler as an empty list and ends in a
+    # traceback, so it has no answer to pin.
+    slow = {"graph": "--enumerate", "classify": "--file"}
+    names = [token.split("=", 1)[0] for token in argv]
+    return "selftest" not in argv and not any(token.endswith("=--") for token in argv) and not any(
+        command in argv and len(name) > 2 and option.startswith(name)
+        for command, option in slow.items()
+        for name in names
+    )
+
+
+def dump_requests():
+    rng = random.Random(DUMP_SEED)
+    requests = [list(argv) for argv in VALID_REQUESTS + HELP_REQUESTS + USAGE_ERRORS + DUMP_SHAPES]
+    while len(requests) < DUMP_SIZE:
+        argv = list(rng.choice(VALID_REQUESTS))
+        for _ in range(rng.randint(1, 3)):
+            if argv:
+                rng.choice(DUMP_EDITS)(rng, argv)
+        if _dump_safe(argv):
+            requests.append(argv)
+    return requests
+
+
+# sha256 of the dump's (argv, exit code, stdout, stderr), pinned where every
+# request went through the full parser and json.dumps(indent=2).
+DUMP_DIGEST = "9b22082efa86db24a459ee306235563de9a2132c1efad38181c5f838f7ddb384"
+
+
+class TestRequestDump:
+    def test_dump_is_byte_identical(self):
+        digest = hashlib.sha256()
+        for argv in dump_requests():
+            code, out, err = run_cli(argv)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        assert digest.hexdigest() == DUMP_DIGEST

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kdl.errors import MalformedMorphism
 from kdl.graphs import (
@@ -18,6 +20,8 @@ from kdl.graphs import (
     pullback_rank,
     triple_line_graph,
 )
+from kdl.graphs import _coboundary_rows
+from kdl.lattice import rank_of
 
 UNTWISTED = PolygonGluing((0, 1, 2, 0, 1, 2), (0, 1, 0, 1, 0, 1))
 TWISTED = PolygonGluing((0, 1, 2, 0, 2, 1), (0, 1, 0, 1, 0, 1))
@@ -62,7 +66,23 @@ class TestBetti:
         assert betti1(merged) == betti1(a) + betti1(b)
 
 
+@st.composite
+def bicoloured_graphs(draw):
+    white = [f"w{i}" for i in range(draw(st.integers(0, 5)))]
+    black = [f"b{i}" for i in range(draw(st.integers(0, 5)))]
+    pairs = st.tuples(st.sampled_from(white), st.sampled_from(black))
+    return BicolouredGraph(white, black, draw(st.lists(pairs, max_size=10)) if white and black else [])
+
+
 class TestMorphism:
+    @given(bicoloured_graphs())
+    def test_coboundary_rank_is_vertices_minus_components(self, g):
+        # pullback_rank takes rank(d) = |V| - #components in place of a
+        # reduction of the coboundary matrix.
+        assert g.vertex_count() - g.component_count() == rank_of(_coboundary_rows(g))
+        identity = GraphMorphism(g, g, {w: w for w in g.white}, {b: b for b in g.black}, tuple(range(len(g.edges))))
+        assert pullback_rank(identity) == betti1(g)
+
     def test_identity_pullback_rank_is_betti1(self):
         for g in (neron_polygon_graph(6), triple_line_graph(), neron_polygon_graph(2)):
             identity = GraphMorphism(
