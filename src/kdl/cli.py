@@ -334,6 +334,10 @@ def main(argv=None) -> int:
         args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
         if args is None or rest:
             args = parser.parse_args(argv)
+            command = parser.commands[args.command]
+        # CPython 3.11 hands an option joined to "--" ("--window=--") an empty list, neither converted nor checked.
+        if joined := [a for a in command._actions if isinstance(vars(args).get(a.dest), list)]:
+            command.error(f"argument {'/'.join(joined[0].option_strings)}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -11,7 +11,7 @@ generator formula:
 
 Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
 ``FanWindow`` is a finite slice of such a fan, built whole at its first read;
-``kdl.smoothing.certify`` proves the verification claims for every index in
+``kdl.smoothing.prove_row`` proves the verification claims for every index in
 Z, and a window is checked only where it differs from the formula.
 
 A fan kind declares everything the code below needs once: its JSON ``NAME``,
@@ -303,7 +303,7 @@ class FanWindow:
 
 def window_cones(kind: FanKind, bound: int, certified: bool = False) -> dict:
     """Every cone with |index| <= bound on every axis, keyed and ordered as ``FanWindow.cones``: trusted if
-    ``certified`` (``kdl.smoothing.certify`` proved them smooth), and each ray -bound..bound+1 of an axis built once."""
+    ``certified`` (``kdl.smoothing.prove_row`` proved them smooth), each ray -bound..bound+1 of an axis built once."""
     rays, one = [cache(ray_formula(kind, axis)) for axis in kind.AXES], len(kind.AXES) == 1
     span = range(-bound, bound + 1)
     return {at[0] if one else at: _cone(kind, at, rays, certified) for at in product(span, repeat=len(kind.AXES))}

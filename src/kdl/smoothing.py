@@ -20,13 +20,11 @@ freeness proxy.  Each claim is one public ``check_*`` function that returns
 its first counterexample, or None, and ``verify_family`` is the ordered list
 of report names and check calls.  Analytic facts with no finite certificate
 in the fan data are listed as untested metadata, never silently assumed.
-``certify`` proves every per-cone claim for every index in Z from the ray
-formulas and the generators, and one deflection per axis proves that claim
-for Z too.  ``FamilySpec.certified``, the only proof, holds these claims and
-both generator checks for every (e, w) of a row; a certified row's family carries
-the certificate, its window builds all its cones at their first read, and
-``verify_family`` checks it only where a cone departs from the formula and next
-to it.  Every other family, a replaced or hand-made one too, is walked in full.
+``prove_row``, the only proof, holds every claim but the deflection (which one
+index decides) at every index in Z and (e, w) of a row.  A proved row's family
+builds its window's cones unvalidated, and ``verify_family`` checks it only
+where a cone departs from the formula and next to it; any other family, a
+replaced or hand-made one too, is walked in full.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -91,7 +89,7 @@ class FamilySpec:
     ``generators(e, w)`` evaluates them to named group elements, unvalidated
     if ``trusted`` (a certified row's): the first ``len(kind.AXES)`` shift one
     step along each axis of the fan, and every later one must fix the fan.
-    The shifts are unipotent, which the row certificate proves; a shift that
+    The shifts are unipotent, which ``prove_row`` proves; a shift that
     is not makes ``verify_family`` try every power in its freeness check.
     ``deflections`` maps e to the expected deflection along each axis.
     """
@@ -114,21 +112,10 @@ class FamilySpec:
         return tuple(named)
 
     def certified(self) -> bool:
-        """The row certificate: ``certify`` and both generator checks hold at every admissible (e, w).
-
-        Rays and lattice parts are affine in the row's one parameter t, "e" or "e/w" (then under a kind free
-        of e), so each identity tested is a polynomial in t of degree <= D = max(2, dim), true once true at the
-        D+1 instances (e, w) = (t, 1), t = min_degree, ...; cone 0 (c0, c1) must not move, and as D+1 exceeds
-        the rank, a coordinate where c2 is 0 for every t is the freeness witness of some instance, so of all.
-        Proved again only under another ``certify``, so whoever rebinds it sees the proof."""
-        if vars(self).get("proof", (None,))[0] is not certify:
-            names = {x for _, rows, _ in self.group for row in rows or () for x in row if isinstance(x, str)}
-            low, dim = self.min_degree, len(self.group[0][1] or self.group[0][2])
-            samples = [(self.kind(t), self.generators(t, t if t is None else 1, True))
-                       for t in ([None] if low is None else range(low, low + max(2, dim) + 1))]
-            still = [k if "e/w" in names else [c[:2] for c in k.ray_coefficients.values()] for k, _ in samples]
-            vars(self)["proof"] = certify, len(names) < 2 and still.count(still[0]) == len(still) and not any(
-                certify(k, g) or check_generators_special_linear(g) or check_generators_commute(g) for k, g in samples)
+        """``prove_row(self)``, proved at the row's first use in a process."""
+        # Keyed on the prove_row binding, so the traced benchmark preflight proves each row again (det, matmul).
+        if vars(self).get("proof", (None,))[0] is not prove_row:
+            vars(self)["proof"] = prove_row, prove_row(self)
         return vars(self)["proof"][1]
 
 
@@ -281,52 +268,47 @@ UNTESTED_COMMON = (
 )
 
 
-def certify(kind: FanKind, generators) -> str | None:
-    """The first check an instance of a row fails, or None: then it holds for every index in Z.
+def prove_row(spec: FamilySpec) -> bool:
+    """Whether every claim of ``verify_family`` but the deflection holds at every index in Z and admissible (e, w).
 
-    ``generators`` are the family's (name, element) pairs, shifts first.  Rays
-    have degree d <= 2, so ray identities hold everywhere once they hold at
-    rays 0..d: each shift moves its axis's rays one step up and fixes the
-    other axes' (``shift``), and each further generator fixes every ray
-    (``<name>_fixes_fan``).  Every cone is then cone 0 moved by unimodular
-    shift powers, each cone's image the next cone, so cone 0 decides
-    ``cones_smooth``.  A unipotent shift fixing a cone fixes its rays (module
-    docstring), so a nonzero constant coordinate of ray i+1 - ray i proves
-    ``freeness_proxy``; it also keeps rays i and i+2 apart, so neighbouring
-    cones share a facet.  ``check_deflection`` proves its own claim.
+    Rays and lattice parts are affine in the row's one parameter t ("e", or "e/w" under a kind free of e), and the
+    rays of an axis have degree d <= 2 in their index i.  So each identity is a polynomial in (i, t) of degree <= d in
+    i and <= D = max(2, dim) in t, true everywhere once true on the grid i = 0..d, (e, w) = (t, 1) for t = min_degree
+    to min_degree + D: each shift moves its axis's rays one step up and fixes the others', each further generator
+    fixes every ray, the shifts are unipotent, and both generator checks hold.  Every cone is then cone 0 moved by
+    unimodular shift powers.  The two claims that are no identity are made free of t and tested once.  Cone 0 (each
+    ray, in a row in "e/w") is the same at every t, and its basis test decides ``cones_smooth``.  The freeness witness
+    is a coordinate of ray i+1 - ray i with one nonzero value on the grid, so everywhere: a unipotent shift fixing a
+    cone fixes its rays (module docstring), which it forbids, and rays i and i+2 differ, so neighbours share a facet.
     """
-    axes, rank = kind.AXES, kind.AMBIENT_RANK
-    rays = [[ray_formula(kind, a)(i).entries for i in range(len(kind.ray_coefficients[a]) + 1)] for a in axes]
-
-    def moves(m: IntMatrix, along: int | None) -> bool:
-        if m.dim - rank not in (0, 1):
-            return False
-        pad = (0,) * (m.dim - rank)  # a matrix acting on Z^rank + Z acts on a ray v as on (v, 0)
-        pairs = [(v + pad, vs[i + (a == along)] + pad) for a, vs in enumerate(rays) for i, v in enumerate(vs[:-1])]
-        return all(IntVec(v).times(m).entries == to for v, to in pairs)
-
-    for at, (name, g) in enumerate(generators):
-        along = at if at < len(axes) else None
-        if not moves(g.lattice_part, along):
-            return f"{name}_fixes_fan" if along is None else "shift" + ("" if len(axes) == 1 else f"_{axes[at]}")
-    if not extends_to_basis([IntVec(vs[k]) for vs in rays for k in (0, 1)]):
-        return "cones_smooth"  # cone 0 is not smooth, or not even a valid cone
-    for axis, (_, g) in zip(axes, generators):
-        c1, c2 = (*kind.ray_coefficients[axis], (0,) * rank, (0,) * rank)[1:3]  # ray i+1 - ray i = c1 + i*c2
-        if not is_unipotent(g.lattice_part) or not any(x and not y for x, y in zip(c1, c2)):
-            return "freeness_proxy"
-    return None
+    names = {x for _, rows, _ in spec.group for row in rows or () for x in row if isinstance(x, str)}
+    low, dim = spec.min_degree, len(spec.group[0][1] or spec.group[0][2])
+    grid = [(spec.kind(t), spec.generators(t, t if t is None else 1, True))
+            for t in ([None] if low is None else range(low, low + max(2, dim) + 1))]
+    axes, rank = grid[0][0].AXES, grid[0][0].AMBIENT_RANK
+    pad = (0,) * (dim - rank)  # a matrix acting on Z^rank + Z acts on a ray v as on (v, 0)
+    rays = [[[ray_formula(k, a)(i).entries + pad for i in range(len(k.ray_coefficients[a]) + 1)] for a in axes]
+            for k, _ in grid]  # rays 0..d+1 of each axis at each t
+    still = [r if "e/w" in names else [vs[:2] for vs in r] for r in rays]
+    steps = [[[y - x for x, y in zip(v, u)] for r in rays for v, u in zip(r[a], r[a][1:])] for a in range(len(axes))]
+    return (len(names) < 2 and dim - rank in (0, 1) and still.count(still[0]) == len(still)
+            and extends_to_basis([IntVec(vs[k][:rank]) for vs in rays[0] for k in (0, 1)])
+            and all(any(x[0] and x.count(x[0]) == len(x) for x in zip(*axis)) for axis in steps) and all(
+                all(IntVec(v).times(g.lattice_part).entries == vs[i + (a == at)]
+                    for at, (_, g) in enumerate(named) for a, vs in enumerate(r) for i, v in enumerate(vs[:-1]))
+                and all(is_unipotent(g.lattice_part) for _, g in named[: len(axes)])
+                and not check_generators_special_linear(named) and not check_generators_commute(named)
+                for r, (_, named) in zip(rays, grid)))
 
 
 class _Walk:
-    """A family's window as the checks walk it: ``first``, a list of its least index
-    (if any), and the ``candidates`` each per-cone check visits, in index order.
-    ``certified``: the family's ``certificate`` is (its kind, its named generators), which
-    only a proved row gives; else the generators are ``unproved`` and every index is a
-    candidate.  A certified family's ``fan_window`` cones of its kind over the window's
-    range pass every per-cone check unread and unlisted; on any other window with
-    ``fan_window``'s indices, a cone whose ``formula`` is (kind, its index) passes every per-cone
-    check with its neighbours, so the candidates are the other indices and their neighbours."""
+    """A family's window as the checks walk it: ``first``, a list of its least index (if any), and the
+    ``candidates`` each per-cone check visits, in index order.  ``certified``: the family's ``certificate``
+    is (its kind, its named generators), which only a row ``prove_row`` proves gives; else the generators
+    are ``unproved`` and every index is a candidate.  A certified family's ``fan_window`` cones of its kind
+    over the window's range pass every per-cone check unread and unlisted; on any other window with
+    ``fan_window``'s indices, a cone whose ``formula`` is (kind, its index) passes every per-cone check
+    with its neighbours, so the candidates are the other indices and their neighbours."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
@@ -374,11 +356,8 @@ def check_generators_special_linear(named) -> str | None:
 
 def check_generators_commute(named) -> str | None:
     """The first pair "a*b" of the named generators whose lattice parts do not commute."""
-    for at, (a, g) in enumerate(named):
-        for b, h in named[at + 1 :]:
-            if g.lattice_part @ h.lattice_part != h.lattice_part @ g.lattice_part:
-                return f"{a}*{b}"
-    return None
+    pairs = ((a, b, g.lattice_part, h.lattice_part) for at, (a, g) in enumerate(named) for b, h in named[at + 1 :])
+    return next((f"{a}*{b}" for a, b, m, n in pairs if m @ n != n @ m), None)
 
 
 def check_shift(walk: _Walk, axis: int) -> str | None:
@@ -403,11 +382,8 @@ def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> st
 
 
 def check_freeness_proxy(walk: _Walk) -> str | None:
-    """The first "shift^k fixes i": no power k >= 1 of a shift may fix a window cone.
-
-    k = 1 decides it for a unipotent shift (module docstring), as the row certificate
-    proves a certified walk's are; elsewhere a non-unipotent shift tries every k up to the span.
-    """
+    """The first "shift^k fixes i": no power k >= 1 of a shift may fix a window cone.  k = 1 decides it for
+    a unipotent shift (module docstring), as ``prove_row`` proves a certified walk's are; else k runs up to the span."""
     f = walk.family
     span = max(hi - lo for lo, hi in f.fan.index_range)
     for axis, suffix in enumerate(walk.suffixes):

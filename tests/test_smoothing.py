@@ -48,11 +48,9 @@ from kdl.smoothing import (
     FamilySpec,
     SmoothingFamily,
     build_family,
-    certify,
-    check_generators_commute,
-    check_generators_special_linear,
     family_payload,
     parameter_values,
+    prove_row,
     report_payload,
     verify_family,
 )
@@ -245,8 +243,10 @@ class TestVerifyFamily:
         # transitivity walk reports the first such cone as unreached, and
         # every other check passes.
         def unreached(fam, index_range, cones):
-            report = verify_family(dataclasses.replace(fam, fan=FanWindow(fam.kind, index_range, cones)))
+            fam = dataclasses.replace(fam, fan=FanWindow(fam.kind, index_range, cones))
+            report = verify_family(fam)
             assert all(c.passed for c in report.checks[:-1]), report
+            assert report_payload(report) == full_walk(fam)
             return report.checks[-1].counterexample
 
         hopf = build_family("hopf", e=2, window=3)
@@ -326,8 +326,8 @@ class TestVerifyFamily:
                 assert calls == directions, family
 
     def test_one_basis_test_per_cone(self, monkeypatch):
-        # A row's first build_family proves its row certificate, which tests
-        # cone 0 once at each of its D+1 instances.  Every later build +
+        # A row's first build_family proves the row, which tests cone 0's
+        # basis once: cone 0 is the same at every t.  Every later build +
         # verify of the certified family tests no basis, whatever the window:
         # every window cone is built trusted.  A planted cone adds its own
         # validation.  The rank is computed only for rays that fail the test.
@@ -346,15 +346,15 @@ class TestVerifyFamily:
                 calls.update(dict.fromkeys(calls, 0))
                 fam = build_family(family, e=e, w=w, window=half_width)
                 assert verify_family(fam).all_pass
-                proofs = ROW_INSTANCES[family] if first else 0
+                proofs = 1 if first else 0
                 assert calls == {"extends_to_basis": proofs, "rank_of": 0}, family
                 assert not verify_family(with_plants(fam, {fam.fan.indices()[-1]: ("near", 0, -1)})).all_pass
                 assert calls == {"extends_to_basis": proofs + 1, "rank_of": 0}, family
 
     def test_ray_formulas_once_per_window_ray(self, monkeypatch):
-        # A row's first build_family evaluates only the row certificate's
-        # rays, 0..d on each axis of degree d at each of its D+1 instances,
-        # whatever W is; a later build_family of the certified row evaluates
+        # A row's first build_family evaluates only the rays prove_row reads,
+        # 0..d+1 on each axis of degree d at each of its grid's D+1 values of
+        # t, whatever W is; a later build_family of the certified row evaluates
         # none.  verify_family evaluates no ray: a deflection is the c2 of its
         # axis's ray formula.  window_payload then evaluates each ray -W..W+1
         # of each axis once, however many cones hold the ray.
@@ -377,7 +377,7 @@ class TestVerifyFamily:
                 counts.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
                 axes, coefficients = fam.kind.AXES, fam.kind.ray_coefficients
-                proofs = ROW_INSTANCES[family] if half_width == 1 else 0
+                proofs = GRID_TS[family] if half_width == 1 else 0
                 assert counts == Counter(
                     {(a, i): proofs for a in axes for i in range(len(coefficients[a]) + 1)}), family
                 counts.clear()
@@ -404,8 +404,8 @@ class TestVerifyFamily:
 
     def test_work_is_independent_of_the_window_size(self, monkeypatch):
         # For every FAMILIES row, a build + verify at W = 10**6 builds no cone
-        # and evaluates the same rays as at W = 1: the row certificate's at the
-        # row's first build_family, none later.  A window that listed its
+        # and evaluates the same rays as at W = 1: prove_row's at the row's
+        # first build_family, none later.  A window that listed its
         # indices would hold 4*10**12 of them for the rational family.
         built, counts = [], Counter()
 
@@ -433,16 +433,16 @@ class TestVerifyFamily:
                 assert verify_family(fam).all_pass, family
                 axes, coefficients = fam.kind.AXES, fam.kind.ray_coefficients
                 assert len(fam.fan.cones) == (2 * half_width + 1) ** len(axes)
-                proofs = ROW_INSTANCES[family] if first else 0
+                proofs = GRID_TS[family] if first else 0
                 assert counts == Counter(
                     {(a, i): proofs for a in axes for i in range(len(coefficients[a]) + 1)}), family
                 assert built == [], family
 
     def test_matrix_products_only_for_the_commute_check(self, monkeypatch):
         # A row's first build_family multiplies matrices only to compare a*b
-        # with b*a for each pair of generators, at each of the row
-        # certificate's D+1 instances.  A later build + verify of the
-        # certified family multiplies none.
+        # with b*a for each pair of generators, at each of the D+1 values of t
+        # on prove_row's grid.  A later build + verify of the certified family
+        # multiplies none.
         calls = []
         matmul = IntMatrix.__matmul__
 
@@ -458,19 +458,19 @@ class TestVerifyFamily:
                 fam = build_family(family, e=e, w=w, window=window)
                 assert verify_family(fam).all_pass
                 expected = []
-                for _, named in row_instances(family) if first else ():
+                for _, named in row_grid(family) if first else ():
                     gens = [g.lattice_part for _, g in named]
                     pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
                     expected += [product for a, b in pairs for product in ((a, b), (b, a))]
                 assert calls == expected, family
                 n = len(fam.generators)
-                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * n * (n - 1), family
+                assert len(calls) == (GRID_TS[family] if first else 0) * n * (n - 1), family
 
     def test_times_calls_per_ray_and_generator(self, monkeypatch):
         # On a window that matches the formula, vectors are mapped only by
-        # the row certificate at a row's first build_family: d+1 rays per
-        # axis (d the axis's degree) once per generator, at each of its D+1
-        # instances, however many cones the window has.  A later
+        # prove_row at a row's first build_family: d+1 rays per axis (d the
+        # axis's degree) once per generator, at each of its grid's D+1 values
+        # of t, however many cones the window has.  A later
         # build_family of the certified row maps none, and verify_family
         # reads the family's certificate and maps none.
         calls = []
@@ -487,14 +487,14 @@ class TestVerifyFamily:
                 calls.clear()
                 fam = build_family(family, e=e, w=w, window=half_width)
                 points = sum(len(fam.kind.ray_coefficients[axis]) for axis in fam.kind.AXES)
-                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * len(fam.generators) * points, family
+                assert len(calls) == (GRID_TS[family] if first else 0) * len(fam.generators) * points, family
                 calls.clear()
                 assert verify_family(fam).all_pass
                 assert calls == [], family
 
     def test_one_unipotence_test_per_shift(self, monkeypatch):
-        # The row certificate tests each shift once at each of its D+1
-        # instances, at the row's first build_family; a later build of the
+        # prove_row tests each shift once at each of its grid's D+1 values of
+        # t, at the row's first build_family; a later build of the
         # certified row tests none, nor does the freeness check of a
         # certified family.
         calls = []
@@ -511,9 +511,9 @@ class TestVerifyFamily:
                 fam = build_family(family, e=e, w=w, window=half_width)
                 assert verify_family(fam).all_pass
                 axes = len(fam.kind.AXES)
-                shifts = [g.lattice_part for _, named in row_instances(family) for _, g in named[:axes]]
+                shifts = [g.lattice_part for _, named in row_grid(family) for _, g in named[:axes]]
                 assert calls == (shifts if first else []), family
-                assert len(calls) == (ROW_INSTANCES[family] if first else 0) * axes, family
+                assert len(calls) == (GRID_TS[family] if first else 0) * axes, family
 
     def test_checks_are_called_through_module_globals(self, monkeypatch):
         # A tracer sees each check by rebinding its kdl.smoothing name, so
@@ -560,16 +560,16 @@ def family_params(family):
     return [(e, w) for e in range(low, 9) for w in range(1, 9) if e % w == 0]
 
 
-# The number D+1 of instances each row certificate proves: D = max(2, dim)
-# for the generators' dimension dim; the mumford row has no parameter.
-ROW_INSTANCES = {"mumford": 1, "hopf": 4, "elliptic": 4, "rational": 6}
+# The number D+1 of values of t on each row's proof grid: D = max(2, dim) for
+# the generators' dimension dim; the mumford row has no parameter.
+GRID_TS = {"mumford": 1, "hopf": 4, "elliptic": 4, "rational": 6}
 
 
-def row_instances(family):
-    """The (kind, named generators) instances of a row's certificate, in order:
-    (e, w) = (t, 1) for the D+1 values t from the row's minimum degree on."""
+def row_grid(family):
+    """The (kind, named generators) at each t of prove_row's grid for a row, in
+    order: (e, w) = (t, 1) for the D+1 values t from the row's minimum degree on."""
     spec, low = FAMILIES[family], FAMILIES[family].min_degree
-    ts = [None] if low is None else range(low, low + ROW_INSTANCES[family])
+    ts = [None] if low is None else range(low, low + GRID_TS[family])
     return [(spec.kind(t), spec.generators(t, None if t is None else 1)) for t in ts]
 
 
@@ -682,18 +682,45 @@ def off_by_one_mutants():
                     yield family, e, w, f"{name}[{r}][{c}]{step:+d}", kind, named[:at] + ((name, mutant),) + named[at + 1 :]
 
 
+def instance_row(kind, named):
+    """One instance, a kind and its named generators, as a FAMILIES row with no parameter."""
+    group = tuple((name, g.lattice_part.rows, g.torus_part) for name, g in named)
+    return FamilySpec(min_degree=None, kind=lambda e: kind, group=group, labels={}, deflections=lambda e: ())
+
+
+def walk_instance(family, e, w, kind, named, window):
+    """The full walk of the family at (e, w) with its kind and named generators
+    replaced, over the kind's window of the given half-width; None when a cone
+    of the window is invalid or an image leaves the embedded sublattice."""
+    fam = dataclasses.replace(
+        build_family(family, e=e, w=w, window=window), kind=kind, fan=kdl.fans.fan_window(kind, window),
+        generators=tuple(g for _, g in named), generator_names=tuple(name for name, _ in named))
+    try:
+        return full_walk(fam)
+    except (ValueError, DimMismatch):
+        return None
+
+
+def failed_checks(walked):
+    """The names of the checks a full walk fails; every name when it is None."""
+    return {"*"} if walked is None else {c["name"] for c in walked["checks"] if not c["passed"]}
+
+
 class TestCertificate:
     def test_every_family_row_is_certified(self):
+        # Every instance with e <= 8 and w | e is proved on its own, as a row
+        # with no parameter.
         for family, spec in FAMILIES.items():
             for e, w in family_params(family):
-                assert certify(spec.kind(e), spec.generators(e, w)) is None, (family, e, w)
+                assert prove_row(instance_row(spec.kind(e), spec.generators(e, w))), (family, e, w)
 
-    # Mutants no fan check can tell from the family: row j of a lattice part
-    # only meets coordinate j of a ray, which is 0 on every ray (coordinate 0
-    # of the elliptic fan, the gluing coordinate 4 of the rational one); and
-    # a constant term moved along a direction every generator fixes reindexes
-    # or translates the fan into one with the same certificate.  The elliptic
-    # twist's exponent e/w is among them: it fixes every ray whatever it is.
+    # Mutants no per-cone check can tell from the family: row j of a lattice
+    # part only meets coordinate j of a ray, which is 0 on every ray
+    # (coordinate 0 of the elliptic fan, the gluing coordinate 4 of the
+    # rational one); and a constant term moved along a direction every
+    # generator fixes reindexes or translates the fan into one with the same
+    # proof.  The elliptic twist's exponent e/w is among them: it fixes every
+    # ray whatever it is.
     EQUIVALENT = {
         "mumford": ["ray_m c0[0]+1", "ray_m c0[0]-1"],
         "hopf": ["ray_m c0[1]+1", "ray_m c0[1]-1"],
@@ -706,53 +733,71 @@ class TestCertificate:
             *(f"{name}[4][{c}]{step:+d}" for name in ("shift_m", "shift_n") for c in range(4) for step in (1, -1)),
         ],
     }
+    # Of those, the ones whose lattice parts stop commuting, which only the
+    # generator checks see.
+    NONCOMMUTING = [
+        *(f"elliptic base_twist[0][2]{step:+d}" for step in (1, -1)),
+        *(f"rational {name}[4][{c}]{step:+d}" for name, c in (("shift_m", 3), ("shift_n", 0), ("shift_n", 2))
+          for step in (1, -1)),
+    ]
 
     def test_off_by_one_mutants_fail_the_certificate(self):
-        # Every other mutant fails a named check of the certificate, and the
-        # certificate holds exactly when the full walk of a window passes
-        # every per-cone check (the generator checks are not its business;
-        # a window whose walk leaves the embedded sublattice raises).
-        failures, equivalent = Counter(), {family: [] for family in self.EQUIVALENT}
+        # Each mutant instance, as a row with no parameter, is proved exactly
+        # when the full walk of a window passes every check (a window whose
+        # walk leaves the embedded sublattice raises).  The walk passes every
+        # per-cone check of exactly the EQUIVALENT mutants, and of those the
+        # proof refuses exactly the NONCOMMUTING ones.
+        mutants, equivalent, refused = 0, {family: [] for family in self.EQUIVALENT}, []
         for family, e, w, mutant, kind, named in off_by_one_mutants():
-            failure = certify(kind, named)
-            fam = dataclasses.replace(
-                build_family(family, e=e, w=w, window=3), kind=kind,
-                generators=tuple(g for _, g in named), generator_names=tuple(name for name, _ in named))
-            try:
-                fam = dataclasses.replace(fam, fan=kdl.fans.fan_window(kind, 3))
-                walked = [c for c in full_walk(fam)["checks"] if not c["name"].startswith("generators_")]
-            except (ValueError, DimMismatch):
-                walked = [{"passed": False}]
-            assert (failure is None) == all(c["passed"] for c in walked), (family, mutant, failure)
-            if failure is None:
+            proved = prove_row(instance_row(kind, named))
+            failed = failed_checks(walk_instance(family, e, w, kind, named, 3))
+            assert proved is not bool(failed), (family, mutant, failed)
+            mutants += 1
+            if not {name for name in failed if not name.startswith("generators_")}:
                 equivalent[family].append(mutant)
-            else:
-                failures[failure] += 1
-        assert equivalent == self.EQUIVALENT
-        assert failures == {"shift": 46, "shift_m": 54, "shift_n": 38, "base_twist_fixes_fan": 9}
+                refused += [] if proved else [f"{family} {mutant}"]
+        assert (mutants, equivalent, refused) == (181, self.EQUIVALENT, self.NONCOMMUTING)
 
     def test_each_claim_names_its_check(self):
-        # One failing claim at a time; the certificate holds for the row.
-        spec = FAMILIES["hopf"]
-        kind, named = spec.kind(2), spec.generators(2, 1)
+        # One failing claim at a time: the proof of the instance fails, and
+        # the full walk fails the check the claim stands for.
+        hopf, rational = FAMILIES["hopf"], FAMILIES["rational"]
+        kind, named = hopf.kind(2), hopf.generators(2, 1)
         shift, gluing = named
-        assert certify(kind, named) is None
+        assert prove_row(instance_row(kind, named))
         swap = GroupElement.from_matrix(IntMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))))
-        assert certify(kind, (("polygon_shift", swap), gluing)) == "shift"
-        assert certify(kind, (shift, ("fiber_gluing", shift[1]))) == "fiber_gluing_fixes_fan"
         # Rays (2m, 4*binom2(m), 1), which the shift below moves, span cones of index 2.
         doubled = type("HopfSmoothing", (HopfSmoothing,), {"ray_coefficients": property(
             lambda _: {"m": ((0, 0, 1), (2, 0, 0), (0, 4, 0))})})(2)
         moves = GroupElement.from_matrix(IntMatrix(((1, 2, 0), (0, 1, 0), (2, 0, 1))))
-        assert certify(doubled, (("polygon_shift", moves), gluing)) == "cones_smooth"
-        # The gluing coordinate's row meets no ray; -1 there keeps every
-        # identity but makes the shift not unipotent.
-        named = FAMILIES["rational"].generators(2, 1)
-        rows = [list(row) for row in named[0][1].lattice_part.rows]
-        rows[4][4] = -1
-        flipped = (("shift_m", GroupElement.from_matrix(IntMatrix(rows))),) + named[1:]
-        assert certify(FAMILIES["rational"].kind(2), flipped) == "freeness_proxy"
-        assert certify(FAMILIES["rational"].kind(2), named[:1] + (("shift_n", named[0][1]),) + named[2:]) == "shift_n"
+        m_named = rational.generators(2, 1)
+        cases = [
+            ("hopf", kind, (("polygon_shift", swap), gluing), "shift"),
+            ("hopf", kind, (shift, ("fiber_gluing", shift[1])), "fiber_gluing_fixes_fan"),
+            ("hopf", doubled, (("polygon_shift", moves), gluing), "cones_smooth"),
+            ("rational", rational.kind(2), m_named[:1] + (("shift_n", m_named[0][1]),) + m_named[2:], "shift_n"),
+        ]
+        for family, k, n, check in cases:
+            assert not prove_row(instance_row(k, n)), check
+            assert check in failed_checks(walk_instance(family, 2, 1, k, n, 3)), check
+        # Two premises of the proof are no check a walk makes, so only the
+        # proof refuses them: a shift of determinant 1 that moves every ray
+        # (i, 1, 0, 0) one step but is not unipotent, so that its first power
+        # decides no freeness; and rays (binom2(i+1), binom2(i), 1), which a
+        # unipotent shift moves one step, but with no coordinate of ray i+1 -
+        # ray i constant, so that no witness keeps them apart.
+        flat = type("MumfordNeron", (MumfordNeron,), {"AMBIENT_RANK": 4, "ray_coefficients": {
+            "m": ((0, 1, 0, 0), (1, 0, 0, 0))}})()
+        spinning = IntMatrix(((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1)))
+        bent = type("HopfSmoothing", (HopfSmoothing,), {"ray_coefficients": property(
+            lambda _: {"m": ((0, 0, 1), (1, 0, 0), (1, 1, 0))})})(2)
+        climbing = IntMatrix(((2, 1, 0), (-1, 0, 0), (1, 0, 1)))
+        assert det(spinning) == det(climbing) == 1 and not is_unipotent(spinning) and is_unipotent(climbing)
+        for k, n in ((flat, (("polygon_shift", GroupElement.from_matrix(spinning)),)),
+                     (bent, (("polygon_shift", GroupElement.from_matrix(climbing)), gluing))):
+            assert [ray_formula(k, "m")(i).times(n[0][1].lattice_part) for i in range(-3, 3)] == [
+                ray_formula(k, "m")(i + 1) for i in range(-3, 3)]
+            assert not prove_row(instance_row(k, n)), k
 
 
 def moved_row(spec, at, r, c, slope, step, parameter=None):
@@ -786,10 +831,9 @@ def moved_rows():
                 yield family, mutant, moved_row(spec, at, r, c, slope, step, *names)
 
 
-def instance_fails(spec, e, w) -> bool:
-    """Whether the row's instance at (e, w) fails certify, det = 1 or commutation."""
-    kind, named = spec.kind(e), spec.generators(e, w, True)
-    return bool(certify(kind, named) or check_generators_special_linear(named) or check_generators_commute(named))
+def instance_fails(family, row, e, w) -> bool:
+    """Whether the full walk of the row's instance at (e, w) fails a check over a window of half-width 1."""
+    return bool(failed_checks(walk_instance(family, e, w, row.kind(e), row.generators(e, w, True), 1)))
 
 
 class TestRowCertificate:
@@ -825,12 +869,12 @@ class TestRowCertificate:
     ]
 
     def test_row_mutants_fail_exactly_when_an_instance_fails(self):
-        # A mutant fails the row certificate exactly when some instance with
-        # e <= 8 and w | e fails certify, det = 1 or commutation.
+        # A mutant fails the row proof exactly when the full walk of some
+        # instance with e <= 8 and w | e fails a check.
         mutants, equivalent = 0, []
         for family, mutant, row in moved_rows():
-            failing = [(e, w) for e, w in family_params(family) if instance_fails(row, e, w)]
-            assert row.certified() is not bool(failing), (family, mutant, failing[:1])
+            failing = any(instance_fails(family, row, e, w) for e, w in family_params(family))
+            assert row.certified() is not failing, (family, mutant)
             mutants += 1
             if not failing:
                 equivalent.append(f"{family} {mutant}")
@@ -887,9 +931,9 @@ class TestRowCertificate:
             report = report_payload(verify_family(fam))
             assert report["all_pass"] and report == full_walk(fam) and fam.certificate is None, e
 
-    def test_proved_at_first_use_and_again_under_another_certify(self, monkeypatch):
+    def test_proved_at_first_use_and_again_under_another_prove_row(self, monkeypatch):
         # Importing kdl proves no row; build_family proves a row once, with
-        # D+1 instance certificates, and again only when certify is rebound.
+        # one prove_row call, and again only when prove_row is rebound.
         code = "import kdl, kdl.smoothing as s; print(sorted(f for f, r in s.FAMILIES.items() if 'proof' in vars(r)))"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": os.path.dirname(kdl.__path__[0])})
@@ -898,17 +942,17 @@ class TestRowCertificate:
         calls = []
         for family in FAMILY_NAMES:
             e = FAMILIES[family].min_degree
-            for _ in range(2):  # a certify bound anew, once per round
+            for _ in range(2):  # a prove_row bound anew, once per round
 
-                def counting(kind, named, original=certify):
-                    calls.append(kind)
-                    return original(kind, named)
+                def counting(spec, original=prove_row):
+                    calls.append(spec)
+                    return original(spec)
 
-                monkeypatch.setattr(kdl.smoothing, "certify", counting)
+                monkeypatch.setattr(kdl.smoothing, "prove_row", counting)
                 calls.clear()
                 for _ in range(3):
                     build_family(family, e=e, w=None if e is None else 1, window=1)
-                assert len(calls) == ROW_INSTANCES[family], family
+                assert calls == [FAMILIES[family]], family
 
     def test_every_e_after_a_rows_first_use(self, monkeypatch):
         # Once a row is proved, a build + verify at any degree and warp makes
@@ -1077,10 +1121,13 @@ def full_walk(f):
         return None
 
     def orbit():
+        # A cone with no predecessor in the window, or at the lower bound of
+        # the index range, is unreached.
         lows = [lo for lo, _ in f.fan.index_range]
         for i in indices[1:]:
-            axis = max(a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo)
-            if apply(gens[axis], cones[near(i, axis, -1)]) != cones[i]:
+            axis = max((a for a, (x, lo) in enumerate(zip(coords[i], lows)) if x > lo), default=None)
+            j = None if axis is None else near(i, axis, -1)
+            if j is None or apply(gens[axis], cones[j]) != cones[i]:
                 return str(i).replace(" ", "")
         return None
 
@@ -1285,12 +1332,12 @@ def test_an_equal_cone_of_another_degree_matches_the_full_walk():
 
 def test_replaced_generators_match_the_full_walk():
     # The first shift squared moves cone i to cone i+2: the carried
-    # certificate no longer names the generators, and certify fails.
+    # certificate no longer names the generators, and they prove nothing.
     for family, e, w, window in TestVerifyFamily.VALID:
         fam = build_family(family, e=e, w=w, window=2)
         shift = fam.generators[0].lattice_part
         fam = dataclasses.replace(fam, generators=(GroupElement.from_matrix(shift @ shift),) + fam.generators[1:])
-        assert certify(fam.kind, tuple(zip(fam.generator_names, fam.generators))) is not None
+        assert not prove_row(instance_row(fam.kind, tuple(zip(fam.generator_names, fam.generators))))
         report = report_payload(verify_family(fam))
         assert not report["all_pass"] and report == full_walk(fam), family
 
@@ -1311,7 +1358,7 @@ def test_a_replaced_kind_matches_the_full_walk():
 
 def test_verify_family_proves_nothing(monkeypatch):
     # A family is proved by its row's certificate or walked in full:
-    # verify_family calls certify for no family, built, planted, with a
+    # verify_family calls prove_row for no family, built, planted, with a
     # replaced generator or kind, or made by hand, and each answers as the
     # full walk.
     families = []
@@ -1329,11 +1376,11 @@ def test_verify_family_proves_nothing(monkeypatch):
         families.append(dataclasses.replace(build_family(family, e=1, window=2), kind=kind(2)))
     calls = []
 
-    def counting(kind, named, original=certify):
-        calls.append(kind)
-        return original(kind, named)
+    def counting(spec, original=prove_row):
+        calls.append(spec)
+        return original(spec)
 
-    monkeypatch.setattr(kdl.smoothing, "certify", counting)
+    monkeypatch.setattr(kdl.smoothing, "prove_row", counting)
     for fam in families:
         report = report_payload(verify_family(fam))
         assert calls == [] and report == full_walk(fam), (fam.family, fam.certificate is None)
