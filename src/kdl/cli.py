@@ -7,7 +7,8 @@ result.  Each input document is one row of ``_DOCUMENTS``, which gives every
 field a kind from ``_KINDS``; ``_read`` checks all five documents.  Exit codes:
 0 success, 1 a verification or selftest failure, 2 bad input (with a JSON error
 object on stderr, or argparse's usage text), 141 stdout closed by its reader.
-A request takes one argparse pass, by its command's parser or else the full one;
+A well-formed request is read from its command parser's action tables, any other
+takes one pass of the full parser, whose help and usage errors are argparse's own;
 ``emit`` writes indented documents byte-identical to ``json.dumps(indent=2)``.
 """
 
@@ -326,18 +327,47 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(command: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """The namespace ``command`` parses from a well-formed ``argv``, read from its action tables, or
+    None for argparse to answer (help, abbreviations, "--opt=value", "--", repeats, "-1", errors)."""
+    given, tokens = {}, iter(argv)
+    try:
+        for token in tokens:
+            action = command._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction and action not in given:
+                given[action] = action.const
+                continue
+            value = next(tokens, "-")  # a missing value is declined as a "-" one is
+            if type(action) is not argparse._StoreAction or action.nargs or action in given or value.startswith("-"):
+                return None
+            given[action] = value = action.type(value) if action.type else value
+            if action.choices is not None and value not in action.choices:
+                return None
+        for group in command._mutually_exclusive_groups:  # argparse counts only values not the default
+            chosen = [given[a] is not a.default for a in group._group_actions if a in given]
+            if len(chosen) > 1 or group.required and not any(chosen):
+                return None
+        if any(a.required and a not in given for a in command._actions):
+            return None
+        # As argparse fills it: parser defaults, then action defaults (a dest's first; str ones typed), then given.
+        args = {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+                for a in command._actions[::-1] if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+        vars(namespace := argparse.Namespace()).update(command._defaults | args | {a.dest: v for a, v in given.items()})
+        return namespace
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        # A named command's own parser sees what the full parser would pass it; it takes the rest.
-        command = parser.commands.get(argv[0]) if argv else None
-        args, rest = command.parse_known_args(argv[1:]) if command else (None, None)
-        if args is None or rest:
+        args = _read_argv(parser.commands[argv[0]], argv[1:]) if argv and argv[0] in parser.commands else None
+        if args is None:
             args = parser.parse_args(argv)
             command = parser.commands[args.command]
-        # CPython 3.11 hands an option joined to "--" ("--window=--") an empty list, neither converted nor checked.
-        if joined := [a for a in command._actions if isinstance(vars(args).get(a.dest), list)]:
-            command.error(f"argument {'/'.join(joined[0].option_strings)}: expected one argument")
+            # CPython 3.11 hands an option joined to "--" ("--window=--") an empty list, neither converted nor checked.
+            if joined := [a for a in command._actions if isinstance(vars(args).get(a.dest), list)]:
+                command.error(f"argument {'/'.join(joined[0].option_strings)}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -913,3 +916,187 @@ class TestRequestDump:
             code, out, err = run_cli(argv)
             digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
         assert digest.hexdigest() == DUMP_DIGEST
+
+
+# The reader: each command's well-formed argv is read from its parser's action
+# tables, and argparse parses only what the reader declines.
+COMMANDS = build_parser().commands
+# Values of every kind the reader must take or decline as argparse would.
+ODD_VALUES = ["", "abc", "k3", "x=1", "a b", "{", "{oops", "=", "-", "-1", "--x", "1.5", " 2 "]
+
+
+def option_value(draw, action):
+    # Mostly a value of the option's own kind, else one of the odd values.
+    if not draw(st.integers(0, 4)):
+        return draw(st.sampled_from(ODD_VALUES))
+    if action.choices is not None:
+        return draw(st.sampled_from(list(action.choices)))
+    if action.type is int:
+        return str(draw(st.integers(-3, 9)))
+    return draw(st.sampled_from([argv[-1] for argv in JSON_REQUESTS]))
+
+
+@st.composite
+def well_formed_argv(draw):
+    # Any subset of a command's options, each written whole and once, in any
+    # order; mostly the required ones are among them.
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = [a for a in COMMANDS[command]._actions if a.option_strings and a.nargs in (None, 0)]
+    chosen = draw(st.lists(st.sampled_from(options), unique=True)) if options else []
+    if draw(st.integers(0, 3)):
+        chosen += [a for a in options if a.required and a not in chosen]
+    argv = [command]
+    for action in draw(st.permutations(chosen)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs is None:
+            argv.append(option_value(draw, action))
+    return argv
+
+
+def read(argv):
+    command = build_parser().commands.get(argv[0]) if argv else None
+    return cli._read_argv(command, argv[1:]) if command else None
+
+
+def assert_reader_agrees_with_argparse(argv):
+    # A namespace the reader gives must be a fresh parser's, and answer the same bytes.
+    namespace = read(argv)
+    if namespace is None:
+        return False
+    with mock.patch.object(cli, "_PARSER", None):
+        parsed = vars(build_parser().parse_args(argv))
+    assert {dest: value for dest, value in parsed.items() if dest != "command"} == vars(namespace)
+    with mock.patch.object(cli, "_read_argv", return_value=None):
+        by_argparse = run_cli(argv)
+    assert run_cli(argv) == by_argparse
+    return True
+
+
+class TestReader:
+    @pytest.fixture(autouse=True)
+    def quick_handlers(self):
+        # selftest answers no criteria and the gluing survey is made once per mode, so
+        # each request takes milliseconds; both paths run the same handlers.
+        survey = functools.cache(cli.enumerate_gluings)
+        with mock.patch.object(selfcheck, "run_all", return_value=[]):
+            with mock.patch.object(cli, "enumerate_gluings", survey):
+                yield
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture]
+    )
+    @given(well_formed_argv())
+    @example(["graph", "--enumerate", "--up-to-symmetry"])
+    @example(["selftest"])
+    def test_a_read_namespace_is_argparse_s(self, argv):
+        assert_reader_agrees_with_argparse(argv)
+
+    def test_every_dumped_request_read_is_argparse_s(self):
+        assert sum(assert_reader_agrees_with_argparse(argv) for argv in dump_requests()) > len(VALID_REQUESTS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fan", "--help"],
+            ["fan", "--fam", "hopf"],
+            ["fan", "--family=hopf"],
+            ["verify", "--family", "mumford", "--", "--window", "2"],
+            ["fan", "--family", "hopf", "--family", "hopf"],
+            ["fan", "--family", "mumford", "--window", "-1"],
+            ["classify", "--data", "{}", "extra"],
+            ["fan", "--family", "k3"],
+            ["fan", "--family", "hopf", "--window", "abc"],
+            ["fan", "--window", "1"],
+            ["graph"],
+            ["graph", "--betti", "{}", "--gluing", "{}"],
+            ["fan", "--family"],
+        ],
+        ids=["help", "abbreviation", "joined", "separator", "repeat", "negative", "leftover", "choice", "type",
+             "required", "no-mode", "two-modes", "no-value"],
+    )
+    def test_declines_what_argparse_must_answer(self, argv):
+        assert read(argv) is None
+
+
+# Every well-formed shape of request, the valid requests and the orders the
+# benchmark's request pools write.
+FAST_PATH_REQUESTS = VALID_REQUESTS + [
+    ["fan", "--family", "hopf", "--window", "4", "--e", "6", "--w", "3", "--full"],
+    ["verify", "--family", "elliptic", "--window", "4", "--e", "2", "--w", "1"],
+    ["boundary", "--degree", "3", "--max-warp", "2", "--format", "json"],
+]
+
+
+class ArgparsePass(Exception):
+    pass
+
+
+class TestFastPath:
+    def test_every_well_formed_shape_is_pinned(self):
+        shapes = {(argv[0], *sorted(t for t in argv if t.startswith("--"))) for argv in FAST_PATH_REQUESTS}
+        assert {
+            ("classify", "--data"),
+            ("fan", "--e", "--family", "--full", "--w", "--window"),
+            ("verify", "--e", "--family", "--w", "--window"),
+            ("graph", "--gluing"),
+            ("graph", "--betti"),
+            ("boundary", "--degree", "--format", "--max-warp"),
+        } <= shapes
+
+    def test_well_formed_requests_take_no_argparse_pass(self):
+        # A later change must not turn the reader into dead code while the outputs stay right.
+        passes = []
+
+        def refuse(parser, args=None, namespace=None):
+            passes.append(args)
+            raise ArgparsePass
+
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args", refuse):
+            for argv in FAST_PATH_REQUESTS:
+                with contextlib.suppress(ArgparsePass):
+                    run_cli(argv)
+        assert len(passes) == 0, passes
+
+
+def declines_or_agrees(parser, argv):
+    namespace = cli._read_argv(parser, argv)
+    return namespace is None or namespace == parser.parse_args(argv)
+
+
+class TestReaderOnHandBuiltParsers:
+    def test_a_str_default_goes_through_its_type(self):
+        parser = argparse.ArgumentParser(prog="p")
+        parser.add_argument("--window", type=int, default="16")
+        parser.add_argument("--label", default="x")
+        parser.set_defaults(handler=len)
+        assert all(declines_or_agrees(parser, argv) for argv in ([], ["--label", "y"], ["--window", "3"]))
+        assert cli._read_argv(parser, []).window == 16
+
+    def test_a_suppressed_default_sets_nothing(self):
+        parser = argparse.ArgumentParser(prog="p")
+        parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+        assert vars(cli._read_argv(parser, [])) == vars(parser.parse_args([])) == {}
+        assert declines_or_agrees(parser, ["--quiet"])
+
+    def test_a_required_group_value_that_is_its_default_is_argparse_s(self):
+        # argparse counts a group's action as given only when its value is not
+        # the very default object; 1 is, so it answers "one of ... is required".
+        parser = argparse.ArgumentParser(prog="p")
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=int, default=1)
+        group.add_argument("--m")
+        assert cli._read_argv(parser, ["--n", "1"]) is None
+        assert cli._read_argv(parser, ["--n", "2"]) == parser.parse_args(["--n", "2"])
+
+    def test_a_shared_dest_takes_its_first_action_s_default(self):
+        parser = argparse.ArgumentParser(prog="p")
+        parser.add_argument("--a", dest="x", default=1)
+        parser.add_argument("--b", dest="x", default=2)
+        assert cli._read_argv(parser, []) == parser.parse_args([]) == argparse.Namespace(x=1)
+        assert all(declines_or_agrees(parser, argv) for argv in (["--a", "3"], ["--b", "4"]))
+
+    @pytest.mark.parametrize("nargs", ["?", "*", "+", 1, 2])
+    def test_an_option_of_other_arity_is_argparse_s(self, nargs):
+        parser = argparse.ArgumentParser(prog="p")
+        parser.add_argument("--xs", nargs=nargs)
+        assert declines_or_agrees(parser, ["--xs", "a", "b"][: 3 if nargs == 2 else 2])
