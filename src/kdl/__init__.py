@@ -27,6 +27,7 @@ from .classify import (
     hopf_dsemistable_oracle,
     hopf_invariants,
     hopf_kx_zero,
+    quotient_degree,
     ruled_dsemistable,
     smoothing_verdict,
     tangent_table,
@@ -35,7 +36,6 @@ from .classify import (
 from .errors import (
     ArityMismatch,
     DimMismatch,
-    InconsistentData,
     KdlError,
     MalformedInput,
     MalformedMorphism,

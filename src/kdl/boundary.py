@@ -3,7 +3,9 @@
 The boundary of the degree-d moduli space decomposes into three strata by
 normalization type, and each stratum contributes one component per warp
 w >= 1 with degree e = d*w (so that the nearby smooth surfaces have degree
-e/w = d).  Components carry the parameter space of their continuous modulus:
+e/w = d, as ``kdl.classify.quotient_degree``, the warp rule's one owner, checks;
+``TypeSpec.family`` names the stratum's smoothing family).  Components carry
+the parameter space of their continuous modulus:
 
 * Hopf stratum          -- punctured disk (the contraction parameter),
 * rational stratum      -- C* (the residual horizontal gluing),
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, TYPES
+from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, TYPES, quotient_degree
 
 # One stratum per surface type, in the order the boundary documents list them.
 STRATA = (HOPF, RATIONAL, ELLIPTIC_RULED)
@@ -38,10 +40,8 @@ class StratumComponent:
     def __post_init__(self):
         if self.stratum not in STRATA:
             raise ValueError(f"unknown stratum {self.stratum!r}")
-        if self.warp < 1 or self.degree < 1:
+        if quotient_degree(self.degree, self.warp) < 1:
             raise ValueError("degree and warp must be positive")
-        if self.degree % self.warp != 0:
-            raise ValueError("warp must divide degree on a boundary component")
 
     @property
     def param_space(self) -> str:
@@ -133,32 +133,20 @@ def local_model() -> dict:
     }
 
 
-def component_payload(c: StratumComponent) -> dict:
-    return {
-        "stratum": c.stratum,
-        "degree": c.degree,
-        "warp": c.warp,
-        "param_space": c.param_space,
-    }
-
-
-def edge_payload(edge: AdjacencyEdge) -> dict:
-    return {
-        "endpoints": [list(k) for k in edge.endpoints],
-        "witness": edge.witness,
-        "witness_ref": edge.witness_ref,
-    }
-
-
 def boundary_payload(d: int, w_max: int) -> dict:
     """JSON-ready document: components, edges, and the local model."""
     components = enumerate_components(d, w_max)
-    edges = adjacency_edges(components)
     return {
         "degree": d,
         "max_warp": w_max,
-        "components": [component_payload(c) for c in components],
-        "edges": [edge_payload(e) for e in edges],
+        "components": [
+            {"stratum": c.stratum, "degree": c.degree, "warp": c.warp, "param_space": c.param_space}
+            for c in components
+        ],
+        "edges": [
+            {"endpoints": [list(k) for k in edge.endpoints], "witness": edge.witness, "witness_ref": edge.witness_ref}
+            for edge in adjacency_edges(components)
+        ],
         "local_model": local_model(),
     }
 

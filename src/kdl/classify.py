@@ -31,10 +31,11 @@ tuple or a record of another type (a tuple subclass defined elsewhere still
 compares by tuple rules when it is the left operand of ``==``), and
 ``_replace`` validates like the constructor.
 
-Warp convention: order 0 encodes an infinite-order gluing, and plain integer
-divisibility with "0 divides only 0" then states every d-semistability
-criterion uniformly.  Continuous parameters (alpha, j, specific roots of
-unity) are carried as opaque labels and never evaluated.
+Warp convention: ``quotient_degree`` alone states the warp rule (w >= 1 and
+w | e) and e/w, and ``ruled_dsemistable`` adds only that order 0, which encodes
+an infinite-order gluing, divides only 0.  ``TypeSpec.family`` names a type's
+smoothing family.  Continuous parameters (alpha, j, specific roots of unity)
+are carried as opaque labels and never evaluated.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from collections import namedtuple
 from typing import Union
 
-from .errors import InconsistentData, NotSL2
+from .errors import NotDivisible, NotSL2
 from .lattice import mod_inverse
 
 HOPF = "hopf"
@@ -265,23 +266,33 @@ def hopf_invariants(h: HopfDatum) -> tuple[int, int]:
     return math.gcd(n, d), n // math.gcd(n, d, h.b)
 
 
+def quotient_degree(e: int, w: int) -> int:
+    """The warp rule and e/w: a warp w >= 1 dividing e gives e/w, the generic fibre degree of the
+    warp-w quotient, which a d-semistable degeneration smooths to.  Any other warp raises NotDivisible."""
+    if w < 1 or e % w:
+        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
+    return e // w
+
+
 def ruled_dsemistable(e: int, w: int) -> bool:
-    """Divisibility criterion w | e, with w = 0 dividing only e = 0."""
+    """The warp rule of ``quotient_degree``, with w = 0 (infinite order) dividing only e = 0."""
     if w == 0:
         return e == 0
-    return e % w == 0
+    try:
+        quotient_degree(e, w)
+    except NotDivisible:
+        return False
+    return True
 
 
 def smoothing_verdict(e: int, w: int, d_semistable: bool) -> Verdict:
-    """What the surface deforms to: a Kodaira surface of degree e/w, a complex
-    torus (degree 0; never a Kodaira surface), or nothing smooth."""
+    """What the surface deforms to: a Kodaira surface of degree ``quotient_degree(e, w)``,
+    a complex torus (degree 0; never a Kodaira surface), or nothing smooth."""
     if not d_semistable:
         return Verdict.no_smoothing()
     if e == 0:
         return Verdict.complex_torus()
-    if w < 1 or e % w != 0:
-        raise InconsistentData(f"d-semistable claimed but warp {w} does not divide degree {e}")
-    return Verdict.kodaira_surface(e // w)
+    return Verdict.kodaira_surface(quotient_degree(e, w))
 
 
 def _decide_hopf(h: HopfDatum, matrix: GluingMatrix | None) -> tuple[bool, bool, int, int]:
@@ -304,14 +315,15 @@ class Tables(_Record, namedtuple("Tables", "cohomology tangent versal")):
     __slots__ = ()
 
 
-class TypeSpec(_Record, namedtuple("TypeSpec", "datum names decide positive zero criteria param_space")):
+class TypeSpec(_Record, namedtuple("TypeSpec", "datum names decide positive zero criteria param_space family")):
     """Everything one normalization type adds to the classification.
 
     ``datum`` is the type's data record and ``names`` select the type on
     input.  ``decide`` maps a datum and an optional gluing matrix to
     (admissible, d_semistable, e, w).  ``positive`` and ``zero`` hold the
     ``Tables`` for e > 0 and e = 0; ``criteria`` is the text of the type's
-    two criteria and ``param_space`` that of its boundary stratum.
+    two criteria and ``param_space`` that of its boundary stratum, and
+    ``family`` names its smoothing family, a ``kdl.smoothing.FAMILIES`` key.
     """
 
     __slots__ = ()
@@ -329,6 +341,7 @@ TYPES = {
             "d_semistability": "(n1-n2)^2 = 0 and b*(n1-n2) = 0 in Z/n",
         },
         param_space="PuncturedDisk",
+        family="hopf",
     ),
     ELLIPTIC_RULED: TypeSpec(
         datum=EllipticRuledDatum,
@@ -341,6 +354,7 @@ TYPES = {
             "d_semistability": "warp divides degree (0 divides only 0)",
         },
         param_space="ComplexLine",
+        family="elliptic",
     ),
     RATIONAL: TypeSpec(
         datum=RationalDatum,
@@ -353,6 +367,7 @@ TYPES = {
             "d_semistability": "warp divides degree (0 divides only 0)",
         },
         param_space="CStar",
+        family="rational",
     ),
 }
 

@@ -30,11 +30,7 @@ class NotSL2(KdlError):
 
 
 class NotDivisible(KdlError):
-    """Integer quotient requested where the divisor does not divide."""
-
-
-class InconsistentData(KdlError):
-    """Input flags contradict each other (e.g. d-semistable claimed with w not dividing e)."""
+    """A warp that is not a positive divisor of the degree (``kdl.classify.quotient_degree``)."""
 
 
 class MalformedMorphism(KdlError):

@@ -19,6 +19,7 @@ from .classify import (
     ELLIPTIC_RULED,
     HOPF,
     RATIONAL,
+    TYPES,
     HopfDatum,
     TangentDims,
     TangentUnavailable,
@@ -231,6 +232,10 @@ def criterion_boundary_structure():
     failures = []
     param = {HOPF: "PuncturedDisk", RATIONAL: "CStar", ELLIPTIC_RULED: "ComplexLine"}
     for d in range(1, BOUNDARY_D_MAX + 1):
+        for c in enumerate_components(d, BOUNDARY_W_MAX):
+            family = TYPES[c.stratum].family
+            if build_family(family, c.degree, c.warp, window=1).quotient_info.generic_fiber_degree != d:
+                failures.append(f"{family} family at e={c.degree} w={c.warp}")
         for wm in range(1, BOUNDARY_W_MAX + 1):
             components = enumerate_components(d, wm)
             if len(components) != 3 * wm:
@@ -239,16 +244,10 @@ def criterion_boundary_structure():
                 failures.append(f"param spaces d={d} w_max={wm}")
             edges = adjacency_edges(components)
             x1 = {e.endpoints for e in edges if e.witness == "X1Family"}
-            want_x1 = {
-                ((ELLIPTIC_RULED, d * w, w), (HOPF, d * w, w))
-                for w in range(1, wm + 1)
-            }
-            if x1 != want_x1:
+            if x1 != {((ELLIPTIC_RULED, d * w, w), (HOPF, d * w, w)) for w in range(1, wm + 1)}:
                 failures.append(f"X1 edges d={d} w_max={wm}")
             x2 = {e.endpoints for e in edges if e.witness == "X2Family"}
-            want_x2 = (
-                {((RATIONAL, d, 1), (ELLIPTIC_RULED, 2 * d, 2))} if wm >= 2 else set()
-            )
+            want_x2 = {((RATIONAL, d, 1), (ELLIPTIC_RULED, 2 * d, 2))} if wm >= 2 else set()
             if x2 != want_x2:
                 failures.append(f"X2 edges d={d} w_max={wm}")
             for e in edges:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import NotDivisible
+from .classify import quotient_degree
 from .fans import (
     EllipticSmoothing,
     FanKind,
@@ -68,14 +68,12 @@ from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
 
 
 def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
-    """What the parameter names of a ``FAMILIES`` row stand for: "e" the degree,
-    "e/w" the degree of the warp-w quotient's generic fibre; none for the curve family.
-    A warp that is not a positive divisor of e raises NotDivisible."""
+    """What the parameter names of a ``FAMILIES`` row stand for: "e" the degree, "e/w" the degree of the
+    warp-w quotient's generic fibre, which ``kdl.classify.quotient_degree`` (the warp rule's one owner)
+    gives or refuses with NotDivisible; none for the curve family."""
     if e is None:
         return {}
-    if w < 1 or e % w != 0:
-        raise NotDivisible(f"warp {w} must be a positive divisor of degree {e}")
-    return {"e": e, "e/w": e // w}
+    return {"e": e, "e/w": quotient_degree(e, w)}
 
 
 @dataclass(frozen=True)

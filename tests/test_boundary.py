@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kdl.boundary import (
@@ -13,12 +15,35 @@ from kdl.classify import (
     ELLIPTIC_RULED,
     HOPF,
     RATIONAL,
+    TYPES,
     EllipticRuledDatum,
+    HopfDatum,
     RationalDatum,
     Verdict,
     classify,
+    quotient_degree,
     smoothing_verdict,
 )
+from kdl.errors import NotDivisible
+from kdl.smoothing import build_family
+
+
+def d_semistable_witnesses():
+    """The first d-semistable datum of each (type, degree, warp) in a bounded exact
+    search: every Hopf datum with unit residues n1, n2 and n <= 12, then every
+    ruled datum with e, w <= 12 and either admissibility flag."""
+    units = {n: [a for a in range(n) if math.gcd(a, n) == 1] for n in range(1, 13)}
+    data = [HopfDatum(n, n1, n2, b) for n in units for n1 in units[n] for n2 in units[n] for b in range(n)]
+    data += [
+        datum(e, w, flag)
+        for datum in (EllipticRuledDatum, RationalDatum) for e in range(13) for w in range(13) for flag in (True, False)
+    ]
+    found = {}
+    for datum in data:
+        sc = classify(datum)
+        if sc.d_semistable:
+            found.setdefault((sc.surface_type, sc.degree, sc.warp), datum)
+    return found
 
 
 class TestComponents:
@@ -54,8 +79,14 @@ class TestComponents:
                 assert c.degree // c.warp == d
 
     def test_components_classify_to_the_right_degree(self):
+        # Every component (stratum, d*w, w) with d <= 3 and w <= 4 joins three
+        # answers: a d-semistable datum of its type with those invariants
+        # smooths to degree d, its type's family at (d*w, w) has generic fibre
+        # degree d, and every edge joins two components of the same e/w.
+        witnesses = d_semistable_witnesses()
         for d in (1, 2, 3):
-            for c in enumerate_components(d, 4):
+            components = enumerate_components(d, 4)
+            for c in components:
                 verdict = smoothing_verdict(c.degree, c.warp, True)
                 assert verdict == Verdict.kodaira_surface(d)
                 if c.stratum == RATIONAL:
@@ -64,9 +95,18 @@ class TestComponents:
                 elif c.stratum == ELLIPTIC_RULED:
                     sc = classify(EllipticRuledDatum(c.degree, c.warp, translation=True))
                     assert sc.verdict == Verdict.kodaira_surface(d)
+                assert c.key in witnesses, f"no d-semistable witness of {c.key} in the search range"
+                assert classify(witnesses[c.key]).verdict == Verdict.kodaira_surface(d), c.key
+                family = build_family(TYPES[c.stratum].family, c.degree, c.warp, window=1)
+                assert family.quotient_info.generic_fiber_degree == d, c.key
+            edges = adjacency_edges(components)
+            assert {edge.witness for edge in edges} == {"X1Family", "X2Family"}
+            for edge in edges:
+                (_, e1, w1), (_, e2, w2) = edge.endpoints
+                assert quotient_degree(e1, w1) == quotient_degree(e2, w2) == d, edge.endpoints
 
     def test_invalid_component_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotDivisible, match="warp 2 must be a positive divisor of degree 3"):
             StratumComponent(HOPF, degree=3, warp=2)
 
 

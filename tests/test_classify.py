@@ -34,13 +34,16 @@ from kdl.classify import (
     hopf_dsemistable_oracle,
     hopf_invariants,
     hopf_kx_zero,
+    quotient_degree,
     ruled_dsemistable,
     smoothing_verdict,
     surface_class_payload,
     tangent_table,
     versal_descriptor,
 )
-from kdl.errors import InconsistentData, NotAUnit, NotSL2
+from kdl.boundary import STRATA, StratumComponent
+from kdl.errors import NotAUnit, NotDivisible, NotSL2
+from kdl.smoothing import FAMILIES, QuotientInfo, build_family, parameter_values
 
 
 class TestKxZero:
@@ -142,13 +145,46 @@ class TestInvariants:
                             assert e % w == 0
 
 
+def answer(call, *args):
+    """What a call returns, or the class name and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestRuledDsemistable:
     @pytest.mark.parametrize(
         "e,w,expected",
-        [(4, 2, True), (3, 2, False), (0, 0, True), (0, 5, True), (3, 0, False)],
+        [(4, 2, True), (3, 2, False), (0, 0, True), (0, 5, True), (3, 0, False), (4, -2, False), (0, -3, False),
+         (-4, 2, True)],
     )
     def test_divisibility_conventions(self, e, w, expected):
         assert ruled_dsemistable(e, w) is expected
+
+    @pytest.mark.parametrize("w", range(-3, 13))
+    @pytest.mark.parametrize("e", range(-3, 13))
+    def test_every_site_answers_the_warp_rule_alike(self, e, w):
+        # The warp rule (w >= 1 and w | e) and e/w at every site that reads
+        # them; a warp the rule refuses raises one error, NotDivisible, with
+        # one message.  ruled_dsemistable alone lets w = 0 divide e = 0, and
+        # smoothing_verdict answers a complex torus at e = 0 whatever w is.
+        divides = w >= 1 and e % w == 0
+        refused = ("NotDivisible", f"warp {w} must be a positive divisor of degree {e}")
+        assert answer(quotient_degree, e, w) == (e // w if divides else refused)
+        assert ruled_dsemistable(e, w) is (e == 0 if w == 0 else divides)
+        verdict = Verdict.complex_torus() if e == 0 else Verdict.kodaira_surface(e // w) if divides else refused
+        assert answer(smoothing_verdict, e, w, True) == verdict
+        assert answer(parameter_values, e, w) == ({"e": e, "e/w": e // w} if divides else refused)
+        for family in ("hopf", "elliptic", "rational"):
+            low = FAMILIES[family].min_degree
+            below = ("ValueError", f"the {family} family needs degree e >= {low}" if low else "degree must be nonnegative")
+            built = answer(lambda: build_family(family, e, w, window=1).quotient_info)
+            assert built == (refused if not divides else QuotientInfo(w, e // w) if e >= low else below), family
+        for stratum in STRATA:
+            component = answer(lambda: StratumComponent(stratum, e, w).key)
+            below = ("ValueError", "degree and warp must be positive")
+            assert component == (refused if not divides else (stratum, e, w) if e >= 1 else below), stratum
 
 
 class TestTables:
@@ -170,6 +206,12 @@ class TestTables:
         with pytest.raises(ValueError):
             cohomology_table("k3", 1)
 
+    def test_each_type_names_its_smoothing_family(self):
+        assert {key: spec.family for key, spec in TYPES.items()} == {
+            HOPF: "hopf", ELLIPTIC_RULED: "elliptic", RATIONAL: "rational",
+        }
+        assert all(FAMILIES[spec.family].min_degree is not None for spec in TYPES.values())
+
 
 class TestVerdict:
     def test_kodaira_surface(self):
@@ -186,9 +228,10 @@ class TestVerdict:
         assert smoothing_verdict(6, 3, True) == Verdict.kodaira_surface(2)
 
     def test_inconsistent_data(self):
-        with pytest.raises(InconsistentData):
+        # d-semistable claimed with a warp the rule refuses.
+        with pytest.raises(NotDivisible, match="warp 2 must be a positive divisor of degree 3"):
             smoothing_verdict(3, 2, True)
-        with pytest.raises(InconsistentData):
+        with pytest.raises(NotDivisible, match="warp 0 must be a positive divisor of degree 3"):
             smoothing_verdict(3, 0, True)
 
     def test_degree_zero_never_kodaira(self):
@@ -326,7 +369,7 @@ RECORD_FIELDS = {
         "surface_type", "admissible", "d_semistable", "degree", "warp", "verdict", "cohomology", "tangent", "versal",
     ),
     Tables: ("cohomology", "tangent", "versal"),
-    TypeSpec: ("datum", "names", "decide", "positive", "zero", "criteria", "param_space"),
+    TypeSpec: ("datum", "names", "decide", "positive", "zero", "criteria", "param_space", "family"),
 }
 
 small = st.integers(-3, 12)

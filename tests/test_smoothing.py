@@ -1275,15 +1275,34 @@ def test_planted_reports_match_the_full_walk():
 def test_verify_family_matches_the_full_walk(data):
     # Any family and window, up to two plants of any kind at any indices, and
     # at times a shift that is not unipotent or an expected deflection entry
-    # off by one.
+    # off by one.  At times, too, the shapes of the hand-built window tests:
+    # the kind replaced by an equal new object or one of the next degree
+    # (over the old window or the new kind's own), a hole, a narrowed index
+    # range, or a generator replaced by its square.
     family = data.draw(st.sampled_from(FAMILY_NAMES))
     e, w = data.draw(st.sampled_from(family_params(family)))
-    fam = build_family(family, e=e, w=w, window=data.draw(st.integers(1, 2 if family == "rational" else 5)))
+    window = data.draw(st.integers(1, 2 if family == "rational" else 5))
+    fam = build_family(family, e=e, w=w, window=window)
+    if data.draw(st.integers(0, 4)) == 0:
+        other = FAMILIES[family].kind(None if e is None else data.draw(st.sampled_from((e, e + 1))))
+        fan = data.draw(st.sampled_from((fam.fan, kdl.fans.fan_window(other, window))))
+        fam = dataclasses.replace(fam, kind=other, fan=fan)
     axes = range(len(fam.kind.AXES))
     fam = with_plants(fam, data.draw(st.dictionaries(
         st.sampled_from(fam.fan.indices()), st.sampled_from(plant_kinds(fam)), max_size=2)))
     if data.draw(st.integers(0, 4)) == 0:
+        hole = data.draw(st.sampled_from(fam.fan.indices()))
+        fam = with_cones(fam, {i: c for i, c in fam.fan.cones.items() if i != hole})
+    if data.draw(st.integers(0, 4)) == 0:
+        narrowed = tuple((lo + data.draw(st.integers(0, 1)), hi - data.draw(st.integers(0, 1)))
+                         for lo, hi in fam.fan.index_range)
+        fam = dataclasses.replace(fam, fan=FanWindow(fam.fan.kind, narrowed, fam.fan.cones))
+    if data.draw(st.integers(0, 4)) == 0:
         fam = with_non_unipotent_shift(fam, data.draw(st.sampled_from(axes)))
+    if data.draw(st.integers(0, 4)) == 0:
+        at = data.draw(st.integers(0, len(fam.generators) - 1))
+        square = GroupElement.from_matrix(fam.generators[at].lattice_part @ fam.generators[at].lattice_part)
+        fam = dataclasses.replace(fam, generators=fam.generators[:at] + (square,) + fam.generators[at + 1 :])
     patched = nullcontext()
     if data.draw(st.integers(0, 4)) == 0:
         patched = deflection_rows_off_by_one(
