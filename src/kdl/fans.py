@@ -17,9 +17,9 @@ Z, and a window is checked only where it differs from the formula.
 A fan kind declares everything the code below needs once: its JSON ``NAME``,
 its ``AMBIENT_RANK``, its index ``AXES`` (``("m",)``, ``("n",)`` or
 ``("m", "n")``) and, per axis, ``ray_coefficients`` c0, c1[, c2] of its ray
-formula c0 + i*c1 + binom2(i)*c2, of degree at most 2 in the index i.  The
-cone at an index takes, along each axis, that axis's rays at i and i+1;
-``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
+formula c0 + i*c1 + binom2(i)*c2, of degree at most 2 in the index i (a kind in e
+builds them at construction).  The cone at an index takes, along each axis, that
+axis's rays at i and i+1; ``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
 written once over the axes, so a new kind is one more class here.
 
 A window's first lookup builds all its cones (``window_cones``), and each ray
@@ -40,7 +40,7 @@ from operator import attrgetter
 from typing import Callable, ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch
-from .lattice import IntMatrix, IntVec, extends_to_basis, is_unimodular, rank_of
+from .lattice import IntMatrix, IntVec, _record, extends_to_basis, is_unimodular, rank_of
 
 
 def binom2(m: int) -> int:
@@ -71,10 +71,7 @@ class HopfSmoothing:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("degree e must be a positive integer")
-
-    @property
-    def ray_coefficients(self) -> dict:
-        return {"m": ((0, 0, 1), (1, 0, 0), (0, self.e, 0))}  # (m, e*binom2(m), 1)
+        vars(self)["ray_coefficients"] = {"m": ((0, 0, 1), (1, 0, 0), (0, self.e, 0))}  # (m, e*binom2(m), 1)
 
 
 @dataclass(frozen=True)
@@ -100,11 +97,8 @@ class RationalSmoothing:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("degree e must be a positive integer")
-
-    @property
-    def ray_coefficients(self) -> dict:
-        # (m, e*binom2(m), 1, 0) and (0, n, 0, 1)
-        return {"m": ((0, 0, 1, 0), (1, 0, 0, 0), (0, self.e, 0, 0)), "n": ((0, 0, 0, 1), (0, 1, 0, 0))}
+        vars(self)["ray_coefficients"] = {  # (m, e*binom2(m), 1, 0) and (0, n, 0, 1)
+            "m": ((0, 0, 1, 0), (1, 0, 0, 0), (0, self.e, 0, 0)), "n": ((0, 0, 0, 1), (0, 1, 0, 0))}
 
 
 FanKind = Union[MumfordNeron, HopfSmoothing, EllipticSmoothing, RationalSmoothing]
@@ -155,9 +149,8 @@ class Cone:
     @classmethod
     def _trusted(cls, rays, rank: int, smooth: bool, formula: tuple | None = None) -> "Cone":
         """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
-        cone = object.__new__(cls)
-        vars(cone).update(rays=tuple(sorted(rays, key=attrgetter("entries"))), rank=rank, smooth=smooth, formula=formula)
-        return cone
+        rays = tuple(sorted(rays, key=attrgetter("entries")))
+        return _record(cls, rays=rays, rank=rank, smooth=smooth, formula=formula)
 
 
 @dataclass(frozen=True)
@@ -181,9 +174,7 @@ class GroupElement:
     @classmethod
     def _trusted(cls, m: IntMatrix, labels: tuple[str, ...]) -> "GroupElement":
         """An element of a lattice part known unimodular and labels known to fit, stored as given."""
-        g = object.__new__(cls)
-        vars(g).update(lattice_part=m, torus_part=labels)
-        return g
+        return _record(cls, lattice_part=m, torus_part=labels)
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "GroupElement":
@@ -193,7 +184,7 @@ class GroupElement:
 def ray_formula(kind: FanKind, axis: str) -> Callable[[int], IntVec]:
     """Ray i of an axis as a function of i: c0 + i*c1 + binom2(i)*c2 for the axis's coefficients."""
     columns = tuple(zip(*(kind.ray_coefficients[axis] + ((0,) * kind.AMBIENT_RANK,) * 2)[:3]))
-    return lambda i: IntVec._trusted(tuple([a + i * b + k * c for k in (binom2(i),) for a, b, c in columns]))
+    return lambda i: _record(IntVec, entries=tuple([a + i * b + k * c for k in (binom2(i),) for a, b, c in columns]))
 
 
 def _cone(kind: FanKind, at: tuple[int, ...], rays, certified: bool = False) -> Cone:
@@ -243,10 +234,10 @@ def apply(g: GroupElement, c: Cone) -> Cone:
         raise DimMismatch(f"{m.dim}x{m.dim} matrix cannot act on cones of ambient rank {c.rank}")
     if m.dim == c.rank:
         return Cone._trusted([v.times(m) for v in c.rays], c.rank, c.smooth)
-    padded = [IntVec._trusted(v.entries + (0,)).times(m).entries for v in c.rays]
+    padded = [_record(IntVec, entries=v.entries + (0,)).times(m).entries for v in c.rays]
     if any(p[-1] for p in padded):
         raise DimMismatch("action does not preserve the embedded sublattice")
-    return Cone._trusted([IntVec._trusted(p[:-1]) for p in padded], c.rank, c.smooth)
+    return Cone._trusted([_record(IntVec, entries=p[:-1]) for p in padded], c.rank, c.smooth)
 
 
 def share_facet(c1: Cone, c2: Cone) -> bool:
@@ -272,15 +263,15 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
     zero in the n-direction for RationalSmoothing.  A kind with one axis takes
     no direction; a kind with several needs one of its ``AXES``.
     """
-    name = type(kind).__name__
     if len(kind.AXES) == 1:
         if direction is not None:
-            raise ArityMismatch(f"{name} has a single index direction")
+            raise ArityMismatch(f"{type(kind).__name__} has a single index direction")
         direction = kind.AXES[0]
     elif direction not in kind.AXES:
-        raise ArityMismatch(f"direction must be {' or '.join(map(repr, kind.AXES))} for {name}")
+        raise ArityMismatch(f"direction must be {' or '.join(map(repr, kind.AXES))} for {type(kind).__name__}")
     axis_indices(kind, index)  # an index of the wrong arity raises ArityMismatch
-    return IntVec._trusted((*kind.ray_coefficients[direction], (0,) * kind.AMBIENT_RANK, (0,) * kind.AMBIENT_RANK)[2])
+    zero = (0,) * kind.AMBIENT_RANK
+    return _record(IntVec, entries=(*kind.ray_coefficients[direction], zero, zero)[2])
 
 
 @dataclass(frozen=True)
@@ -342,7 +333,8 @@ def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWi
     """
     if bound < 1:
         raise ValueError("window bound must be at least 1")
-    return FanWindow(kind, ((-bound, bound),) * len(kind.AXES), _FormulaCones(kind, bound, certified))
+    cones = _FormulaCones(kind, bound, certified)
+    return _record(FanWindow, kind=kind, index_range=cones.formula[1], cones=cones)
 
 
 def window_payload(window: FanWindow) -> dict:

@@ -17,14 +17,24 @@ from typing import Iterable, Sequence
 from .errors import NotAUnit, RankMismatch
 
 
+_new, _setattr = object.__new__, object.__setattr__  # looked up once: _record runs on every hot path
+
+
+def _record(cls, **fields):
+    """A frozen dataclass ``cls`` holding ``fields`` (every field, in field order) as given, without ``__init__``:
+    no conversion, check or ``__post_init__``, for fields its caller has already checked."""
+    record = _new(cls)
+    _setattr(record, "__dict__", fields)
+    return record
+
+
 @dataclass(frozen=True)
 class IntVec:
     """An integer row vector; ``rank`` is its length.
 
     ``IntVec(...)`` converts every entry with ``int`` and rejects an empty
     tuple.  The right action ``times``, computed from entries that are
-    already ints, builds its result with the private ``_trusted`` instead,
-    which stores the tuple as it is.
+    already ints, builds its result with ``_record`` instead.
     """
 
     entries: tuple[int, ...]
@@ -33,13 +43,6 @@ class IntVec:
         object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
         if len(self.entries) == 0:
             raise ValueError("IntVec needs at least one entry")
-
-    @classmethod
-    def _trusted(cls, entries: tuple[int, ...]) -> "IntVec":
-        """A vector from a nonempty tuple of ints, stored without conversion or checks."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "entries", entries)
-        return vec
 
     @property
     def rank(self) -> int:
@@ -53,7 +56,7 @@ class IntVec:
         """Right action: the row vector self @ m."""
         if self.rank != m.dim:
             raise RankMismatch(f"vector of rank {self.rank} cannot act on a {m.dim}x{m.dim} matrix")
-        return IntVec._trusted(tuple([sum(map(mul, self.entries, col)) for col in m.cols]))
+        return _record(IntVec, entries=tuple([sum(map(mul, self.entries, col)) for col in m.cols]))
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,7 @@ class IntMatrix:
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """A matrix from square, nonempty tuples of int rows, stored without conversion or checks."""
-        m = object.__new__(cls)
-        vars(m).update(rows=rows, cols=tuple(zip(*rows)))
-        return m
+        return _record(cls, rows=rows, cols=tuple(zip(*rows)))
 
     @property
     def dim(self) -> int:

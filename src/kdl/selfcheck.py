@@ -77,15 +77,18 @@ CRITERIA: list[Criterion] = []  # in number order, as declared below
 def _criterion(number: int, name: str, bound: float | None = None):
     """Register a body returning (passed, detail) as criterion ``number``.
 
-    The registered function times the body, fails it when it reaches its
-    budget, and builds the CriterionResult.
+    The registered function times the body, fails it when it reaches its budget
+    or raises (with the exception's type and message), and builds the CriterionResult.
     """
 
     def register(body: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
         @functools.wraps(body)
         def run() -> CriterionResult:
             t0 = time.perf_counter()
-            passed, detail = body()
+            try:
+                passed, detail = body()
+            except Exception as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - t0
             if bound is not None and elapsed >= bound:
                 passed, detail = False, f"{detail}; exceeded {bound}s budget"

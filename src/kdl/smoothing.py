@@ -31,13 +31,13 @@ For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
 each ray v; unipotence then gives v(g - I) = 0, so g fixes the cone already.
 Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 
-``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row
-per family holds its minimum degree, fan kind, generators as data (each
-lattice part as written in the paper, its entries ints or the parameter
-names "e" and "e/w"), parameter labels, expected deflection per axis and
-untested notes.  ``build_family`` and ``verify_family`` read that row and
-derive everything else from the kind's ``AXES``.  Adding a family takes one
-fan kind in ``kdl.fans`` (its ``AXES`` and the ``ray_coefficients`` of each
+``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row per family holds its minimum
+degree, fan kind, generators as data (each lattice part as written in the paper, its entries ints or the
+parameter names "e" and "e/w"), parameter labels, expected deflection per axis and untested notes.
+``build_family`` and ``verify_family`` read that row and derive everything else from the kind's ``AXES``;
+a row derives its generator template once, and the records they build from fields already checked (the
+family, its window, parameters and quotient, each check result, the report) skip ``__init__`` (``_record``).
+Adding a family takes one fan kind in ``kdl.fans`` (its ``AXES`` and the ``ray_coefficients`` of each
 axis) and one row here, with one shift generator per axis listed first.
 """
 
@@ -64,7 +64,7 @@ from .fans import (
     share_facet,
     window_payload,
 )
-from .lattice import IntMatrix, IntVec, det, extends_to_basis, is_unipotent
+from .lattice import IntMatrix, IntVec, _record, det, extends_to_basis, is_unipotent
 
 
 def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
@@ -74,6 +74,20 @@ def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
     if e is None:
         return {}
     return {"e": e, "e/w": quotient_degree(e, w)}
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    e: int | None = None
+    w: int | None = None
+    alpha_label: str | None = None
+    zeta_label: str | None = None
+
+
+@dataclass(frozen=True)
+class QuotientInfo:
+    galois_order: int
+    generic_fiber_degree: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +103,9 @@ class FamilySpec:
     step along each axis of the fan, and every later one must fix the fan.
     The shifts are unipotent, which ``prove_row`` proves; a shift that
     is not makes ``verify_family`` try every power in its freeness check.
-    ``deflections`` maps e to the expected deflection along each axis.
+    ``deflections`` maps e to a tuple of ints per axis, the expected deflection.
+    A row derives its generator ``template`` and ``FamilyParams`` fields (``params``) once, ``dataclasses.replace``
+    anew, so a trusted ``generators`` call builds only the generators with a row that names a parameter.
     """
 
     min_degree: int | None
@@ -99,14 +115,25 @@ class FamilySpec:
     deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
     untested: tuple[str, ...] = ()
 
-    def generators(self, e: int | None, w: int | None, trusted=False) -> tuple[tuple[str, GroupElement], ...]:
-        values, named = parameter_values(e, w), []
+    def __post_init__(self):
+        template = []  # per generator: name, rows, labels, which rows name a parameter, its element if none does
         for name, rows, labels in self.group:
-            # Rows None are the identity's (a torus translation); a row naming no parameter is taken as written.
             rows = rows or tuple((0,) * i + (1,) + (0,) * (len(labels) - 1 - i) for i in range(len(labels)))
-            rows = tuple(row if values.keys().isdisjoint(row) else tuple(map(values.get, row, row)) for row in rows)
-            labels, m = labels or ("1",) * len(rows), (IntMatrix._trusted if trusted else IntMatrix)(rows)
-            named.append((name, (GroupElement._trusted if trusted else GroupElement)(m, labels)))
+            labels, naming = labels or ("1",) * len(rows), tuple(any(isinstance(x, str) for x in row) for row in rows)
+            fixed = None if any(naming) else GroupElement._trusted(IntMatrix._trusted(rows), labels)
+            template.append((name, rows, labels, naming, fixed))
+        vars(self).update(template=tuple(template), params=vars(FamilyParams(**self.labels)))
+
+    def generators(self, e: int | None, w: int | None, trusted=False, values=None) -> tuple:
+        """The named generators at (e, w); ``values``, if given, are ``parameter_values(e, w)``."""
+        values = parameter_values(e, w) if values is None else values
+        matrix, element = (IntMatrix._trusted, GroupElement._trusted) if trusted else (IntMatrix, GroupElement)
+        named = []
+        for name, rows, labels, naming, fixed in self.template:
+            if not (trusted and fixed):
+                rows = tuple([tuple(map(values.get, row, row)) if n else row for row, n in zip(rows, naming)])
+                fixed = element(matrix(rows), labels)
+            named.append((name, fixed))
         return tuple(named)
 
     def certified(self) -> bool:
@@ -172,20 +199,6 @@ FAMILY_NAMES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
-class FamilyParams:
-    e: int | None = None
-    w: int | None = None
-    alpha_label: str | None = None
-    zeta_label: str | None = None
-
-
-@dataclass(frozen=True)
-class QuotientInfo:
-    galois_order: int
-    generic_fiber_degree: int
-
-
-@dataclass(frozen=True)
 class SmoothingFamily:
     """A fan window, its generators, quotient bookkeeping and a proved row's certificate (kind, named generators)."""
 
@@ -231,7 +244,7 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
     if spec.min_degree is None:
         if e is not None or w is not None:
             raise ValueError(f"the {family} family takes no degree or warp")
-        params, quotient_info = FamilyParams(), None
+        values, quotient_info = parameter_values(e, w), None
     else:
         if e is None:
             raise ValueError(f"the {family} family needs a degree e")
@@ -243,19 +256,12 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
                 if spec.min_degree
                 else "degree must be nonnegative"
             )
-        params = FamilyParams(e=e, w=w, **spec.labels)
-        quotient_info = QuotientInfo(galois_order=w, generic_fiber_degree=values["e/w"])
-    kind, named = spec.kind(e), spec.generators(e, w, certified := spec.certified())
-    return SmoothingFamily(
-        family=family,
-        kind=kind,
-        params=params,
-        fan=fan_window(kind, window, certified),
-        generators=tuple(g for _, g in named),
-        generator_names=tuple(name for name, _ in named),
-        quotient_info=quotient_info,
-        certificate=(kind, named) if certified else None,
-    )
+        quotient_info = _record(QuotientInfo, galois_order=w, generic_fiber_degree=values["e/w"])
+    kind, named = spec.kind(e), spec.generators(e, w, certified := spec.certified(), values)
+    (names, generators), params = zip(*named), _record(FamilyParams, **spec.params | {"e": e, "w": w})
+    return _record(SmoothingFamily, family=family, kind=kind, params=params, fan=fan_window(kind, window, certified),
+                   generators=generators, generator_names=names, quotient_info=quotient_info,
+                   certificate=(kind, named) if certified else None)
 
 
 UNTESTED_COMMON = (
@@ -434,17 +440,15 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
         *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
         *(
-            (f"deflection{suffix}", check_deflection(walk, direction, IntVec(expected)))
+            (f"deflection{suffix}", check_deflection(walk, direction, _record(IntVec, entries=expected)))
             for suffix, direction, expected in zip(walk.suffixes, directions, spec.deflections(f.params.e))
         ),
         ("freeness_proxy", check_freeness_proxy(walk)),
         ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),
     ]
-    return VerificationReport(
-        family=f.family,
-        checks=tuple(CheckResult(name, failure is None, failure) for name, failure in checks),
-        untested=UNTESTED_COMMON + spec.untested,
-    )
+    checks = tuple([_record(CheckResult, name=name, passed=failure is None, counterexample=failure)
+                    for name, failure in checks])
+    return _record(VerificationReport, family=f.family, checks=checks, untested=UNTESTED_COMMON + spec.untested)
 
 
 def family_payload(f: SmoothingFamily) -> dict:

@@ -3,12 +3,16 @@ the time budget its registration states, and every criterion's test reads
 that one run (pytest -s prints the same lines as the CLI selftest)."""
 
 import dataclasses
+import io
 import itertools
+import re
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
 from kdl import selfcheck
+from kdl.cli import main
 from kdl.smoothing import FAMILIES
 
 
@@ -93,6 +97,46 @@ def test_criterion_past_its_budget_fails(monkeypatch):
     assert result.detail.endswith("35 battery checks; exceeded 1.0s budget"), result.detail
     assert result.line().startswith("FAIL  5 fan_battery_elliptic_mumford: ")
     assert selfcheck.criterion_tables().passed
+
+
+def test_a_raising_criterion_fails_alone(monkeypatch):
+    # A body that raises fails its criterion, with the exception's type and
+    # message as the detail, instead of ending the run.
+    def raising(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(selfcheck, "build_family", raising)
+    result = selfcheck.criterion_fan_battery_hopf()
+    assert (result.number, result.passed, result.detail) == (3, False, "RuntimeError: planted")
+    assert result.line().startswith("FAIL  3 fan_battery_hopf: RuntimeError: planted [")
+
+
+def test_selftest_runs_every_criterion_past_a_raising_one(monkeypatch):
+    # The registry re-registered through _criterion with quick bodies, of
+    # which criterion 3's raises: run_all still returns all ten results, and
+    # `kdl selftest` prints one line per criterion and exits 1.
+    registered, ran = list(selfcheck.CRITERIA), []
+    monkeypatch.setattr(selfcheck, "CRITERIA", [])
+    for criterion in registered:
+
+        def body(number=criterion.number):
+            ran.append(number)
+            if number == 3:
+                raise ValueError("no such row")
+            return True, "quick"
+
+        selfcheck._criterion(criterion.number, criterion.name, bound=60.0)(body)
+    results = selfcheck.run_all()
+    assert [(r.number, r.name) for r in results] == [(c.number, c.name) for c in registered]
+    assert [r.number for r in results if not r.passed] == [3] and ran == list(range(1, 11))
+    assert results[2].detail == "ValueError: no such row"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["selftest"])
+    lines = [re.sub(r" \[\d+\.\d\ds\]$", "", line) for line in out.getvalue().splitlines()]
+    expected = [f"PASS {c.number:2d} {c.name}: quick" for c in registered] + ["passed 9/10 criteria"]
+    expected[2] = "FAIL  3 fan_battery_hopf: ValueError: no such row"
+    assert (code, lines) == (1, expected)
 
 
 @pytest.mark.parametrize("criterion, family, first", [

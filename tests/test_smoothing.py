@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -805,8 +807,8 @@ def moved_row(spec, at, r, c, slope, step, parameter=None):
     A0 + t*A1 in the row's parameter t, moved by ``step`` in A1 if ``slope``
     else in A0; its generators are built unvalidated, as a certified row's."""
 
-    def generators(self, e, w, trusted=False):
-        named = FamilySpec.generators(self, e, w, True)
+    def generators(self, e, w, trusted=False, values=None):
+        named = FamilySpec.generators(self, e, w, True, values)
         name, g = named[at]
         rows = [list(row) for row in g.lattice_part.rows]
         rows[r][c] += step * (parameter_values(e, w)[parameter] if slope else 1)
@@ -1064,6 +1066,9 @@ class TestRecords:
         fam = build_family("hopf", e=2, w=1, window=2)
         components = enumerate_components(1, 2)
         records = (
+            fam,
+            fam.fan,
+            verify_family(fam),
             fam.params,
             fam.quotient_info,
             verify_family(fam).checks[0],
@@ -1085,6 +1090,83 @@ class TestRecords:
             for name in ("e", "galois_order", "passed", "extra", *fields):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 1)
+
+    @staticmethod
+    def checked_records():
+        """Every record ``build_family`` and ``verify_family`` build from checked fields, without their dataclass
+        ``__init__``: for every row with e <= 8 and w | e at windows 1 and 8, a planted window and a hand-made
+        uncertified family (a shift that is not unipotent), whose reports fail checks."""
+        families = [build_family(family, e=e, w=w, window=window)
+                    for family in FAMILY_NAMES for e, w in family_params(family) for window in (1, 8)]
+        hopf = build_family("hopf", e=4, w=2, window=3)
+        families += [with_plants(hopf, {3: ("near", 0, -1)}), with_non_unipotent_shift(hopf, 0)]
+        for fam in families:
+            report = verify_family(fam)
+            yield from (fam, fam.fan, fam.params, fam.quotient_info, report, *report.checks)
+
+    def test_checked_records_match_the_constructors(self):
+        def hashed(record):
+            try:
+                return hash(record)
+            except TypeError as exc:  # a window's cones are a mapping, so a family and its window do not hash
+                return str(exc)
+
+        kinds, failing = Counter(), 0
+        for record in self.checked_records():
+            if record is None:  # the curve family has no quotient
+                continue
+            built = type(record)(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init})
+            assert record == built and built == record and repr(record) == repr(built), record
+            assert list(vars(record)) == list(vars(built)) and hashed(record) == hashed(built), record
+            assert pickle.dumps(record) == pickle.dumps(built) and pickle.loads(pickle.dumps(record)) == built
+            assert copy.deepcopy(record) == built and repr(copy.deepcopy(record)) == repr(built)
+            assert dataclasses.replace(record) == built == dataclasses.replace(built)
+            kinds[type(record).__name__] += 1
+            failing += getattr(record, "passed", True) is False
+        assert set(kinds) == {"SmoothingFamily", "FanWindow", "FamilyParams", "QuotientInfo", "VerificationReport",
+                              "CheckResult"} and failing >= 2, (kinds, failing)
+
+
+def evaluated(group, e, w):
+    """A row's generators at (e, w), evaluated straight from its ``group`` through the validating constructors."""
+    values, named = parameter_values(e, w), []
+    for name, rows, labels in group:
+        dim = len(rows or labels)
+        rows = rows or identity(dim).rows
+        rows = tuple(tuple(values.get(x, x) if isinstance(x, str) else x for x in row) for row in rows)
+        named.append((name, GroupElement(IntMatrix(rows), labels or ("1",) * dim)))
+    return tuple(named)
+
+
+def test_a_replaced_row_builds_from_its_own_group(monkeypatch):
+    # A row's generator template is derived per row: a row made with
+    # dataclasses.replace(spec, group=...) evaluates its own group, trusted or
+    # not, in generators and in build_family, and the row it replaced still
+    # evaluates its own.  Transposing every lattice part moves each parameter
+    # to another row; the rows of test_a_row_of_two_parameters_is_not_certified
+    # read the other parameter.
+    hopf, elliptic = FAMILIES["hopf"], FAMILIES["elliptic"]
+    replaced = [
+        (family, dataclasses.replace(spec, group=tuple(
+            (name, rows and tuple(zip(*rows)), labels and labels[::-1]) for name, rows, labels in spec.group)))
+        for family, spec in FAMILIES.items()
+    ] + [
+        ("hopf", dataclasses.replace(hopf, group=(
+            ("polygon_shift", ((1, "e/w", 0), (0, 1, 0), (1, 0, 1)), None),) + hopf.group[1:])),
+        ("elliptic", dataclasses.replace(elliptic, group=(
+            ("polygon_shift", ((1, "e", 0), (0, 1, 0), (0, 1, 1)), None),) + elliptic.group[1:])),
+    ]
+    for family, row in replaced:
+        spec = FAMILIES[family]
+        assert row.group != spec.group, family
+        for e, w in family_params(family):
+            for trusted in (False, True):
+                assert row.generators(e, w, trusted) == evaluated(row.group, e, w), (family, e, w, trusted)
+                assert spec.generators(e, w, trusted) == evaluated(spec.group, e, w), (family, e, w, trusted)
+            with monkeypatch.context() as patched:
+                patched.setitem(FAMILIES, family, row)
+                fam = build_family(family, e=e, w=w, window=1)
+            assert tuple(zip(fam.generator_names, fam.generators)) == evaluated(row.group, e, w), (family, e, w)
 
 
 # ---------------------------------------------------------------------------
