@@ -287,10 +287,10 @@ def ruled_dsemistable(e: int, w: int) -> bool:
 
 def smoothing_verdict(e: int, w: int, d_semistable: bool) -> Verdict:
     """What the surface deforms to: a Kodaira surface of degree ``quotient_degree(e, w)``,
-    a complex torus (degree 0; never a Kodaira surface), or nothing smooth."""
+    a complex torus (degree 0, at a warp ``ruled_dsemistable`` admits; never a Kodaira surface), or nothing smooth."""
     if not d_semistable:
         return Verdict.no_smoothing()
-    if e == 0:
+    if e == 0 and ruled_dsemistable(e, w):
         return Verdict.complex_torus()
     return Verdict.kodaira_surface(quotient_degree(e, w))
 

@@ -9,23 +9,21 @@ generator formula:
 * ``RationalSmoothing(e)`` -- in Z^4, cones spanned by two consecutive Hopf-type
   rays (last coordinate split) and two consecutive elliptic-type rays.
 
-Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A
-``FanWindow`` is a finite slice of such a fan, built whole at its first read;
-``kdl.smoothing.prove_row`` proves the verification claims for every index in
-Z, and a window is checked only where it differs from the formula.
+Here binom2(m) = m(m-1)/2 as a polynomial, valid for every integer m.  A ``FanWindow`` is a finite slice of such
+a fan, built whole at its first read; ``kdl.smoothing.prove_row`` proves the verification claims for every index
+in Z, and a window is checked only where it differs from the formula.
 
-A fan kind declares everything the code below needs once: its JSON ``NAME``,
-its ``AMBIENT_RANK``, its index ``AXES`` (``("m",)``, ``("n",)`` or
-``("m", "n")``) and, per axis, ``ray_coefficients`` c0, c1[, c2] of its ray
-formula c0 + i*c1 + binom2(i)*c2, of degree at most 2 in the index i (a kind in e
-builds them at construction).  The cone at an index takes, along each axis, that
-axis's rays at i and i+1; ``cone_at``, ``deflection``, ``fan_window`` and ``window_payload`` are
-written once over the axes, so a new kind is one more class here.
+A fan kind declares everything the code below needs once: its JSON ``NAME``, its ``AMBIENT_RANK``, its index
+``AXES`` (``("m",)``, ``("n",)`` or ``("m", "n")``) and, per axis, ``ray_coefficients`` c0, c1[, c2] of its ray
+formula c0 + i*c1 + binom2(i)*c2, of degree at most 2 in the index i (a kind in e builds them at construction).
+The cone at an index takes, along each axis, that axis's rays at i and i+1; ``cone_at``, ``deflection``,
+``fan_window`` and ``window_payload`` are written once over the axes, so a new kind is one more class here.
 
-A window's first lookup builds all its cones (``window_cones``), and each ray
-once, which its cones share.  A ``Cone`` validates its rays with one basis-extension test,
-which also decides its smoothness; the cone stores the answer, and ``apply``
-hands it on to images.  A formula cone carries its kind and index as ``formula``.
+A window's first lookup builds all its cones (``window_cones``): each axis's rays are evaluated once, into ordered
+pairs of rays i and i+1 its cones share, and each cone is one record tagged with its kind and index (``formula``).
+A ``Cone`` validates its rays by one basis-extension test, which also decides its smoothness; ``apply`` (one
+arithmetic path) hands that on to images.  A window that departs from the formula costs one build per cone, plus
+the checks at its departures and their neighbours.
 
 Matrices act on row vectors from the right throughout.
 """
@@ -34,13 +32,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
-from itertools import product
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, product, repeat
+from operator import attrgetter, mul
 from typing import Callable, ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch
-from .lattice import IntMatrix, IntVec, _record, extends_to_basis, is_unimodular, rank_of
+from .lattice import IntMatrix, IntVec, _new, _record, _setattr, extends_to_basis, is_unimodular, rank_of
+
+_entries = attrgetter("entries")  # the lexicographic sort key of rays
 
 
 def binom2(m: int) -> int:
@@ -119,12 +119,11 @@ def axis_indices(kind: FanKind, index) -> tuple[int, ...]:
 class Cone:
     """A simplicial rational cone given by primitive, independent rays.
 
-    The ray tuple is canonicalized to lexicographic order on construction, so
-    equal cones compare equal.  After the per-ray primitivity check one
-    basis-extension test of the rays both validates the cone and decides its
-    smoothness: rays that extend to a lattice basis are independent, so their
-    rank is computed only when the test fails.  ``smooth`` holds the answer, and
-    ``formula`` a formula cone's (kind, per-axis index); neither is compared, hashed or shown.
+    The ray tuple is canonicalized to lexicographic order on construction, so equal cones compare equal.  After
+    the per-ray primitivity check one basis-extension test of the rays both validates the cone and decides its
+    smoothness: rays that extend to a lattice basis are independent, so their rank is computed only when the
+    test fails.  ``smooth`` holds the answer, and ``formula`` a formula cone's (kind, per-axis index); neither is
+    compared, hashed or shown.  A certified window cone and an ``apply`` image are one record, not validated.
     """
 
     rays: tuple[IntVec, ...]
@@ -133,8 +132,7 @@ class Cone:
     formula: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rays = tuple(sorted(self.rays, key=attrgetter("entries")))
-        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "rays", rays := tuple(sorted(self.rays, key=_entries)))
         if not rays:
             raise ValueError("a cone needs at least one ray")
         if any(v.rank != self.rank for v in rays):
@@ -145,12 +143,6 @@ class Cone:
         if not smooth and rank_of([v.entries for v in rays]) != len(rays):
             raise ValueError("cone rays must be linearly independent")
         object.__setattr__(self, "smooth", smooth)
-
-    @classmethod
-    def _trusted(cls, rays, rank: int, smooth: bool, formula: tuple | None = None) -> "Cone":
-        """A cone from rays already known primitive, independent, of the given rank and smoothness; only sorts them."""
-        rays = tuple(sorted(rays, key=attrgetter("entries")))
-        return _record(cls, rays=rays, rank=rank, smooth=smooth, formula=formula)
 
 
 @dataclass(frozen=True)
@@ -182,62 +174,69 @@ class GroupElement:
 
 
 def ray_formula(kind: FanKind, axis: str) -> Callable[[int], IntVec]:
-    """Ray i of an axis as a function of i: c0 + i*c1 + binom2(i)*c2 for the axis's coefficients."""
+    """Ray i of an axis as a function of i: c0 + i*c1 + binom2(i)*c2 for the axis's coefficients, as one record."""
     columns = tuple(zip(*(kind.ray_coefficients[axis] + ((0,) * kind.AMBIENT_RANK,) * 2)[:3]))
-    return lambda i: _record(IntVec, entries=tuple([a + i * b + k * c for k in (binom2(i),) for a, b, c in columns]))
+
+    def ray(i: int) -> IntVec:  # runs once per window ray, so it sets the record's field without _record's call
+        k = i * (i - 1) // 2  # binom2(i)
+        _setattr(v := _new(IntVec), "entries", tuple([a + i * b + k * c for a, b, c in columns]))
+        return v
+
+    return ray
 
 
-def _cone(kind: FanKind, at: tuple[int, ...], rays, certified: bool = False) -> Cone:
-    """The cone at the per-axis integers ``at``; ``rays[a](i)`` is ray i of axis a.
+def _pairs(rays: list[IntVec]) -> list[tuple[IntVec, IntVec]]:
+    """Each two consecutive rays of a list, in lexicographic order."""
+    return [(v, u) if v.entries <= u.entries else (u, v) for v, u in zip(rays, rays[1:])]
 
-    Along each axis the cone takes that axis's rays at i and i+1; a certified
-    cone is smooth, any other is validated.  The cone's ``formula`` is (kind, at).
-    """
-    spanning = [ray(i + k) for ray, i in zip(rays, at) for k in (0, 1)]
-    smooth = certified or Cone(tuple(spanning), kind.AMBIENT_RANK).smooth
-    return Cone._trusted(spanning, kind.AMBIENT_RANK, smooth, (kind, at))
+
+def _cone(kind: FanKind, at: tuple[int, ...], pairs, certified: bool = False) -> Cone:
+    """The cone at per-axis integers ``at``, tagged ``formula`` (kind, at), of each axis a's rays i, i+1 in ``pairs[a]``
+    (as ``_pairs`` orders them), sorted once on more axes: one record if ``certified``, else validated by ``Cone``."""
+    rays = pairs[0] if len(pairs) == 1 else tuple(sorted(chain(*pairs), key=_entries))
+    if certified:  # once per window cone, so it fills in the record without _record's call
+        fields = vars(cone := _new(Cone))
+        fields["rays"], fields["rank"], fields["smooth"], fields["formula"] = rays, kind.AMBIENT_RANK, True, (kind, at)
+        return cone
+    _setattr(cone := Cone(rays, kind.AMBIENT_RANK), "formula", (kind, at))  # validated; its sort keeps the order
+    return cone
 
 
 def cone_at(kind: FanKind, index) -> Cone:
-    """The cone of the infinite fan at the given index, straight from the generator formula."""
-    return _cone(kind, axis_indices(kind, index), [ray_formula(kind, axis) for axis in kind.AXES])
+    """The cone of the infinite fan at the given index, straight from the generator formula, validated once."""
+    at, rays = axis_indices(kind, index), [ray_formula(kind, axis) for axis in kind.AXES]
+    return _cone(kind, at, tuple([_pairs([ray(i), ray(i + 1)])[0] for ray, i in zip(rays, at)]))
 
 
 def cone_is_smooth(c: Cone) -> bool:
-    """Smoothness of the associated toric chart: the rays extend to a lattice basis.
-
-    ``Cone`` decides this once when it validates its rays, and ``apply``
-    carries it over to the image, so this reads the stored ``smooth``.
-    """
+    """Smoothness of the associated toric chart: the rays extend to a lattice basis.  ``Cone`` decides this once
+    when it validates its rays, and ``apply`` carries it over to the image, so this reads the stored ``smooth``."""
     return c.smooth
 
 
 def apply(g: GroupElement, c: Cone) -> Cone:
-    """Image of a cone under the right action of g's lattice part.
+    """Image of a cone under the right action of g's lattice part, by one arithmetic path.
 
-    A matrix of dimension rank+1 acts through the embedding of the ambient
-    lattice as the first rank coordinates; the action must preserve that
-    sublattice.
+    A matrix of dimension rank+1 acts through the embedding of the ambient lattice as the first rank
+    coordinates, and must preserve that sublattice.  Each image entry is ``sum(map(mul, v, col))`` over the matrix
+    columns; ``map`` stops at the end of v, before an embedded column's padded 0, and the popped last entry must be 0.
 
-    The image skips the ``Cone`` validation and takes the source cone's
-    ``smooth``: ``GroupElement`` keeps its lattice part unimodular, and a
-    unimodular map sends primitive, independent rays to primitive,
-    independent rays, and rays that extend to a lattice basis to rays that
-    do.  In the embedded case (v, 0) is primitive in Z^(rank+1), so is its
-    image, and an image whose last coordinate is 0 is therefore primitive in
-    Z^rank.  Smoothness carries over too: rays v_i extend to a basis of Z^rank
-    exactly when the (v_i, 0) extend to a basis of Z^(rank+1) (the quotient
-    gains a free summand Z), which the map preserves.
+    The image skips the ``Cone`` validation and takes the source cone's ``smooth``: ``GroupElement`` keeps its
+    lattice part unimodular, and a unimodular map sends primitive, independent rays to primitive, independent
+    rays, and rays that extend to a lattice basis to rays that do.  In the embedded case (v, 0) is primitive in
+    Z^(rank+1), so is its image, and an image whose last coordinate is 0 is therefore primitive in Z^rank.
+    Smoothness carries over too: rays v_i extend to a basis of Z^rank exactly when the (v_i, 0) extend to a
+    basis of Z^(rank+1) (the quotient gains a free summand Z), which the map preserves.
     """
-    m = g.lattice_part
-    if m.dim != c.rank and m.dim != c.rank + 1:
-        raise DimMismatch(f"{m.dim}x{m.dim} matrix cannot act on cones of ambient rank {c.rank}")
-    if m.dim == c.rank:
-        return Cone._trusted([v.times(m) for v in c.rays], c.rank, c.smooth)
-    padded = [_record(IntVec, entries=v.entries + (0,)).times(m).entries for v in c.rays]
-    if any(p[-1] for p in padded):
+    m, rank = g.lattice_part, c.rank
+    if len(m.cols) - rank not in (0, 1):
+        raise DimMismatch(f"{m.dim}x{m.dim} matrix cannot act on cones of ambient rank {rank}")
+    images = [[sum(map(mul, v.entries, col)) for col in m.cols] for v in c.rays]
+    if len(m.cols) > rank and any([image.pop() for image in images]):
         raise DimMismatch("action does not preserve the embedded sublattice")
-    return Cone._trusted([_record(IntVec, entries=p[:-1]) for p in padded], c.rank, c.smooth)
+    images.sort()
+    return _record(Cone, rays=tuple([_record(IntVec, entries=tuple(image)) for image in images]), rank=rank,
+                   smooth=c.smooth, formula=None)
 
 
 def share_facet(c1: Cone, c2: Cone) -> bool:
@@ -293,11 +292,12 @@ class FanWindow:
 
 
 def window_cones(kind: FanKind, bound: int, certified: bool = False) -> dict:
-    """Every cone with |index| <= bound on every axis, keyed and ordered as ``FanWindow.cones``: trusted if
-    ``certified`` (``kdl.smoothing.prove_row`` proved them smooth), each ray -bound..bound+1 of an axis built once."""
-    rays, one = [cache(ray_formula(kind, axis)) for axis in kind.AXES], len(kind.AXES) == 1
-    span = range(-bound, bound + 1)
-    return {at[0] if one else at: _cone(kind, at, rays, certified) for at in product(span, repeat=len(kind.AXES))}
+    """Every cone with |index| <= bound on every axis, keyed and ordered as ``FanWindow.cones``, trusted if
+    ``certified`` (``prove_row`` proved them smooth), else validated; each ray -bound..bound+1 evaluated once."""
+    pairs = [_pairs(list(map(ray_formula(kind, axis), range(-bound, bound + 2)))) for axis in kind.AXES]
+    ats = list(product(span := range(-bound, bound + 1), repeat=len(pairs)))
+    cones = map(_cone, repeat(kind), ats, product(*pairs), repeat(certified))
+    return dict(zip(span if len(pairs) == 1 else ats, cones))
 
 
 class _FormulaCones(Mapping):

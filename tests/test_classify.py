@@ -168,12 +168,12 @@ class TestRuledDsemistable:
         # The warp rule (w >= 1 and w | e) and e/w at every site that reads
         # them; a warp the rule refuses raises one error, NotDivisible, with
         # one message.  ruled_dsemistable alone lets w = 0 divide e = 0, and
-        # smoothing_verdict answers a complex torus at e = 0 whatever w is.
+        # smoothing_verdict answers a complex torus at e = 0 for every w >= 0.
         divides = w >= 1 and e % w == 0
         refused = ("NotDivisible", f"warp {w} must be a positive divisor of degree {e}")
         assert answer(quotient_degree, e, w) == (e // w if divides else refused)
         assert ruled_dsemistable(e, w) is (e == 0 if w == 0 else divides)
-        verdict = Verdict.complex_torus() if e == 0 else Verdict.kodaira_surface(e // w) if divides else refused
+        verdict = Verdict.complex_torus() if e == 0 <= w else Verdict.kodaira_surface(e // w) if divides else refused
         assert answer(smoothing_verdict, e, w, True) == verdict
         assert answer(parameter_values, e, w) == ({"e": e, "e/w": e // w} if divides else refused)
         for family in ("hopf", "elliptic", "rational"):

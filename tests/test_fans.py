@@ -32,7 +32,7 @@ from kdl.fans import (
     window_cones,
     window_payload,
 )
-from kdl.lattice import IntMatrix, IntVec, det
+from kdl.lattice import IntMatrix, IntVec, _record, det
 from kdl.smoothing import FAMILIES
 
 
@@ -170,7 +170,7 @@ class TestSmoothness:
 
     def test_smoothness_leaves_equality_and_hash_alone(self):
         cone = cone_at(HopfSmoothing(2), 0)
-        flipped = Cone._trusted(cone.rays, cone.rank, not cone.smooth)
+        flipped = _record(Cone, rays=cone.rays, rank=cone.rank, smooth=not cone.smooth, formula=None)
         assert cone.smooth and not flipped.smooth
         assert cone == flipped and hash(cone) == hash(flipped) and repr(cone) == repr(flipped)
 
@@ -210,6 +210,55 @@ class TestApply:
         g = GroupElement.from_matrix(swap)
         with pytest.raises(DimMismatch):
             apply(g, cone_at(MumfordNeron(), 0))
+
+
+# Every kind, and each kind in e at e = 1..4.
+ALL_KINDS = [MumfordNeron(), EllipticSmoothing(), *map(HopfSmoothing, range(1, 5)),
+             *map(RationalSmoothing, range(1, 5))]
+
+
+@st.composite
+def unimodular_matrices(draw, dim):
+    """A product of elementary matrices I + t*E_ij and sign flips of one coordinate.  With probability 1/2
+    no factor has a nonzero entry above the last row of the last column, so neither has the product, and
+    a matrix of dimension rank+1 keeps the embedded Z^rank."""
+    keeping = draw(st.booleans())
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if i == j:
+            rows = [[-x for x in row] if k == i else row for k, row in enumerate(rows)]
+        elif not (keeping and j == dim - 1):
+            t = draw(st.integers(-3, 3))  # row i gains t times row j: left factor (I + t*E_ij)
+            rows = [[x + t * y for x, y in zip(row, rows[j])] if k == i else row for k, row in enumerate(rows)]
+    return IntMatrix(tuple(map(tuple, rows)))
+
+
+class TestApplyArithmetic:
+    @given(st.sampled_from(ALL_KINDS), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_images_are_the_row_times_matrix_products(self, kind, bound, embedded, data):
+        # Each image ray is (v, 0) @ m computed here, with the padding
+        # stripped; apply refuses exactly when some image leaves Z^rank.  The
+        # image takes the source cone's smoothness, which validating its rays
+        # confirms, and no formula.
+        rank = kind.AMBIENT_RANK
+        dim = rank + embedded
+        m = data.draw(unimodular_matrices(dim))
+        g = GroupElement.from_matrix(m)
+        cones = fan_window(kind, bound, data.draw(st.booleans())).cones
+        for index in data.draw(st.lists(st.sampled_from(list(cones)), min_size=1, max_size=4)):
+            cone = cones[index]
+            images = [[sum(x * row[j] for x, row in zip(v.entries + (0,) * embedded, m.rows)) for j in range(dim)]
+                      for v in cone.rays]
+            if any(image[rank:] != [0] * embedded for image in images):
+                with pytest.raises(DimMismatch):
+                    apply(g, cone)
+                continue
+            image = apply(g, cone)
+            assert [v.entries for v in image.rays] == sorted(tuple(image[:rank]) for image in images), index
+            assert image.rank == rank and image.formula is None
+            assert image.smooth == cone.smooth == Cone(image.rays, rank).smooth, index
 
 
 class TestShareFacet:
@@ -400,6 +449,34 @@ class TestFanWindow:
         assert payload["params"] == {"e": 2}
         assert payload["range"] == {"m": [-1, 1], "n": [-1, 1]}
         assert payload["cones"][0]["index"] == [-1, -1]
+
+
+def oracle_window(kind, bound):
+    """Every cone of the window evaluated here: ray i of an axis is c0 + i*c1 + binom2(i)*c2 from the kind's
+    ``ray_coefficients``, and each cone is validated by ``Cone``, keyed and tagged as a window cone."""
+    def ray(axis, i):
+        powers = (1, i, i * (i - 1) // 2)
+        return IntVec(tuple(sum(p * c[j] for p, c in zip(powers, kind.ray_coefficients[axis]))
+                            for j in range(kind.AMBIENT_RANK)))
+
+    window = {}
+    for at in product(range(-bound, bound + 1), repeat=len(kind.AXES)):
+        rays = [ray(axis, i + step) for axis, i in zip(kind.AXES, at) for step in (0, 1)]
+        window[at if len(at) > 1 else at[0]] = (Cone(tuple(rays), kind.AMBIENT_RANK), (kind, at))
+    return window
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_window_cones_match_the_evaluated_formula(self, kind, certified):
+        for bound in range(1, 7):
+            cones, oracle = window_cones(kind, bound, certified), oracle_window(kind, bound)
+            assert list(cones) == list(oracle), bound
+            for index, (cone, formula) in oracle.items():
+                built = cones[index]
+                assert [v.entries for v in built.rays] == [v.entries for v in cone.rays], (bound, index)
+                assert (built.rank, built.smooth, built.formula) == (cone.rank, cone.smooth, formula), (bound, index)
 
 
 def eager_window(kind, bound):
