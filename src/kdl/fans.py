@@ -43,11 +43,6 @@ from .lattice import IntMatrix, IntVec, _new, _record, _setattr, extends_to_basi
 _entries = attrgetter("entries")  # the lexicographic sort key of rays
 
 
-def binom2(m: int) -> int:
-    """m(m-1)/2 for every integer m, negatives included."""
-    return m * (m - 1) // 2
-
-
 @dataclass(frozen=True)
 class MumfordNeron:
     """The rank-2 chain fan smoothing the Neron 1-gon."""

@@ -502,6 +502,12 @@ class TestBoundaryCommand:
         code, _, err = run_cli(["boundary", "--degree", "0", "--max-warp", "1"])
         assert code == 2
 
+    def test_value_error_prints_nothing_on_stdout(self):
+        # Degrees d*w for w >= 10 have more digits than Python's int-to-str limit.
+        code, out, err = run_cli(["boundary", "--degree", str(10**4299), "--max-warp", "20"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -641,6 +647,30 @@ class TestEmit:
     def test_other_types_raise_and_print_nothing(self, value, capsys):
         with pytest.raises(TypeError):
             cli.emit({"value": value})
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {'[{"a": 1}, "b"]': "x, y: [z]", "}\n{": ['"', "\\", "a\nb", "[]", "{}", ",", ":"]},
+            functools.reduce(lambda inner, i: [inner] if i % 2 else {str(i): inner}, range(150), 7),
+            [True, 1, False, 0, None, [1, True], (True, 1)],
+            {"tuple": (1, (2, [3])), "list": [(), []], "mixed": [(1,), [1]]},
+        ],
+        ids=["punctuation in strings and keys", "150 levels", "bools beside ints", "tuples beside lists"],
+    )
+    def test_edge_cases_match_indented_json_dumps(self, value):
+        payload = {"value": value}
+        assert emitted(payload) == json.dumps({"schema": "kdl/1", **payload}, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [([1, {"a": [2, 3.5]}], TypeError), ([0, 10**4300], ValueError)],
+        ids=["type error three levels down", "int past the str limit"],
+    )
+    def test_error_partway_prints_nothing(self, value, error, capsys):
+        with pytest.raises(error):
+            cli.emit({"before": [1, 2], "value": value, "after": "x"})
         assert capsys.readouterr().out == ""
 
 

@@ -22,7 +22,6 @@ from kdl.fans import (
     MumfordNeron,
     RationalSmoothing,
     apply,
-    binom2,
     cone_at,
     cone_is_smooth,
     deflection,
@@ -34,6 +33,11 @@ from kdl.fans import (
 )
 from kdl.lattice import IntMatrix, IntVec, _record, det
 from kdl.smoothing import FAMILIES
+
+
+def binom2(m: int) -> int:
+    """m(m-1)/2 for every integer m, negatives included: the notation of the ray formulas."""
+    return m * (m - 1) // 2
 
 
 def named_generators(family, e=None, w=None):
