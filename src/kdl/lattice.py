@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -180,11 +181,12 @@ def rank_of(rows: Sequence[Sequence[int]]) -> int:
 
 
 def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The elementary divisors d_1 | d_2 | ... of an integer matrix.
+    """The elementary divisors d_1 | d_2 | ... of an integer matrix, min(#rows, #cols) of them.
 
-    Returns min(#rows, #cols) nonnegative integers in divisibility order,
-    padded with zeros when the rank is deficient.  Only row/column operations
-    over Z are used, so the result is exact.
+    d_k = D_k / D_(k-1) for the gcd D_k of the k x k minors (D_0 = 1), each a
+    Bareiss determinant, and d_k = 0 from the first D_k = 0 on (deficient rank).
+    There are C(#rows, k) * C(#cols, k) such minors, so the cost grows binomially
+    with the matrix; it serves the matrices of at most 5 columns kdl builds.
     """
     a = [[int(x) for x in row] for row in rows]
     if not a:
@@ -193,63 +195,16 @@ def elementary_divisors(rows: Sequence[Sequence[int]]) -> list[int]:
     if any(len(row) != ncols for row in a):
         raise ValueError("rows must all have the same length")
     divisors: list[int] = []
-    t = 0
-    while t < nrows and t < ncols:
-        # Move a nonzero entry of minimal magnitude into the pivot slot.
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    for k in range(1, min(nrows, ncols) + 1):
+        minor_gcd = 0
+        for picked, cols in product(combinations(range(nrows), k), combinations(range(ncols)[::-1], k)):
+            minor_gcd = math.gcd(minor_gcd, _bareiss_det([[a[i][j] for j in cols] for i in picked]))
+            if minor_gcd == 1:
+                break  # D_k is 1; columns run from the last, where kdl's rays keep their height 1
+        if minor_gcd == 0:
             break
-        while True:
-            i, j = pivot
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-            # Euclidean reduction of column t, then row t; a swap during either
-            # pass strictly shrinks the pivot, so this terminates.
-            reduced = True
-            for i in range(t + 1, nrows):
-                while a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        reduced = False
-            for j in range(t + 1, ncols):
-                while a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        reduced = False
-            if not reduced:
-                pivot = (t, t)
-                continue
-            # Enforce that the pivot divides every remaining entry, so the
-            # diagonal comes out in divisibility order.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            pivot = (t, t)
-        divisors.append(abs(a[t][t]))
-        t += 1
-    divisors.extend(0 for _ in range(min(nrows, ncols) - len(divisors)))
-    return divisors
+        divisors.append(minor_gcd // math.prod(divisors))
+    return divisors + [0] * (min(nrows, ncols) - len(divisors))
 
 
 def extends_to_basis(vectors: Iterable[IntVec]) -> bool:
@@ -260,7 +215,7 @@ def extends_to_basis(vectors: Iterable[IntVec]) -> bool:
     implies the vectors are primitive and linearly independent.  As many
     vectors as the rank extend to a basis exactly when their determinant is
     +1 or -1, which one Bareiss elimination of their entries decides; fewer
-    take the Smith form.
+    take ``elementary_divisors``, the gcds of their minors.
     """
     vecs = list(vectors)
     if not vecs:

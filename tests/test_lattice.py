@@ -54,6 +54,76 @@ def maximal_minor_gcd(rows):
     return g
 
 
+def smith_divisors(rows):
+    """Independent oracle for elementary_divisors: the diagonal of the Smith
+    normal form, reached by row and column operations over Z, in divisibility
+    order and padded with zeros when the rank is deficient."""
+    a = [[int(x) for x in row] for row in rows]
+    if not a:
+        return []
+    nrows, ncols = len(a), len(a[0])
+    if any(len(row) != ncols for row in a):
+        raise ValueError("rows must all have the same length")
+    divisors: list[int] = []
+    t = 0
+    while t < nrows and t < ncols:
+        # Move a nonzero entry of minimal magnitude into the pivot slot.
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        while True:
+            i, j = pivot
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+            # Euclidean reduction of column t, then row t; a swap during either
+            # pass strictly shrinks the pivot, so this terminates.
+            reduced = True
+            for i in range(t + 1, nrows):
+                while a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t] != 0:
+                        a[t], a[i] = a[i], a[t]
+                        reduced = False
+            for j in range(t + 1, ncols):
+                while a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j] != 0:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        reduced = False
+            if not reduced:
+                pivot = (t, t)
+                continue
+            # Enforce that the pivot divides every remaining entry, so the
+            # diagonal comes out in divisibility order.
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            pivot = (t, t)
+        divisors.append(abs(a[t][t]))
+        t += 1
+    divisors.extend(0 for _ in range(min(nrows, ncols) - len(divisors)))
+    return divisors
+
+
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
@@ -61,6 +131,43 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
         max_size=n,
     )
 )
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-5 rows by 1-5 columns (tall, square or wide): random entries, or a
+    product of an m x r and an r x n matrix with r < min(m, n), which forces
+    the rank below full (r = 0 gives the zero matrix)."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def entries(m, n, bound):
+        return draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=m, max_size=m))
+
+    if draw(st.booleans()):
+        return entries(nrows, ncols, 6)
+    inner = draw(st.integers(0, min(nrows, ncols) - 1))
+    left, right = entries(nrows, inner, 3), entries(inner, ncols, 3)
+    return [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(ncols)] for i in range(nrows)]
+
+
+@st.composite
+def basis_candidates(draw):
+    """k vectors in Z^rank, 1 <= k <= rank <= 5: random entries, or the first k
+    rows of a unimodular matrix (the identity after random elementary row
+    operations) with its first row scaled by 1, 2 or 3, so both answers occur."""
+    rank = draw(st.integers(1, 5))
+    count = draw(st.integers(1, rank))
+    if draw(st.booleans()):
+        row = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+        return draw(st.lists(row, min_size=count, max_size=count))
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    index = st.integers(0, rank - 1)
+    for i, j, factor in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=10)):
+        if i != j:
+            rows[i] = [x + factor * y for x, y in zip(rows[i], rows[j])]
+    scale = draw(st.integers(1, 3))
+    rows[0] = [scale * x for x in rows[0]]
+    return rows[:count]
 
 
 class TestDet:
@@ -159,6 +266,12 @@ class TestExtendsToBasis:
                 continue
             vecs = [IntVec(tuple(row)) for row in rows]
             assert extends_to_basis(vecs) == (abs(maximal_minor_gcd(rows)) == 1)
+
+    @given(basis_candidates())
+    @settings(max_examples=300)
+    def test_matches_the_smith_oracle(self, rows):
+        # k = rank takes the determinant path, k < rank the divisor path.
+        assert extends_to_basis([IntVec(tuple(row)) for row in rows]) == all(d == 1 for d in smith_divisors(rows))
 
     @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3).filter(lambda r: any(r)))
     @settings(max_examples=100)
@@ -266,6 +379,27 @@ class TestElementaryDivisors:
                 for d in divisors[:k]:
                     prod *= d
                 assert prod == g
+
+    @given(integer_matrices())
+    @settings(max_examples=300)
+    def test_matches_the_smith_oracle(self, rows):
+        assert elementary_divisors(rows) == smith_divisors(rows)
+
+    def test_no_rows_and_no_columns(self):
+        assert elementary_divisors([]) == []
+        assert elementary_divisors([[]]) == []
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"^rows must all have the same length$"):
+            elementary_divisors([[1, 2], [3]])
+
+    @pytest.mark.parametrize("nrows,ncols", [(1, 1), (2, 3), (3, 2), (5, 5), (4, 1)])
+    def test_zero_matrix(self, nrows, ncols):
+        assert elementary_divisors([[0] * ncols for _ in range(nrows)]) == [0] * min(nrows, ncols)
+
+    def test_entries_are_converted_with_int(self):
+        divisors = elementary_divisors([[True, 2.0], ["3", 4]])
+        assert divisors == [1, 2] and all(type(d) is int for d in divisors)
 
 
 class TestRank:
