@@ -5,8 +5,8 @@ normalization of the singular surface:
 
 * ``HopfDatum``          -- nonalgebraic normalization.  The fundamental group
   is Z + Z/nZ; n1, n2 are the residues of the two primitive n-th roots of
-  unity in the torsion generator, and b is the residue twisting the second
-  elliptic curve against the first.
+  unity in the torsion generator, so units mod n, and b is the residue
+  twisting the second elliptic curve against the first.
 * ``EllipticRuledDatum`` -- P^1-bundle over an elliptic curve, glued along two
   disjoint sections by a finite-order (or infinite-order, w = 0) translation.
 * ``RationalDatum``      -- blown-up Hirzebruch surface glued along a 6-gon.
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
+from itertools import product, repeat
 from typing import Union
 
 from .errors import NotDivisible, NotSL2
@@ -83,7 +85,8 @@ class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):
 
 
 class HopfDatum(_Record, namedtuple("HopfDatum", "n n1 n2 b alpha_label")):
-    """Discrete data of a degeneration with nonalgebraic normalization."""
+    """Discrete data of a degeneration with nonalgebraic normalization.  Checked in order: n >= 1,
+    n1, n2, b in [0, n), and n1, n2 units mod n (residues of primitive n-th roots of unity)."""
 
     __slots__ = ()
 
@@ -92,7 +95,15 @@ class HopfDatum(_Record, namedtuple("HopfDatum", "n n1 n2 b alpha_label")):
             raise ValueError("torsion order n must be positive")
         if not (0 <= n1 < n and 0 <= n2 < n and 0 <= b < n):
             raise ValueError("n1, n2, b must be residues in [0, n)")
+        if math.gcd(n1 * n2, n) != 1:
+            raise ValueError("n1 and n2 must be units modulo n")
         return tuple.__new__(cls, (n, n1, n2, b, alpha_label))
+
+
+def _hopf_data(n: int) -> Iterator[HopfDatum]:
+    """Every HopfDatum of torsion order n in (n1, n2, b) order, valid by construction and so built unchecked."""
+    units = [a for a in range(n) if math.gcd(a, n) == 1]
+    return map(tuple.__new__, repeat(HopfDatum), product((n,), units, units, range(n), ("alpha",)))
 
 
 class EllipticRuledDatum(_Record, namedtuple("EllipticRuledDatum", "e w translation j_label")):

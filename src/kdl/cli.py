@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -213,8 +212,6 @@ def _cmd_classify(args) -> int:
     if surface_type is None:
         raise MalformedInput("no surface type: pass --type or a 'type' field")
     datum = TYPES[surface_type].datum(**_read(data, surface_type))
-    if surface_type == HOPF and (math.gcd(datum.n1, datum.n) != 1 or math.gcd(datum.n2, datum.n) != 1):
-        raise MalformedInput("n1 and n2 must be units modulo n")
     matrix = _value("matrix", "matrix", data["matrix"]) if "matrix" in data else None
     emit(surface_class_payload(classify(datum, matrix)))
     return 0

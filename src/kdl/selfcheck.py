@@ -9,7 +9,6 @@ than restating its checks.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -20,9 +19,9 @@ from .classify import (
     HOPF,
     RATIONAL,
     TYPES,
-    HopfDatum,
     TangentDims,
     TangentUnavailable,
+    _hopf_data,
     cohomology_table,
     hopf_dsemistable,
     hopf_dsemistable_oracle,
@@ -105,44 +104,25 @@ def _first(detail: str, failures: list[str]) -> str:
     return f"{detail}; first failure {failures[0]}" if failures else detail
 
 
-def _unit_table(n: int) -> list[int]:
-    return [a for a in range(n) if math.gcd(a, n) == 1]
-
-
 @_criterion(1, "congruence_equivalence", bound=5.0)
 def criterion_congruence_equivalence():
     """Direct d-semistability congruences agree with the lifted-homomorphism oracle."""
-    cases = 0
-    disagreements = 0
-    direct, oracle, datum = hopf_dsemistable, hopf_dsemistable_oracle, HopfDatum
+    cases = disagreements = 0
     for n in range(1, HOPF_N_MAX + 1):
-        units = _unit_table(n)
-        for n1 in units:
-            for n2 in units:
-                for b in range(n):
-                    h = datum(n, n1, n2, b)
-                    cases += 1
-                    if direct(h) != oracle(h):
-                        disagreements += 1
+        for h in _hopf_data(n):
+            cases += 1
+            disagreements += hopf_dsemistable(h) != hopf_dsemistable_oracle(h)
     return disagreements == 0, f"{cases} tuples with n <= {HOPF_N_MAX}, {disagreements} disagreements"
 
 
 @_criterion(2, "warp_divides_degree", bound=5.0)
 def criterion_warp_divides_degree():
     """Every d-semistable datum has warp dividing degree."""
-    checked = 0
-    violations = 0
+    checked = violations = 0
     for n in range(1, HOPF_N_MAX + 1):
-        units = _unit_table(n)
-        for n1 in units:
-            for n2 in units:
-                for b in range(n):
-                    h = HopfDatum(n, n1, n2, b)
-                    if hopf_dsemistable(h):
-                        checked += 1
-                        e, w = hopf_invariants(h)
-                        if e % w != 0:
-                            violations += 1
+        for e, w in map(hopf_invariants, filter(hopf_dsemistable, _hopf_data(n))):
+            checked += 1
+            violations += e % w != 0
     detail = f"{checked} d-semistable data with n <= {HOPF_N_MAX}, {violations} divisibility failures"
     return checked > 0 and violations == 0, detail
 

@@ -30,14 +30,15 @@ def _check(selftest, number):
     result = selftest[0][number - 1]
     assert result.number == number
     assert result.passed, result.line()
+    return result
 
 
 def test_criterion_01_congruence_equivalence(selftest):
-    _check(selftest, 1)
+    assert _check(selftest, 1).detail == "1392347 tuples with n <= 60, 0 disagreements"
 
 
 def test_criterion_02_warp_divides_degree(selftest):
-    _check(selftest, 2)
+    assert _check(selftest, 2).detail == "53975 d-semistable data with n <= 60, 0 divisibility failures"
 
 
 def test_criterion_03_fan_battery_hopf(selftest):

@@ -28,6 +28,7 @@ from kdl.classify import (
     TwoSmoothSurfaces,
     TypeSpec,
     Verdict,
+    _hopf_data,
     classify,
     cohomology_table,
     hopf_dsemistable,
@@ -42,7 +43,7 @@ from kdl.classify import (
     versal_descriptor,
 )
 from kdl.boundary import STRATA, StratumComponent
-from kdl.errors import NotAUnit, NotDivisible, NotSL2
+from kdl.errors import NotDivisible, NotSL2
 from kdl.smoothing import FAMILIES, QuotientInfo, build_family, parameter_values
 
 
@@ -96,8 +97,10 @@ class TestDsemistable:
         assert hopf_dsemistable_oracle(HopfDatum(n, n1, n2, b)) is expected
 
     def test_oracle_requires_units(self):
-        with pytest.raises(NotAUnit):
-            hopf_dsemistable_oracle(HopfDatum(4, 2, 1, 0))
+        # The oracle inverts n1*n2 mod n; the datum refuses non-units, so no
+        # datum reaches it without an inverse.
+        with pytest.raises(ValueError, match="^n1 and n2 must be units modulo n$"):
+            HopfDatum(4, 2, 1, 0)
 
     def test_equivalence_small_range(self):
         for n in range(1, 25):
@@ -350,6 +353,19 @@ class TestDatumValidation:
         with pytest.raises(ValueError):
             EllipticRuledDatum(-1, 0, translation=True)
 
+    def test_hopf_data_is_the_validated_enumeration(self):
+        # _hopf_data skips the constructor's checks: it must yield exactly
+        # what the constructor builds over the unit residues, record and
+        # field types included.
+        def typed(h):
+            return type(h), tuple((type(x), x) for x in h)
+
+        for n in range(1, 17):
+            units = [a for a in range(n) if math.gcd(a, n) == 1]
+            want = [HopfDatum(n, n1, n2, b) for n1 in units for n2 in units for b in range(n)]
+            assert list(map(typed, _hopf_data(n))) == list(map(typed, want))
+        assert sum(1 for n in range(1, 61) for _ in _hopf_data(n)) == 1392347
+
 
 # -- the record contract ----------------------------------------------------
 
@@ -375,7 +391,10 @@ RECORD_FIELDS = {
 small = st.integers(-3, 12)
 labels = st.text(max_size=3)
 hopf_data = st.integers(1, 12).flatmap(
-    lambda n: st.builds(HopfDatum, st.just(n), *[st.integers(0, n - 1)] * 3, alpha_label=labels)
+    lambda n: st.builds(
+        HopfDatum, st.just(n), *[st.sampled_from([a for a in range(n) if math.gcd(a, n) == 1])] * 2,
+        st.integers(0, n - 1), alpha_label=labels,
+    )
 )
 ruled_data = st.one_of(
     st.builds(EllipticRuledDatum, st.integers(0, 8), st.integers(0, 8), translation=st.booleans(), j_label=labels),
@@ -478,11 +497,15 @@ class TestRecordContract:
 
     @given(small, small, small, small)
     @example(1, 5, -7, -3)
+    @example(4, 2, 5, 0)
+    @example(4, 2, 1, 0)
     def test_hopf_validation_order(self, n, n1, n2, b):
         if n < 1:
             message = "torsion order n must be positive"
         elif not all(0 <= x < n for x in (n1, n2, b)):
             message = "n1, n2, b must be residues in [0, n)"
+        elif math.gcd(n1, n) != 1 or math.gcd(n2, n) != 1:
+            message = "n1 and n2 must be units modulo n"
         else:
             assert HopfDatum(n, n1, n2, b) == HopfDatum(n=n, n1=n1, n2=n2, b=b, alpha_label="alpha")
             return
@@ -516,4 +539,6 @@ class TestRecordContract:
         assert HopfDatum(4, 1, 3, 2)._replace(b=0) == HopfDatum(4, 1, 3, 0)
         with pytest.raises(ValueError, match="residues"):
             HopfDatum(4, 1, 3, 2)._replace(n1=7)
+        with pytest.raises(ValueError, match="^n1 and n2 must be units modulo n$"):
+            HopfDatum(4, 1, 3, 2)._replace(n1=2)
         assert RationalDatum(1, 1, True)._replace(horizontal_labels=["a", "b"]).horizontal_labels == ("a", "b")

@@ -76,11 +76,10 @@ class TestClassifyCommand:
         assert json.loads(err)["error"] == "MalformedInput"
 
     def test_non_unit_residue_rejected(self):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["classify", "--type", "hopf", "--data", '{"n":4,"n1":2,"n2":1,"b":0}']
         )
-        assert code == 2
-        assert "unit" in json.loads(err)["message"]
+        assert (code, out, err) == (2, "", error_line("n1 and n2 must be units modulo n", "ValueError"))
 
     def test_out_of_range_residues_rejected_at_n_1(self):
         code, out, err = run_cli(["classify", "--type", "hopf", "--data", '{"n":1,"n1":5,"n2":-7,"b":-3}'])
