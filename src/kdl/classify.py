@@ -16,10 +16,10 @@ d-semistability, the invariants degree e and warp w, and produces the
 published cohomology/tangent dimensions, the smoothing verdict, and the shape
 of the versal deformation base.
 
-``TYPES`` is the one place per-type data lives: one ``TypeSpec`` row per
-type holds its datum class, input names, decision rule, published tables,
-criteria text and boundary parameter space.  Everything here, and the type
-handling of ``kdl.cli`` and ``kdl.boundary``, reads that row.
+``TYPES`` is the one place per-type data lives: one ``TypeSpec`` row per type holds
+its datum class, input names, decision rule, published tables, criteria text,
+boundary parameter space, smoothing family and that family's expected deflection;
+this module, ``kdl.cli``, ``kdl.boundary`` and ``kdl.smoothing`` read that row.
 
 Every record here is a tuple subclass with named read-only fields: a
 ``namedtuple`` base gives the fields and the ``Name(field=value, ...)`` repr,
@@ -33,9 +33,8 @@ compares by tuple rules when it is the left operand of ``==``), and
 
 Warp convention: ``quotient_degree`` alone states the warp rule (w >= 1 and
 w | e) and e/w, and ``ruled_dsemistable`` adds only that order 0, which encodes
-an infinite-order gluing, divides only 0.  ``TypeSpec.family`` names a type's
-smoothing family.  Continuous parameters (alpha, j, specific roots of unity)
-are carried as opaque labels and never evaluated.
+an infinite-order gluing, divides only 0.  Continuous parameters (alpha, j,
+specific roots of unity) are carried as opaque labels and never evaluated.
 """
 
 from __future__ import annotations
@@ -326,15 +325,17 @@ class Tables(_Record, namedtuple("Tables", "cohomology tangent versal")):
     __slots__ = ()
 
 
-class TypeSpec(_Record, namedtuple("TypeSpec", "datum names decide positive zero criteria param_space family")):
+class TypeSpec(
+    _Record, namedtuple("TypeSpec", "datum names decide positive zero criteria param_space family deflections")
+):
     """Everything one normalization type adds to the classification.
 
-    ``datum`` is the type's data record and ``names`` select the type on
-    input.  ``decide`` maps a datum and an optional gluing matrix to
-    (admissible, d_semistable, e, w).  ``positive`` and ``zero`` hold the
-    ``Tables`` for e > 0 and e = 0; ``criteria`` is the text of the type's
-    two criteria and ``param_space`` that of its boundary stratum, and
-    ``family`` names its smoothing family, a ``kdl.smoothing.FAMILIES`` key.
+    ``datum`` is the type's data record and ``names`` select the type on input.  ``decide`` maps a datum
+    and an optional gluing matrix to (admissible, d_semistable, e, w).  ``positive`` and ``zero`` hold the
+    ``Tables`` for e > 0 and e = 0; ``criteria`` is the text of the type's two criteria and ``param_space``
+    that of its boundary stratum.  ``family`` names its smoothing family, a ``kdl.smoothing.FAMILIES`` key,
+    and ``deflections`` maps e to that fan's expected deflection, a tuple of ints per axis: the degree of
+    the central fibre's C*-bundle over each hinge, which ``kdl.smoothing.verify_family`` checks.
     """
 
     __slots__ = ()
@@ -353,6 +354,7 @@ TYPES = {
         },
         param_space="PuncturedDisk",
         family="hopf",
+        deflections=lambda e: ((0, e, 0),),
     ),
     ELLIPTIC_RULED: TypeSpec(
         datum=EllipticRuledDatum,
@@ -366,6 +368,7 @@ TYPES = {
         },
         param_space="ComplexLine",
         family="elliptic",
+        deflections=lambda e: ((0, 0, 0),),
     ),
     RATIONAL: TypeSpec(
         datum=RationalDatum,
@@ -379,6 +382,7 @@ TYPES = {
         },
         param_space="CStar",
         family="rational",
+        deflections=lambda e: ((0, e, 0, 0), (0, 0, 0, 0)),
     ),
 }
 

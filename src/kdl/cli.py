@@ -9,8 +9,7 @@ field a kind from ``_KINDS``; ``_read`` checks all five documents.  Exit codes:
 object on stderr, or argparse's usage text), 141 stdout closed by its reader.
 A well-formed request is read from its command parser's action tables, any other
 takes one pass of the full parser, whose help and usage errors are argparse's own;
-``emit`` writes indented documents byte-identical to ``json.dumps(indent=2)`` in one pass,
-0.64 -> 0.41 us an output line (2-core host); CPython 3.11's json uses its C encoder only without ``indent``.
+``emit`` writes ``json.dumps(indent=2)``'s bytes in one pass, as CPython 3.11's json has no C encoder for ``indent``.
 """
 
 from __future__ import annotations
@@ -272,6 +271,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    top, limit = args.degree * args.max_warp, sys.get_int_max_str_digits()  # the largest degree; 0 is no limit
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:  # top < 8**limit < 10**limit prints
+        raise ValueError(f"--degree times --max-warp, the largest degree listed, must have at most {limit} digits")
     if args.format == "dot":
         components = enumerate_components(args.degree, args.max_warp)
         sys.stdout.write(render_dot(components, adjacency_edges(components)))

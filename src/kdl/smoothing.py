@@ -33,7 +33,7 @@ Every shift in ``FAMILIES`` is unipotent, so one power decides the check.
 
 ``FAMILIES`` is the one place per-family data lives: one ``FamilySpec`` row per family holds its minimum
 degree, fan kind, generators as data (each lattice part as written in the paper, its entries ints or the
-parameter names "e" and "e/w"), parameter labels, expected deflection per axis and untested notes.
+parameter names "e" and "e/w"), parameter labels and untested notes; its type states its expected deflection.
 ``build_family`` and ``verify_family`` read that row and derive everything else from the kind's ``AXES``;
 a row derives its generator template once, and the records they build from fields already checked (the
 family, its window, parameters and quotient, each check result, the report) skip ``__init__`` (``_record``).
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .classify import quotient_degree
+from .classify import TYPES, quotient_degree
 from .fans import (
     EllipticSmoothing,
     FanKind,
@@ -92,7 +92,7 @@ class QuotientInfo:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Everything one smoothing family adds to the axis-generic fan machinery.
+    """What one smoothing family adds to the axis-generic fan machinery; its type states its expected deflection.
 
     ``min_degree`` is None for the curve family, which takes no degree or
     warp.  ``group`` lists the generators as data, (name, lattice rows, torus
@@ -103,7 +103,6 @@ class FamilySpec:
     step along each axis of the fan, and every later one must fix the fan.
     The shifts are unipotent, which ``prove_row`` proves; a shift that
     is not makes ``verify_family`` try every power in its freeness check.
-    ``deflections`` maps e to a tuple of ints per axis, the expected deflection.
     A row derives its generator ``template`` and ``FamilyParams`` fields (``params``) once, ``dataclasses.replace``
     anew, so a trusted ``generators`` call builds only the generators with a row that names a parameter.
     """
@@ -112,7 +111,6 @@ class FamilySpec:
     kind: Callable[[int | None], FanKind]
     group: tuple[tuple[str, tuple | None, tuple[str, ...] | None], ...]
     labels: dict[str, str]
-    deflections: Callable[[int | None], tuple[tuple[int, ...], ...]]
     untested: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -150,7 +148,6 @@ FAMILIES = {
         kind=lambda e: MumfordNeron(),
         group=(("polygon_shift", ((1, 0), (1, 1)), None),),
         labels={},
-        deflections=lambda e: ((0, 0),),
     ),
     "hopf": FamilySpec(
         min_degree=1,
@@ -160,7 +157,6 @@ FAMILIES = {
             ("fiber_gluing", None, ("1", "alpha", "1")),
         ),
         labels={"alpha_label": "alpha"},
-        deflections=lambda e: ((0, e, 0),),
         untested=(
             "the chosen fibre-gluing parameter is replaced by a compatible primitive "
             "w-th root when the covering group action is pushed down",
@@ -174,7 +170,6 @@ FAMILIES = {
             ("base_twist", ((1, "e/w", 0), (0, 1, 0), (0, 0, 1)), ("alpha", "1", "1")),
         ),
         labels={"alpha_label": "alpha"},
-        deflections=lambda e: ((0, 0, 0),),
     ),
     "rational": FamilySpec(
         min_degree=1,
@@ -185,7 +180,6 @@ FAMILIES = {
             ("horizontal_gluing", None, ("1", "1", "1", "1", "lambda")),
         ),
         labels={"alpha_label": "lambda", "zeta_label": "zeta"},
-        deflections=lambda e: ((0, e, 0, 0), (0, 0, 0, 0)),
         untested=(
             "the two birational modifications over the blown-up parameter plane "
             "(blowup along the non-normal-crossing locus, contraction of one quadric "
@@ -430,6 +424,8 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
     """
     spec, walk = FAMILIES[f.family], _Walk(f)
     axes = f.kind.AXES
+    zero = ((0,) * f.kind.AMBIENT_RANK,) * len(axes)  # expected of a family no type names, as mumford
+    expected = next((t.deflections(f.params.e) for t in TYPES.values() if t.family == f.family), zero)
     fixing = zip(f.generator_names[len(axes) :], f.generators[len(axes) :])
     directions = [None] if len(axes) == 1 else axes
     checks = [
@@ -439,10 +435,8 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         ("generators_commute", check_generators_commute(walk.unproved)),
         *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
         *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
-        *(
-            (f"deflection{suffix}", check_deflection(walk, direction, _record(IntVec, entries=expected)))
-            for suffix, direction, expected in zip(walk.suffixes, directions, spec.deflections(f.params.e))
-        ),
+        *((f"deflection{suffix}", check_deflection(walk, direction, _record(IntVec, entries=want)))
+          for suffix, direction, want in zip(walk.suffixes, directions, expected)),
         ("freeness_proxy", check_freeness_proxy(walk)),
         ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),
     ]

@@ -2,7 +2,6 @@
 the time budget its registration states, and every criterion's test reads
 that one run (pytest -s prints the same lines as the CLI selftest)."""
 
-import dataclasses
 import io
 import itertools
 import re
@@ -12,8 +11,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from kdl import selfcheck
+from kdl.classify import HOPF, TYPES
 from kdl.cli import main
-from kdl.smoothing import FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -146,14 +145,26 @@ def test_selftest_runs_every_criterion_past_a_raising_one(monkeypatch):
     (selfcheck.criterion_fan_battery_elliptic_mumford, "elliptic", "elliptic e=0 w=1 deflection at -16"),
 ])
 def test_fan_criterion_fails_with_its_first_failing_check(monkeypatch, criterion, family, first):
-    # Every expected deflection of one family off by one: the criterion fails
-    # and names the family, e, w, check and counterexample of its first failure.
-    spec = FAMILIES[family]
+    # Every expected deflection of one family off by one, on the row of the
+    # type that names it: the criterion fails and names the family, e, w,
+    # check and counterexample of its first failure.
+    key, spec = next((key, spec) for key, spec in TYPES.items() if spec.family == family)
 
     def wrong(e):
         return tuple((v[0] + 1,) + v[1:] for v in spec.deflections(e))
 
-    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, deflections=wrong))
+    monkeypatch.setitem(TYPES, key, spec._replace(deflections=wrong))
     result = criterion()
     assert not result.passed
     assert result.detail.endswith(f"; first failure {first}"), result.detail
+
+
+def test_a_type_naming_another_family_fails_the_fan_criteria(monkeypatch):
+    # The Hopf type naming the elliptic family: the hopf fan, which no type
+    # names now, is held to zero deflection, and the elliptic fan to the Hopf
+    # type's e*(0, 1, 0), so criteria 3 and 5 fail at their first window index.
+    monkeypatch.setitem(TYPES, HOPF, TYPES[HOPF]._replace(family="elliptic"))
+    hopf, elliptic = selfcheck.criterion_fan_battery_hopf(), selfcheck.criterion_fan_battery_elliptic_mumford()
+    assert hopf.detail.endswith("; first failure hopf e=1 w=1 deflection at -32"), hopf.detail
+    assert elliptic.detail.endswith("; first failure elliptic e=4 w=2 deflection at -16"), elliptic.detail
+    assert not hopf.passed and not elliptic.passed

@@ -507,6 +507,30 @@ class TestBoundaryCommand:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_an_unprintable_largest_degree_is_refused_by_name(self, fmt):
+        # d * w_max = 10**limit has one digit more than the interpreter prints:
+        # one JSON error naming both options on stderr, nothing on stdout.
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(["boundary", "--degree", str(10 ** (limit - 1)), "--max-warp", "10", "--format", fmt])
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err) == {
+            "schema": "kdl/1",
+            "error": "ValueError",
+            "message": f"--degree times --max-warp, the largest degree listed, must have at most {limit} digits",
+        }
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_the_digit_limit_is_read_at_each_request(self, monkeypatch, fmt):
+        # Under a limit of 3 digits, 333 * 3 = 999 is served and 500 * 2 = 1000
+        # is refused; a limit of 0 refuses nothing.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+        assert run_cli(["boundary", "--degree", "333", "--max-warp", "3", "--format", fmt])[0] == 0
+        code, out, err = run_cli(["boundary", "--degree", "500", "--max-warp", "2", "--format", fmt])
+        assert (code, out) == (2, "") and "at most 3 digits" in json.loads(err)["message"]
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert run_cli(["boundary", "--degree", "500", "--max-warp", "2", "--format", fmt])[0] == 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
-from contextlib import nullcontext, redirect_stdout
+from contextlib import ExitStack, contextmanager, nullcontext, redirect_stdout
 from itertools import product
 from unittest.mock import patch
 
@@ -23,7 +23,7 @@ import kdl.lattice
 import kdl.smoothing
 from kdl.boundary import adjacency_edges, enumerate_components
 from kdl.cli import main
-from kdl.classify import Verdict, smoothing_verdict
+from kdl.classify import TYPES, Verdict, smoothing_verdict
 from kdl.errors import DimMismatch, NotDivisible
 from kdl.fans import (
     Cone,
@@ -290,17 +290,16 @@ class TestVerifyFamily:
                 fixing = len(fam.generators) - axes
                 assert 0 < len(calls) <= (2 * axes + fixing) * (1 + 2 * axes), family
 
-    def test_wrong_expected_deflection_detected(self, monkeypatch):
+    def test_wrong_expected_deflection_detected(self):
         # Every expected deflection off by one: the first window index fails,
         # "-W" on one axis and "(-W, -W)" on each axis of the rational fan.
         for family, e, w, window in self.VALID:
-            spec = FAMILIES[family]
-            wrong = tuple((v[0] + 1,) + v[1:] for v in spec.deflections(e))
-            monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, deflections=lambda e, wrong=wrong: wrong))
             fam = build_family(family, e=e, w=w, window=window)
             first = str(fam.fan.indices()[0])
-            payload = report_payload(verify_family(fam))
-            monkeypatch.undo()
+            with ExitStack() as moved:
+                for axis in range(len(fam.kind.AXES)):
+                    moved.enter_context(deflection_rows_off_by_one(family, axis, 0, 1))
+                payload = report_payload(verify_family(fam))
             expected = report_payload(verify_family(fam))
             for check in expected["checks"]:
                 if check["name"].startswith("deflection"):
@@ -687,7 +686,7 @@ def off_by_one_mutants():
 def instance_row(kind, named):
     """One instance, a kind and its named generators, as a FAMILIES row with no parameter."""
     group = tuple((name, g.lattice_part.rows, g.torus_part) for name, g in named)
-    return FamilySpec(min_degree=None, kind=lambda e: kind, group=group, labels={}, deflections=lambda e: ())
+    return FamilySpec(min_degree=None, kind=lambda e: kind, group=group, labels={})
 
 
 def walk_instance(family, e, w, kind, named, window):
@@ -1178,6 +1177,9 @@ def full_walk(f):
     reference ``verify_family`` must answer exactly as, whatever it skips."""
     kind, cones, gens, names = f.kind, f.fan.cones, f.generators, f.generator_names
     axes, spec = kind.AXES, FAMILIES[f.family]
+    # The expected deflections: the rows of the type that names the family, or zero where none does.
+    owners = [t for t in TYPES.values() if t.family == f.family]
+    expected_rows = owners[0].deflections(f.params.e) if owners else [(0,) * kind.AMBIENT_RANK] * len(axes)
     indices = sorted(cones)
     coords = {i: (i,) if len(axes) == 1 else i for i in indices}
     index_of = {at: i for i, at in coords.items()}
@@ -1230,7 +1232,7 @@ def full_walk(f):
           for name, g in zip(names[len(axes):], gens[len(axes):])),
         *((f"deflection{suffix}", first(
             i for i in indices if deflection(kind, i, None if len(axes) == 1 else axis) != IntVec(expected)))
-          for suffix, axis, expected in zip(suffixes, axes, spec.deflections(f.params.e))),
+          for suffix, axis, expected in zip(suffixes, axes, expected_rows)),
         ("freeness_proxy", freeness()),
         ("shift_orbit_transitive", orbit()),
     ]
@@ -1286,15 +1288,35 @@ def with_non_unipotent_shift(fam, axis):
 
 
 def deflection_rows_off_by_one(family, axis, coordinate, step):
-    """FAMILIES with one expected deflection entry of a family moved by ``step``."""
-    spec = FAMILIES[family]
+    """One expected deflection entry of a family moved by ``step``: on the TYPES row that names the family,
+    or, for a family no type names (mumford, which expects zero), as the observed deflection moved by
+    ``-step``, in the battery and in ``full_walk`` alike, which fails the same checks at the same indices."""
+    key = next((key for key, t in TYPES.items() if t.family == family), None)
+    if key is None:
+        return observed_deflection_moved(axis, coordinate, -step)
+    spec = TYPES[key]
 
     def rows(e):
         rows = [list(row) for row in spec.deflections(e)]
         rows[axis][coordinate] += step
         return tuple(map(tuple, rows))
 
-    return patch.dict(FAMILIES, {family: dataclasses.replace(spec, deflections=rows)})
+    return patch.dict(TYPES, {key: spec._replace(deflections=rows)})
+
+
+@contextmanager
+def observed_deflection_moved(axis, coordinate, step):
+    """``deflection`` along one axis with one coordinate moved by ``step``, for ``kdl.smoothing`` and this module."""
+    observed = deflection
+
+    def moved(kind, i, direction=None):
+        entries = list(observed(kind, i, direction).entries)
+        if direction == (None if len(kind.AXES) == 1 else kind.AXES[axis]):
+            entries[coordinate] += step
+        return IntVec(tuple(entries))
+
+    with patch.object(kdl.smoothing, "deflection", moved), patch.dict(globals(), deflection=moved):
+        yield
 
 
 def plant_kinds(fam):
