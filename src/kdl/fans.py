@@ -23,7 +23,7 @@ A window's first lookup builds all its cones (``window_cones``): each axis's ray
 pairs of rays i and i+1 its cones share, and each cone is one record tagged with its kind and index (``formula``).
 A ``Cone`` validates its rays by one basis-extension test, which also decides its smoothness; ``apply`` (one
 arithmetic path) hands that on to images.  A window that departs from the formula costs one build per cone, plus
-the checks at its departures and their neighbours.
+the checks that its departures touch.
 
 Matrices act on row vectors from the right throughout.
 """

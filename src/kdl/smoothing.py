@@ -23,8 +23,9 @@ in the fan data are listed as untested metadata, never silently assumed.
 ``prove_row``, the only proof, holds every claim but the deflection (which one
 index decides) at every index in Z and (e, w) of a row.  A proved row's family
 builds its window's cones unvalidated, and ``verify_family`` checks it only
-where a cone departs from the formula and next to it; any other family, a
-replaced or hand-made one too, is walked in full.
+where a departure from the formula touches it: per-cone claims at departed
+cones, pair claims on pairs with a departed end; any other family, a replaced
+or hand-made one too, is walked in full.  Passing results are shared records.
 
 The freeness proxy asks whether a power g^k (k >= 1) of a shift fixes a cone.
 For a unipotent g, g^k fixing a cone permutes its rays, so a power of g fixes
@@ -44,6 +45,7 @@ axis) and one row here, with one shift generator per axis listed first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .classify import TYPES, quotient_degree
@@ -213,6 +215,9 @@ class CheckResult:
     counterexample: str | None = None
 
 
+_passed = cache(lambda name: _record(CheckResult, name=name, passed=True, counterexample=None))
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     family: str
@@ -301,16 +306,17 @@ def prove_row(spec: FamilySpec) -> bool:
 
 class _Walk:
     """A family's window as the checks walk it: ``first``, a list of its least index (if any), and the
-    ``candidates`` each per-cone check visits, in index order.  ``certified``: the family's ``certificate``
-    is (its kind, its named generators), which only a row ``prove_row`` proves gives; else the generators
-    are ``unproved`` and every index is a candidate.  A certified family's ``fan_window`` cones of its kind
-    over the window's range pass every per-cone check unread and unlisted; on any other window with
-    ``fan_window``'s indices, a cone whose ``formula`` is (kind, its index) passes every per-cone check
-    with its neighbours, so the candidates are the other indices and their neighbours."""
+    ``candidates`` each per-cone check visits, in index order; ``touching`` lists those of a pair check.
+    ``certified``: the family's ``certificate`` is (its kind, its named generators), which only a row
+    ``prove_row`` proves gives; else the generators are ``unproved`` and every index is a candidate.  The
+    certificate proves every claim about a cone tagged (kind, its own index) and every pair claim between two
+    such cones, so skipping them keeps each first counterexample.  A certified family's ``fan_window`` cones of
+    its kind over the window's range pass every check unread and unlisted; on any other window with
+    ``fan_window``'s indices (``departed``), the candidates are the departures, whose cone has another tag."""
 
     def __init__(self, f: SmoothingFamily):
         axes, named = f.kind.AXES, tuple(zip(f.generator_names, f.generators))
-        self.family, self.cones = f, f.fan.cones
+        self.family, self.cones, self.departed = f, f.fan.cones, False
         self.suffixes = [""] if len(axes) == 1 else [f"_{axis}" for axis in axes]
         self.certified = f.certificate == (f.kind, named)
         self.unproved = () if self.certified else named
@@ -320,9 +326,8 @@ class _Walk:
         self.candidates = f.fan.indices()
         self.first, box = self.candidates[:1], fan_window(f.kind, max([1, *(hi for _, hi in f.fan.index_range)])).cones
         if self.certified and f.fan.index_range == box.formula[1] and self.candidates == list(box):
-            departed = {i for i in box if self.cones[i].formula != (f.kind, i if len(axes) > 1 else (i,))}
-            departed |= {self.near(i, a, step) for i in departed for a in range(len(axes)) for step in (1, -1)}
-            self.candidates = [i for i in self.candidates if i in departed]
+            self.departed = True
+            self.candidates = [i for i in box if self.cones[i].formula != (f.kind, i if len(axes) > 1 else (i,))]
 
     def near(self, i, axis: int, step: int):
         """The window index ``step`` along an axis from i, or None outside the window."""
@@ -330,6 +335,13 @@ class _Walk:
         at = at[:axis] + (at[axis] + step,) + at[axis + 1 :]
         j = at if len(at) > 1 else at[0]
         return j if j in self.cones else None
+
+    def touching(self, axes, step: int) -> list:
+        """The indices i, in order, whose pair with the index ``step`` along one of the axes from i a pair check
+        visits: the candidates and, on a departed window, each index ``-step`` along one of the axes from one."""
+        if not self.departed:
+            return self.candidates
+        return sorted({*self.candidates, *(self.near(i, a, -step) for i in self.candidates for a in axes)} - {None})
 
 
 def check_cones_smooth(walk: _Walk) -> str | None:
@@ -339,7 +351,7 @@ def check_cones_smooth(walk: _Walk) -> str | None:
 
 def check_adjacent_cones_share_facet(walk: _Walk) -> str | None:
     """The first pair "i~j" of neighbouring window cones that share no facet."""
-    for i in walk.candidates:
+    for i in walk.touching(range(len(walk.suffixes)), 1):
         for axis in range(len(walk.suffixes)):
             j = walk.near(i, axis, 1)
             if j is not None and not share_facet(walk.cones[i], walk.cones[j]):
@@ -360,7 +372,7 @@ def check_generators_commute(named) -> str | None:
 
 def check_shift(walk: _Walk, axis: int) -> str | None:
     """The first window index whose cone the shift along an axis does not move to the next one."""
-    for i in walk.candidates:
+    for i in walk.touching((axis,), 1):
         j = walk.near(i, axis, 1)
         if j is not None and apply(walk.family.generators[axis], walk.cones[i]) != walk.cones[j]:
             return str(i)
@@ -373,10 +385,10 @@ def check_fixes_fan(walk: _Walk, gen: GroupElement) -> str | None:
     return next((str(i) for i in walk.candidates if apply(gen, cones[i]) != cones[i]), None)
 
 
-def check_deflection(walk: _Walk, direction: str | None, expected: IntVec) -> str | None:
-    """The first window index whose deflection along a direction is not `expected`; rays of
-    degree at most 2 have the same deflection at every index in Z, so one index decides."""
-    return next((str(i) for i in walk.first if deflection(walk.family.kind, i, direction) != expected), None)
+def check_deflection(walk: _Walk, direction: str | None, expected: tuple | None) -> str | None:
+    """The first window index whose deflection along a direction does not have the entries `expected`; rays
+    of degree at most 2 have the same deflection at every index in Z, so one index decides."""
+    return next((str(i) for i in walk.first if deflection(walk.family.kind, i, direction).entries != expected), None)
 
 
 def check_freeness_proxy(walk: _Walk) -> str | None:
@@ -403,7 +415,7 @@ def check_shift_orbit_transitive(walk: _Walk) -> str | None:
     on one axis and as "(m,n)", with no space, on two.
     """
     kind, lows = walk.family.kind, [lo for lo, _ in walk.family.fan.index_range]
-    for i in walk.candidates:
+    for i in walk.touching(range(len(walk.suffixes)), -1):
         if i in walk.first:
             continue
         axis = max((a for a, (x, lo) in enumerate(zip(axis_indices(kind, i), lows)) if x > lo), default=None)
@@ -419,13 +431,20 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
     Failures are report entries with a counterexample index, never exceptions.
     The battery's shape follows the fan's axes: one shift and one deflection
     check per axis (suffixed with the axis name when there are several), and
-    a fixing check for every generator after the shifts.  Each check is called
-    through its module global, so whoever rebinds one sees every call.
+    a fixing check for every generator after the shifts.  A type row stating
+    another number of deflections than the fan has axes fails each of them.
+    Each check is called through its module global, so whoever rebinds one
+    sees every call.  A passing result depends on its name alone, so each is
+    one record per process (``_passed``), shared by every report.
     """
-    spec, walk = FAMILIES[f.family], _Walk(f)
-    axes = f.kind.AXES
-    zero = ((0,) * f.kind.AMBIENT_RANK,) * len(axes)  # expected of a family no type names, as mumford
-    expected = next((t.deflections(f.params.e) for t in TYPES.values() if t.family == f.family), zero)
+    spec, walk, axes = FAMILIES[f.family], _Walk(f), f.kind.AXES
+    for t in TYPES.values():  # a plain loop: cheaper than next() over a generator
+        if t.family == f.family:
+            expected = t.deflections(f.params.e)
+            break
+    else:
+        expected = ((0,) * f.kind.AMBIENT_RANK,) * len(axes)  # a family no type names, as mumford
+    expected = expected if len(expected) == len(axes) else (None,) * len(axes)
     fixing = zip(f.generator_names[len(axes) :], f.generators[len(axes) :])
     directions = [None] if len(axes) == 1 else axes
     checks = [
@@ -435,13 +454,13 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         ("generators_commute", check_generators_commute(walk.unproved)),
         *((f"shift{suffix}", check_shift(walk, axis)) for axis, suffix in enumerate(walk.suffixes)),
         *((f"{name}_fixes_fan", check_fixes_fan(walk, gen)) for name, gen in fixing),
-        *((f"deflection{suffix}", check_deflection(walk, direction, _record(IntVec, entries=want)))
+        *((f"deflection{suffix}", check_deflection(walk, direction, want))
           for suffix, direction, want in zip(walk.suffixes, directions, expected)),
         ("freeness_proxy", check_freeness_proxy(walk)),
         ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),
     ]
-    checks = tuple([_record(CheckResult, name=name, passed=failure is None, counterexample=failure)
-                    for name, failure in checks])
+    checks = tuple([_passed(name) if failure is None else
+                    _record(CheckResult, name=name, passed=False, counterexample=failure) for name, failure in checks])
     return _record(VerificationReport, family=f.family, checks=checks, untested=UNTESTED_COMMON + spec.untested)
 
 

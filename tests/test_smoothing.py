@@ -47,8 +47,10 @@ from kdl.smoothing import (
     FAMILIES,
     FAMILY_NAMES,
     UNTESTED_COMMON,
+    CheckResult,
     FamilySpec,
     SmoothingFamily,
+    VerificationReport,
     build_family,
     family_payload,
     parameter_values,
@@ -267,9 +269,10 @@ class TestVerifyFamily:
     def test_apply_calls_per_cone(self, monkeypatch):
         # On a window that matches the formula, apply maps no cone, however
         # many cones the window has: the certificate maps rays.  A planted
-        # cone adds, for it and each of its neighbours, at most one image per
-        # fixing generator and two per shift (its own and, for the
-        # transitivity walk, the one of the index before it).
+        # cone adds only the images that involve it: its image under each
+        # fixing generator and each shift (freeness), the two shift pairs
+        # across it on each axis, and for the transitivity walk the pair into
+        # it and one out of it along each axis.
         calls = []
 
         def counting_apply(g, c):
@@ -288,7 +291,79 @@ class TestVerifyFamily:
                 calls.clear()
                 assert not verify_family(planted).all_pass
                 fixing = len(fam.generators) - axes
-                assert 0 < len(calls) <= (2 * axes + fixing) * (1 + 2 * axes), family
+                assert 0 < len(calls) <= fixing + axes + 2 * axes + 1 + axes, family
+
+    def test_a_certified_report_is_its_one_new_record(self, monkeypatch):
+        # A passing result depends on its name alone, so after a first call a
+        # certified verify_family shares every result and builds one record:
+        # the report.  A failing result is built per call.
+        built = []
+
+        def counting(cls, original=kdl.smoothing._record, **fields):
+            built.append(cls)
+            return original(cls, **fields)
+
+        for family, e, w, window in self.VALID:
+            fam = build_family(family, e=e, w=w, window=window)
+            first = verify_family(fam)
+            with monkeypatch.context() as patched:
+                patched.setattr(kdl.smoothing, "_record", counting)
+                built.clear()
+                report = verify_family(fam)
+                assert built == [VerificationReport] and report == first, family
+                assert all(a is b for a, b in zip(report.checks, first.checks)), family
+                planted = with_plants(fam, {fam.fan.indices()[0]: ("near", 0, 1)})
+                built.clear()
+                report = verify_family(planted)
+            failing = [c for c in report.checks if not c.passed]
+            assert built == [CheckResult] * len(failing) + [VerificationReport] and failing, family
+
+    def test_two_adjacent_departures_are_checked_as_a_pair(self, monkeypatch):
+        # A hand-built copy of a formula cone departs (it carries no formula
+        # tag) but is right; next to it along the first axis sits the cone of
+        # the index after.  Every pair before the two is right, so the pair
+        # they share is the first one adjacency reports.  Smoothness, a
+        # per-cone claim, is asked of the two departed cones only, not of
+        # their neighbours, which the certificate proves.
+        asked = []
+
+        def recording(cone, original=kdl.smoothing.cone_is_smooth):
+            asked.append(cone)
+            return original(cone)
+
+        for family, e, w, window in self.VALID:
+            fam = build_family(family, e=e, w=w, window=2)
+            at = fam.fan.indices()[len(fam.fan.cones) // 2]
+            after = at + 1 if isinstance(at, int) else (at[0] + 1,) + at[1:]
+            cones = dict(fam.fan.cones)
+            cones[at] = Cone(cones[at].rays, fam.kind.AMBIENT_RANK)
+            cones[after] = plant(fam, after, ("near", 0, 1))
+            planted = with_cones(fam, cones)
+            with monkeypatch.context() as patched:
+                patched.setattr(kdl.smoothing, "cone_is_smooth", recording)
+                asked.clear()
+                report = report_payload(verify_family(planted))
+            assert len(asked) == 2 and asked[0] is cones[at] and asked[1] is cones[after], family
+            assert report == full_walk(planted), family
+            adjacency = next(c for c in report["checks"] if c["name"] == "adjacent_cones_share_facet")
+            assert adjacency["counterexample"] == f"{at}~{after}", family
+
+    def test_a_deflection_row_of_another_axis_count_fails_each_axis(self):
+        # A type row stating one tuple fewer or more than its family's fan
+        # has axes fails every deflection check of the family at the first
+        # index, and the report keeps one deflection entry per fan axis.
+        for key, e, window, rows in (("rational", 2, 2, lambda e: ((0, e, 0, 0),)),
+                                     ("hopf", 3, 4, lambda e: ((0, e, 0), (0, 0, 0)))):
+            fam = build_family(TYPES[key].family, e=e, window=window)
+            expected = report_payload(verify_family(fam))
+            first = str(fam.fan.indices()[0])
+            for check in expected["checks"]:
+                if check["name"].startswith("deflection"):
+                    check.update(passed=False, counterexample=first)
+            expected["all_pass"] = False
+            with patch.dict(TYPES, {key: TYPES[key]._replace(deflections=rows)}):
+                assert report_payload(verify_family(fam)) == expected, key
+            assert sum(c["name"].startswith("deflection") for c in expected["checks"]) == len(fam.kind.AXES)
 
     def test_wrong_expected_deflection_detected(self):
         # Every expected deflection off by one: the first window index fails,
