@@ -16,32 +16,34 @@ surfaces with a quadrupel point (local ring cut out by T1*T2 = T3*T4 = 0):
 the X1 family joins EllipticRuled(e, w) to Hopf(e, w); the X2 family joins
 Rational(e, 1) to EllipticRuled(2e, 2).  No family joining the Hopf and
 rational strata is known, and the edge list deliberately omits that pair.
+
+Both records are ``kdl.lattice._Record`` tuples with named read-only fields,
+built by one ``tuple.__new__`` call after their checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .classify import ELLIPTIC_RULED, HOPF, RATIONAL, TYPES, quotient_degree
+from .lattice import _Record
 
 # One stratum per surface type, in the order the boundary documents list them.
 STRATA = (HOPF, RATIONAL, ELLIPTIC_RULED)
 
 
-@dataclass(frozen=True)
-class StratumComponent:
+class StratumComponent(_Record, namedtuple("StratumComponent", "stratum degree warp")):
     """One irreducible boundary component, keyed by (stratum, degree, warp)."""
 
-    stratum: str
-    degree: int
-    warp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.stratum not in STRATA:
-            raise ValueError(f"unknown stratum {self.stratum!r}")
-        if quotient_degree(self.degree, self.warp) < 1:
+    def __new__(cls, stratum: str, degree: int, warp: int):
+        if stratum not in STRATA:
+            raise ValueError(f"unknown stratum {stratum!r}")
+        if quotient_degree(degree, warp) < 1:
             raise ValueError("degree and warp must be positive")
+        return tuple.__new__(cls, (stratum, degree, warp))
 
     @property
     def param_space(self) -> str:
@@ -53,21 +55,19 @@ class StratumComponent:
         return (self.stratum, self.degree, self.warp)
 
 
-@dataclass(frozen=True)
-class AdjacencyEdge:
+class AdjacencyEdge(_Record, namedtuple("AdjacencyEdge", "endpoints witness witness_ref")):
     """An undirected adjacency between two boundary components, with the
     family of quadrupel-point surfaces witnessing it."""
 
-    endpoints: tuple[tuple[str, int, int], tuple[str, int, int]]
-    witness: str
-    witness_ref: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "endpoints", tuple(tuple(k) for k in self.endpoints))
-        if self.endpoints[0] == self.endpoints[1]:
+    def __new__(cls, endpoints, witness: str, witness_ref: str):
+        endpoints = tuple(tuple(k) for k in endpoints)
+        if endpoints[0] == endpoints[1]:
             raise ValueError("edge endpoints must be distinct")
-        if self.witness not in ("X1Family", "X2Family"):
-            raise ValueError(f"unknown witness {self.witness!r}")
+        if witness not in ("X1Family", "X2Family"):
+            raise ValueError(f"unknown witness {witness!r}")
+        return tuple.__new__(cls, (endpoints, witness, witness_ref))
 
 
 def enumerate_components(d: int, w_max: int) -> list[StratumComponent]:

@@ -25,11 +25,9 @@ Every record here is a tuple subclass with named read-only fields: a
 ``namedtuple`` base gives the fields and the ``Name(field=value, ...)`` repr,
 and the record is built by one ``tuple.__new__`` call, after its validation
 where it has one (the three data records).  A record cannot be changed after
-it is built.  ``_Record`` makes equality and hashing depend on the type: a
-record equals only a record of its own type with equal fields, never a plain
-tuple or a record of another type (a tuple subclass defined elsewhere still
-compares by tuple rules when it is the left operand of ``==``), and
-``_replace`` validates like the constructor.
+it is built.  ``_Record`` (``kdl.lattice``, the base of every module's
+tuple-built records) makes equality and hashing depend on the type, and
+``_replace`` validate like the constructor.
 
 Warp convention: ``quotient_degree`` alone states the warp rule (w >= 1 and
 w | e) and e/w, and ``ruled_dsemistable`` adds only that order 0, which encodes
@@ -46,31 +44,11 @@ from itertools import product, repeat
 from typing import Union
 
 from .errors import NotDivisible, NotSL2
-from .lattice import mod_inverse
+from .lattice import _Record, mod_inverse
 
 HOPF = "hopf"
 ELLIPTIC_RULED = "elliptic_ruled"
 RATIONAL = "rational"
-
-
-class _Record:
-    """Type-distinct equality and hashing, and a validating ``_replace``,
-    for the tuple-built records of this module (see the module docstring)."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return type(other) is not type(self) or tuple.__ne__(self, other)
-
-    def __hash__(self):
-        return hash((type(self), tuple.__hash__(self)))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):

@@ -25,11 +25,17 @@ A ``Cone`` validates its rays by one basis-extension test, which also decides it
 arithmetic path) hands that on to images.  A window that departs from the formula costs one build per cone, plus
 the checks that its departures touch.
 
+``GroupElement`` and ``FanWindow`` are ``kdl.lattice._Record`` tuples with named read-only fields.  ``Cone`` and
+the four kinds stay frozen dataclasses: the benchmark's traced run names ``Cone``'s ``__init__`` span
+(``fans.Cone.new``), and a kind keeps its ``ray_coefficients`` beside the fields that ``window_payload``
+reads through ``asdict``.
+
 Matrices act on row vectors from the right throughout.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -38,11 +44,13 @@ from operator import attrgetter, mul
 from typing import Callable, ClassVar, Union
 
 from .errors import ArityMismatch, DimMismatch
-from .lattice import IntMatrix, IntVec, _new, _record, _setattr, extends_to_basis, is_unimodular, rank_of
+from .lattice import IntMatrix, IntVec, _new, _record, _Record, _setattr, extends_to_basis, is_unimodular, rank_of
 
 _entries = attrgetter("entries")  # the lexicographic sort key of rays
 
 
+# The four kinds stay dataclasses: a kind in e stores its ray_coefficients on the instance, beside its fields, and
+# window_payload reads the fields through asdict.
 @dataclass(frozen=True)
 class MumfordNeron:
     """The rank-2 chain fan smoothing the Neron 1-gon."""
@@ -110,7 +118,7 @@ def axis_indices(kind: FanKind, index) -> tuple[int, ...]:
     raise ArityMismatch(f"{type(kind).__name__} indexes cones by a tuple ({', '.join(kind.AXES)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: the traced run's fans.Cone.new span wraps __init__
 class Cone:
     """A simplicial rational cone given by primitive, independent rays.
 
@@ -140,28 +148,27 @@ class Cone:
         object.__setattr__(self, "smooth", smooth)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record, namedtuple("GroupElement", "lattice_part torus_part")):
     """A lattice automorphism together with bookkeeping torus labels.
 
     ``torus_part`` records one opaque parameter label per coordinate (such as
     "alpha" or "1"); labels are never evaluated.
     """
 
-    lattice_part: IntMatrix
-    torus_part: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "torus_part", tuple(str(s) for s in self.torus_part))
-        if not is_unimodular(self.lattice_part):
+    def __new__(cls, lattice_part: IntMatrix, torus_part):
+        torus_part = tuple(str(s) for s in torus_part)
+        if not is_unimodular(lattice_part):
             raise ValueError("lattice part must be unimodular")
-        if len(self.torus_part) != self.lattice_part.dim:
+        if len(torus_part) != lattice_part.dim:
             raise ValueError("one torus label per lattice coordinate")
+        return tuple.__new__(cls, (lattice_part, torus_part))
 
     @classmethod
     def _trusted(cls, m: IntMatrix, labels: tuple[str, ...]) -> "GroupElement":
         """An element of a lattice part known unimodular and labels known to fit, stored as given."""
-        return _record(cls, lattice_part=m, torus_part=labels)
+        return tuple.__new__(cls, (m, labels))
 
     @classmethod
     def from_matrix(cls, m: IntMatrix) -> "GroupElement":
@@ -268,8 +275,7 @@ def deflection(kind: FanKind, index, direction: str | None = None) -> IntVec:
     return _record(IntVec, entries=(*kind.ray_coefficients[direction], zero, zero)[2])
 
 
-@dataclass(frozen=True)
-class FanWindow:
+class FanWindow(_Record, namedtuple("FanWindow", "kind index_range cones")):
     """A finite slice of one of the infinite fans.
 
     ``index_range`` holds one inclusive (lo, hi) interval per index axis;
@@ -278,9 +284,7 @@ class FanWindow:
     builds them all at the first read).  ``indices()`` lists them sorted.
     """
 
-    kind: FanKind
-    index_range: tuple[tuple[int, int], ...]
-    cones: Mapping
+    __slots__ = ()
 
     def indices(self) -> list:
         return sorted(self.cones)
@@ -329,7 +333,7 @@ def fan_window(kind: FanKind, bound: int = 16, certified: bool = False) -> FanWi
     if bound < 1:
         raise ValueError("window bound must be at least 1")
     cones = _FormulaCones(kind, bound, certified)
-    return _record(FanWindow, kind=kind, index_range=cones.formula[1], cones=cones)
+    return tuple.__new__(FanWindow, (kind, cones.formula[1], cones))
 
 
 def window_payload(window: FanWindow) -> dict:

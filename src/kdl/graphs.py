@@ -13,41 +13,40 @@ triple-line curve D (components D0,D1,D2 all passing through two points
 q0,q1).  Gluings are classified Untwisted / Twisted / Invalid rather than
 rejected, so exhaustive sweeps can cover every identification.  C and D are
 built once, at import, and a coboundary's rank is |V| - #components.
+
+Every record here is a ``kdl.lattice._Record`` tuple with named read-only
+fields, built by one ``tuple.__new__`` call after its checks, if it has any.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import MalformedMorphism
-from .lattice import rank_of
+from .lattice import _Record, rank_of
 
 
-@dataclass(frozen=True)
-class BicolouredGraph:
+class BicolouredGraph(_Record, namedtuple("BicolouredGraph", "white black edges")):
     """Bipartite multigraph: edges join a white vertex to a black vertex.
 
     Parallel edges are meaningful (a component can pass through a node with
     two branches), so edges are positional.
     """
 
-    white: tuple[str, ...]
-    black: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "white", tuple(self.white))
-        object.__setattr__(self, "black", tuple(self.black))
-        object.__setattr__(self, "edges", tuple((w, b) for w, b in self.edges))
-        names = self.white + self.black
+    def __new__(cls, white, black, edges):
+        white, black, edges = tuple(white), tuple(black), tuple((w, b) for w, b in edges)
+        names = white + black
         if len(set(names)) != len(names):
             raise ValueError("vertex ids must be distinct across both colours")
-        whites, blacks = set(self.white), set(self.black)
-        for w, b in self.edges:
+        whites, blacks = set(white), set(black)
+        for w, b in edges:
             if w not in whites or b not in blacks:
                 raise ValueError(f"edge ({w}, {b}) references a missing vertex")
+        return tuple.__new__(cls, (white, black, edges))
 
     def vertex_count(self) -> int:
         return len(self.white) + len(self.black)
@@ -73,37 +72,33 @@ def betti1(g: BicolouredGraph) -> int:
     return len(g.edges) - g.vertex_count() + g.component_count()
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
+class GraphMorphism(_Record, namedtuple("GraphMorphism", "source target white_map black_map edge_map")):
     """A colour- and incidence-preserving map between bicoloured graphs.
 
     ``edge_map`` sends edge positions of the source to edge positions of the
     target; the image edge must join the images of the endpoints.
     """
 
-    source: BicolouredGraph
-    target: BicolouredGraph
-    white_map: dict
-    black_map: dict
-    edge_map: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_map", tuple(self.edge_map))
-        for w in self.source.white:
-            if self.white_map.get(w) not in self.target.white:
+    def __new__(cls, source: BicolouredGraph, target: BicolouredGraph, white_map: dict, black_map: dict, edge_map):
+        edge_map = tuple(edge_map)
+        for w in source.white:
+            if white_map.get(w) not in target.white:
                 raise MalformedMorphism(f"white vertex {w} has no valid image")
-        for b in self.source.black:
-            if self.black_map.get(b) not in self.target.black:
+        for b in source.black:
+            if black_map.get(b) not in target.black:
                 raise MalformedMorphism(f"black vertex {b} has no valid image")
-        if len(self.edge_map) != len(self.source.edges):
+        if len(edge_map) != len(source.edges):
             raise MalformedMorphism("edge_map must cover every source edge")
-        for pos, (w, b) in zip(self.edge_map, self.source.edges):
-            if not 0 <= pos < len(self.target.edges):
+        for pos, (w, b) in zip(edge_map, source.edges):
+            if not 0 <= pos < len(target.edges):
                 raise MalformedMorphism(f"edge image index {pos} out of range")
-            if self.target.edges[pos] != (self.white_map[w], self.black_map[b]):
+            if target.edges[pos] != (white_map[w], black_map[b]):
                 raise MalformedMorphism(
                     f"edge ({w}, {b}) does not map compatibly with its endpoints"
                 )
+        return tuple.__new__(cls, (source, target, white_map, black_map, edge_map))
 
 
 def _coboundary_rows(g: BicolouredGraph) -> list[list[int]]:
@@ -168,8 +163,7 @@ class GluingClass(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class PolygonGluing:
+class PolygonGluing(_Record, namedtuple("PolygonGluing", "component_targets node_targets")):
     """Identification data for the 6-gon onto the triple-line curve.
 
     ``component_targets[i]`` is the index k with C_i mapping onto D_k;
@@ -178,16 +172,15 @@ class PolygonGluing:
     defects are reported by ``classify_gluing`` as Invalid.
     """
 
-    component_targets: tuple[int, ...]
-    node_targets: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "component_targets", tuple(int(x) for x in self.component_targets))
-        object.__setattr__(self, "node_targets", tuple(int(x) for x in self.node_targets))
-        if len(self.component_targets) != 6 or any(not 0 <= x <= 2 for x in self.component_targets):
+    def __new__(cls, component_targets, node_targets):
+        component_targets, node_targets = tuple(int(x) for x in component_targets), tuple(int(x) for x in node_targets)
+        if len(component_targets) != 6 or any(not 0 <= x <= 2 for x in component_targets):
             raise ValueError("component_targets must be six values in 0..2")
-        if len(self.node_targets) != 6 or any(not 0 <= x <= 1 for x in self.node_targets):
+        if len(node_targets) != 6 or any(not 0 <= x <= 1 for x in node_targets):
             raise ValueError("node_targets must be six values in 0..1")
+        return tuple.__new__(cls, (component_targets, node_targets))
 
 
 def classify_gluing(p: PolygonGluing) -> GluingClass:
@@ -268,16 +261,10 @@ def canonical_gluing(p: PolygonGluing) -> PolygonGluing:
     return PolygonGluing(comp, node)
 
 
-@dataclass(frozen=True)
-class GluingSurvey:
+class GluingSurvey(_Record, namedtuple("GluingSurvey", "total untwisted twisted invalid orbit_counts results")):
     """Outcome of sweeping all candidate gluings, with dihedral reduction stats."""
 
-    total: int
-    untwisted: int
-    twisted: int
-    invalid: int
-    orbit_counts: dict
-    results: tuple
+    __slots__ = ()
 
 
 def enumerate_gluings(up_to_symmetry: bool = False) -> GluingSurvey:
@@ -310,14 +297,11 @@ def enumerate_gluings(up_to_symmetry: bool = False) -> GluingSurvey:
     )
 
 
-@dataclass(frozen=True)
-class RationalModel:
+class RationalModel(_Record, namedtuple("RationalModel", "minimal_model polygon_size blowup_count")):
     """A minimal model compatible with an anticanonical polygon: the polygon
     length m and the number n of blowups needed."""
 
-    minimal_model: str
-    polygon_size: int
-    blowup_count: int
+    __slots__ = ()
 
 
 def enumerate_rational_models() -> list[RationalModel]:

@@ -3,15 +3,16 @@
 The CLI selftest and the pytest acceptance module both run ``CRITERIA``, so
 the checked statements live in exactly one place.  The fan criteria 3-5 run
 ``kdl.smoothing``'s verification battery over their stated ranges rather
-than restating its checks.  Everything is exact integer arithmetic.
+than restating its checks.  Everything is exact integer arithmetic.  Both
+records are ``kdl.lattice._Record`` tuples with named read-only fields.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .boundary import adjacency_edges, enumerate_components
 from .classify import (
@@ -39,6 +40,7 @@ from .graphs import (
     pullback_rank,
     triple_line_graph,
 )
+from .lattice import _Record
 from .smoothing import FAMILIES, build_family, verify_family
 
 
@@ -50,24 +52,18 @@ ELLIPTIC_MUMFORD_WINDOW = 16  # criterion 5
 BOUNDARY_D_MAX, BOUNDARY_W_MAX = 3, 4  # criterion 9
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CriterionResult(_Record, namedtuple("CriterionResult", "number name passed detail elapsed")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.number:2d} {self.name}: {self.detail} [{self.elapsed:.2f}s]"
 
 
-@dataclass(frozen=True)
-class Criterion:
-    number: int
-    name: str
-    run: Callable[[], CriterionResult]
+class Criterion(_Record, namedtuple("Criterion", "number name run")):
+    """A criterion's number, name and ``run``, which returns its ``CriterionResult``."""
+
+    __slots__ = ()
 
 
 CRITERIA: list[Criterion] = []  # in number order, as declared below

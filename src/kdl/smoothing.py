@@ -37,13 +37,18 @@ degree, fan kind, generators as data (each lattice part as written in the paper,
 parameter names "e" and "e/w"), parameter labels and untested notes; its type states its expected deflection.
 ``build_family`` and ``verify_family`` read that row and derive everything else from the kind's ``AXES``;
 a row derives its generator template once, and the records they build from fields already checked (the
-family, its window, parameters and quotient, each check result, the report) skip ``__init__`` (``_record``).
+family, its window, parameters and quotient, each check result, the report) skip their checks.
+``FamilyParams``, ``QuotientInfo``, ``CheckResult`` and ``VerificationReport`` are ``kdl.lattice._Record``
+tuples with named read-only fields, built by one ``tuple.__new__`` call.  Two records stay frozen dataclasses:
+``SmoothingFamily``, which callers copy with ``dataclasses.replace``, and ``FamilySpec``, which caches its
+template, params and proof on the instance.
 Adding a family takes one fan kind in ``kdl.fans`` (its ``AXES`` and the ``ray_coefficients`` of each
 axis) and one row here, with one shift generator per axis listed first.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
@@ -66,7 +71,7 @@ from .fans import (
     share_facet,
     window_payload,
 )
-from .lattice import IntMatrix, IntVec, _record, det, extends_to_basis, is_unipotent
+from .lattice import IntMatrix, IntVec, _record, _Record, det, extends_to_basis, is_unipotent
 
 
 def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
@@ -78,21 +83,15 @@ def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
     return {"e": e, "e/w": quotient_degree(e, w)}
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    e: int | None = None
-    w: int | None = None
-    alpha_label: str | None = None
-    zeta_label: str | None = None
+class FamilyParams(_Record, namedtuple("FamilyParams", "e w alpha_label zeta_label", defaults=(None,) * 4)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuotientInfo:
-    galois_order: int
-    generic_fiber_degree: int
+class QuotientInfo(_Record, namedtuple("QuotientInfo", "galois_order generic_fiber_degree")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: it caches its template, params and proof on the instance
 class FamilySpec:
     """What one smoothing family adds to the axis-generic fan machinery; its type states its expected deflection.
 
@@ -105,8 +104,9 @@ class FamilySpec:
     step along each axis of the fan, and every later one must fix the fan.
     The shifts are unipotent, which ``prove_row`` proves; a shift that
     is not makes ``verify_family`` try every power in its freeness check.
-    A row derives its generator ``template`` and ``FamilyParams`` fields (``params``) once, ``dataclasses.replace``
-    anew, so a trusted ``generators`` call builds only the generators with a row that names a parameter.
+    A row derives its generator ``template`` and the ``FamilyParams`` of its labels (``params``) once,
+    ``dataclasses.replace`` anew, so a trusted ``generators`` call builds only the generators with a row that
+    names a parameter.
     """
 
     min_degree: int | None
@@ -122,7 +122,7 @@ class FamilySpec:
             labels, naming = labels or ("1",) * len(rows), tuple(any(isinstance(x, str) for x in row) for row in rows)
             fixed = None if any(naming) else GroupElement._trusted(IntMatrix._trusted(rows), labels)
             template.append((name, rows, labels, naming, fixed))
-        vars(self).update(template=tuple(template), params=vars(FamilyParams(**self.labels)))
+        vars(self).update(template=tuple(template), params=FamilyParams(**self.labels))
 
     def generators(self, e: int | None, w: int | None, trusted=False, values=None) -> tuple:
         """The named generators at (e, w); ``values``, if given, are ``parameter_values(e, w)``."""
@@ -194,7 +194,7 @@ FAMILIES = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: callers copy it with dataclasses.replace
 class SmoothingFamily:
     """A fan window, its generators, quotient bookkeeping and a proved row's certificate (kind, named generators)."""
 
@@ -208,21 +208,15 @@ class SmoothingFamily:
     certificate: tuple | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    counterexample: str | None = None
+class CheckResult(_Record, namedtuple("CheckResult", "name passed counterexample", defaults=(None,))):
+    __slots__ = ()
 
 
-_passed = cache(lambda name: _record(CheckResult, name=name, passed=True, counterexample=None))
+_passed = cache(lambda name: tuple.__new__(CheckResult, (name, True, None)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: str
-    checks: tuple[CheckResult, ...]
-    untested: tuple[str, ...]
+class VerificationReport(_Record, namedtuple("VerificationReport", "family checks untested")):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -255,9 +249,9 @@ def build_family(family: str, e: int | None = None, w: int | None = None, window
                 if spec.min_degree
                 else "degree must be nonnegative"
             )
-        quotient_info = _record(QuotientInfo, galois_order=w, generic_fiber_degree=values["e/w"])
+        quotient_info = tuple.__new__(QuotientInfo, (w, values["e/w"]))
     kind, named = spec.kind(e), spec.generators(e, w, certified := spec.certified(), values)
-    (names, generators), params = zip(*named), _record(FamilyParams, **spec.params | {"e": e, "w": w})
+    (names, generators), params = zip(*named), tuple.__new__(FamilyParams, (e, w, *spec.params[2:]))  # the row's labels
     return _record(SmoothingFamily, family=family, kind=kind, params=params, fan=fan_window(kind, window, certified),
                    generators=generators, generator_names=names, quotient_info=quotient_info,
                    certificate=(kind, named) if certified else None)
@@ -338,10 +332,14 @@ class _Walk:
 
     def touching(self, axes, step: int) -> list:
         """The indices i, in order, whose pair with the index ``step`` along one of the axes from i a pair check
-        visits: the candidates and, on a departed window, each index ``-step`` along one of the axes from one."""
+        visits: the candidates and, on a departed window, each index ``-step`` along an axis a from one.  Stepping
+        back (-1), as the transitivity walk does, pairs i with the index one back along its last axis above the
+        lower bound only, so the index one up axis a is listed when the candidate is low on every later axis."""
         if not self.departed:
             return self.candidates
-        return sorted({*self.candidates, *(self.near(i, a, -step) for i in self.candidates for a in axes)} - {None})
+        kind, lows = self.family.kind, tuple(lo for lo, _ in self.family.fan.index_range)
+        return sorted({*self.candidates, *(self.near(i, a, -step) for i in self.candidates for a in axes
+                                          if step > 0 or axis_indices(kind, i)[a + 1 :] == lows[a + 1 :])} - {None})
 
 
 def check_cones_smooth(walk: _Walk) -> str | None:
@@ -460,8 +458,8 @@ def verify_family(f: SmoothingFamily) -> VerificationReport:
         ("shift_orbit_transitive", check_shift_orbit_transitive(walk)),
     ]
     checks = tuple([_passed(name) if failure is None else
-                    _record(CheckResult, name=name, passed=False, counterexample=failure) for name, failure in checks])
-    return _record(VerificationReport, family=f.family, checks=checks, untested=UNTESTED_COMMON + spec.untested)
+                    tuple.__new__(CheckResult, (name, False, failure)) for name, failure in checks])
+    return tuple.__new__(VerificationReport, (f.family, checks, UNTESTED_COMMON + spec.untested))
 
 
 def family_payload(f: SmoothingFamily) -> dict:

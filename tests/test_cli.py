@@ -433,6 +433,13 @@ class TestSelftestCommand:
         lines = [r.line() for r in results] + [summary]
         assert run_cli(["selftest"]) == (code, "\n".join(lines) + "\n", "")
 
+    def test_only_selftest_imports_the_criteria(self):
+        # The criteria module is imported by the selftest handler alone, so no other request compiles or runs it.
+        code = "import sys, kdl.cli; print('kdl.selfcheck' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
 
 class TestGraphCommand:
     def test_betti(self):
