@@ -26,9 +26,10 @@ arithmetic path) hands that on to images.  A window that departs from the formul
 the checks that its departures touch.
 
 ``GroupElement`` and ``FanWindow`` are ``kdl.lattice._Record`` tuples with named read-only fields.  ``Cone`` and
-the four kinds stay frozen dataclasses: the benchmark's traced run names ``Cone``'s ``__init__`` span
-(``fans.Cone.new``), and a kind keeps its ``ray_coefficients`` beside the fields that ``window_payload``
-reads through ``asdict``.
+the four kinds are ``kdl.lattice._Value`` classes, which keep their fields in their ``__dict__``: ``Cone`` writes
+its own ``__init__`` (the benchmark's traced run names its span ``fans.Cone.new``) and stores ``smooth`` and
+``formula`` beside its compared fields, and a kind in e its ``ray_coefficients`` beside its one field, e, which
+``window_payload`` reads from the kind's ``_fields``.
 
 Matrices act on row vectors from the right throughout.
 """
@@ -37,71 +38,70 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import attrgetter, mul
-from typing import Callable, ClassVar, Union
+from typing import Callable, Union
 
 from .errors import ArityMismatch, DimMismatch
-from .lattice import IntMatrix, IntVec, _new, _record, _Record, _setattr, extends_to_basis, is_unimodular, rank_of
+from .lattice import (
+    IntMatrix, IntVec, _new, _record, _Record, _setattr, _Value, extends_to_basis, is_unimodular, rank_of
+)
 
 _entries = attrgetter("entries")  # the lexicographic sort key of rays
 
 
-# The four kinds stay dataclasses: a kind in e stores its ray_coefficients on the instance, beside its fields, and
-# window_payload reads the fields through asdict.
-@dataclass(frozen=True)
-class MumfordNeron:
+class MumfordNeron(_Value):
     """The rank-2 chain fan smoothing the Neron 1-gon."""
 
-    NAME: ClassVar[str] = "mumford_neron"
-    AXES: ClassVar[tuple[str, ...]] = ("m",)
-    AMBIENT_RANK: ClassVar[int] = 2
+    NAME = "mumford_neron"
+    AXES = ("m",)
+    AMBIENT_RANK = 2
 
-    ray_coefficients: ClassVar[dict] = {"m": ((0, 1), (1, 0))}  # (m, 1)
+    ray_coefficients = {"m": ((0, 1), (1, 0))}  # (m, 1)
 
 
-@dataclass(frozen=True)
-class HopfSmoothing:
+class HopfSmoothing(_Value):
     """The rank-3 chain fan whose central fibre is a degree-e C*-bundle over the infinity-gon."""
 
+    NAME = "hopf_smoothing"
+    AXES = ("m",)
+    AMBIENT_RANK = 3
+
+    _fields = ("e",)
     e: int
-    NAME: ClassVar[str] = "hopf_smoothing"
-    AXES: ClassVar[tuple[str, ...]] = ("m",)
-    AMBIENT_RANK: ClassVar[int] = 3
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __init__(self, e: int):
+        if e < 1:
             raise ValueError("degree e must be a positive integer")
-        vars(self)["ray_coefficients"] = {"m": ((0, 0, 1), (1, 0, 0), (0, self.e, 0))}  # (m, e*binom2(m), 1)
+        vars(self).update(e=e, ray_coefficients={"m": ((0, 0, 1), (1, 0, 0), (0, e, 0))})  # (m, e*binom2(m), 1)
 
 
-@dataclass(frozen=True)
-class EllipticSmoothing:
+class EllipticSmoothing(_Value):
     """The rank-3 chain fan whose central fibre is a product of the infinity-gon with C*."""
 
-    NAME: ClassVar[str] = "elliptic_smoothing"
-    AXES: ClassVar[tuple[str, ...]] = ("n",)
-    AMBIENT_RANK: ClassVar[int] = 3
+    NAME = "elliptic_smoothing"
+    AXES = ("n",)
+    AMBIENT_RANK = 3
 
-    ray_coefficients: ClassVar[dict] = {"n": ((0, 0, 1), (0, 1, 0))}  # (0, n, 1)
+    ray_coefficients = {"n": ((0, 0, 1), (0, 1, 0))}  # (0, n, 1)
 
 
-@dataclass(frozen=True)
-class RationalSmoothing:
+class RationalSmoothing(_Value):
     """The rank-4 doubly periodic fan: a bundle of infinity-gons over the infinity-gon."""
 
-    e: int
-    NAME: ClassVar[str] = "rational_smoothing"
-    AXES: ClassVar[tuple[str, ...]] = ("m", "n")
-    AMBIENT_RANK: ClassVar[int] = 4
+    NAME = "rational_smoothing"
+    AXES = ("m", "n")
+    AMBIENT_RANK = 4
 
-    def __post_init__(self):
-        if self.e < 1:
+    _fields = ("e",)
+    e: int
+
+    def __init__(self, e: int):
+        if e < 1:
             raise ValueError("degree e must be a positive integer")
-        vars(self)["ray_coefficients"] = {  # (m, e*binom2(m), 1, 0) and (0, n, 0, 1)
-            "m": ((0, 0, 1, 0), (1, 0, 0, 0), (0, self.e, 0, 0)), "n": ((0, 0, 0, 1), (0, 1, 0, 0))}
+        vars(self).update(e=e, ray_coefficients={  # (m, e*binom2(m), 1, 0) and (0, n, 0, 1)
+            "m": ((0, 0, 1, 0), (1, 0, 0, 0), (0, e, 0, 0)), "n": ((0, 0, 0, 1), (0, 1, 0, 0))})
 
 
 FanKind = Union[MumfordNeron, HopfSmoothing, EllipticSmoothing, RationalSmoothing]
@@ -118,8 +118,7 @@ def axis_indices(kind: FanKind, index) -> tuple[int, ...]:
     raise ArityMismatch(f"{type(kind).__name__} indexes cones by a tuple ({', '.join(kind.AXES)})")
 
 
-@dataclass(frozen=True)  # a dataclass: the traced run's fans.Cone.new span wraps __init__
-class Cone:
+class Cone(_Value):
     """A simplicial rational cone given by primitive, independent rays.
 
     The ray tuple is canonicalized to lexicographic order on construction, so equal cones compare equal.  After
@@ -129,23 +128,24 @@ class Cone:
     compared, hashed or shown.  A certified window cone and an ``apply`` image are one record, not validated.
     """
 
+    _fields = ("rays", "rank")
     rays: tuple[IntVec, ...]
     rank: int
-    smooth: bool = field(init=False, compare=False, repr=False)
-    formula: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    smooth: bool
+    formula: tuple | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", rays := tuple(sorted(self.rays, key=_entries)))
+    def __init__(self, rays, rank: int):
+        rays = tuple(sorted(rays, key=_entries))
         if not rays:
             raise ValueError("a cone needs at least one ray")
-        if any(v.rank != self.rank for v in rays):
+        if any(v.rank != rank for v in rays):
             raise ValueError("all rays must live in the ambient lattice")
         if any(not v.is_primitive() for v in rays):
             raise ValueError("cone rays must be primitive")
-        smooth = len(rays) <= self.rank and extends_to_basis(rays)
+        smooth = len(rays) <= rank and extends_to_basis(rays)
         if not smooth and rank_of([v.entries for v in rays]) != len(rays):
             raise ValueError("cone rays must be linearly independent")
-        object.__setattr__(self, "smooth", smooth)
+        vars(self).update(rays=rays, rank=rank, smooth=smooth)
 
 
 class GroupElement(_Record, namedtuple("GroupElement", "lattice_part torus_part")):
@@ -302,7 +302,9 @@ def window_cones(kind: FanKind, bound: int, certified: bool = False) -> dict:
 class _FormulaCones(Mapping):
     """``fan_window``'s cones: ``len`` and iteration (in sorted order) are arithmetic in the bound and
     build nothing; the first lookup builds the whole window through ``window_cones`` and keeps it as ``cones``.
-    It finds, compares, prints, pickles and copies as that dict does; ``formula`` is (kind, index range)."""
+    It finds, compares, prints, pickles and copies as that dict does; ``keys``, ``items`` and ``values`` build
+    the window too and return that dict's views, so ``dict(...)`` copies it through them in its own order.
+    ``formula`` is (kind, index range)."""
 
     cones = cached_property(lambda self: window_cones(self.kind, self.bound, self.certified))
 
@@ -312,6 +314,15 @@ class _FormulaCones(Mapping):
 
     def __getitem__(self, index) -> Cone:
         return self.cones[index]
+
+    def keys(self):
+        return self.cones.keys()
+
+    def items(self):
+        return self.cones.items()
+
+    def values(self):
+        return self.cones.values()
 
     def __iter__(self):
         span = range(-self.bound, self.bound + 1)
@@ -344,7 +355,7 @@ def window_payload(window: FanWindow) -> dict:
     ]
     return {
         "kind": window.kind.NAME,
-        "params": asdict(window.kind),
+        "params": {name: getattr(window.kind, name) for name in window.kind._fields},
         "range": {name: list(span) for name, span in zip(window.kind.AXES, window.index_range)},
         "cones": cones,
     }

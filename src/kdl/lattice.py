@@ -10,17 +10,19 @@ Values are immutable after construction and all operations are pure.
 (this one is imported first): a record class is ``_Record`` plus a
 ``namedtuple`` base, with ``__slots__ = ()`` and, where it validates, a
 ``__new__`` that checks and then builds by one ``tuple.__new__`` call.
-``IntVec`` and ``IntMatrix`` stay dataclasses: the benchmark's traced run
-names ``IntVec``'s ``__init__`` span (``lattice.IntVec.new``), and a matrix's
-``cols`` take no part in its equality.
+``_Value`` is the base of the value classes that keep their fields in their
+``__dict__``: ``IntVec`` and ``IntMatrix`` here, ``Cone`` and the four fan
+kinds in ``kdl.fans``, and ``FamilySpec`` in ``kdl.smoothing``.  Each class
+with fields writes its own ``__init__`` (the benchmark's traced run names
+``IntVec``'s span ``lattice.IntVec.new``) and may hold more than its compared
+fields: a matrix's ``cols`` take no part in its equality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, product
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import NotAUnit, RankMismatch
@@ -50,16 +52,46 @@ class _Record:
         return cls(*iterable)
 
 
+class _Value:
+    """Equality, hashing and the repr over a class's compared fields ``_fields`` (in constructor order), as a frozen
+    dataclass generates them, for instances that keep their fields in their ``__dict__``; assignment raises
+    ``AttributeError``.  A subclass with fields writes its own ``__init__``, which fills ``vars(self)``, and may store
+    more than its ``_fields`` there: what it stores besides is neither compared, hashed nor shown."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        """Give the class ``__eq__`` and ``__hash__`` of its own, each reading the compared fields by one
+        ``attrgetter`` (of one name it gives the bare value, so the hash wraps it in the 1-tuple a dataclass hashes)."""
+        get = attrgetter(*cls._fields) if cls._fields else lambda self: ()
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = (lambda self: hash((get(self),))) if len(cls._fields) == 1 else lambda self: hash(get(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join([f'{name}={getattr(self, name)!r}' for name in self._fields])})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _record(cls, **fields):
-    """A frozen dataclass ``cls`` holding ``fields`` (every field, in field order) as given, without ``__init__``:
-    no conversion, check or ``__post_init__``, for fields its caller has already checked."""
+    """An instance of ``cls``, a ``_Value`` class or a frozen dataclass, holding ``fields`` (every field it stores, in
+    order) as given, without ``__init__``: no conversion or check, for fields its caller has already checked."""
     record = _new(cls)
     _setattr(record, "__dict__", fields)
     return record
 
 
-@dataclass(frozen=True)  # a dataclass: the traced run's lattice.IntVec.new span wraps __init__
-class IntVec:
+class IntVec(_Value):
     """An integer row vector; ``rank`` is its length.
 
     ``IntVec(...)`` converts every entry with ``int`` and rejects an empty
@@ -67,12 +99,14 @@ class IntVec:
     already ints, builds its result with ``_record`` instead.
     """
 
+    _fields = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if len(self.entries) == 0:
+    def __init__(self, entries):
+        entries = tuple(int(x) for x in entries)
+        if len(entries) == 0:
             raise ValueError("IntVec needs at least one entry")
+        vars(self)["entries"] = entries
 
     @property
     def rank(self) -> int:
@@ -89,26 +123,25 @@ class IntVec:
         return _record(IntVec, entries=tuple([sum(map(mul, self.entries, col)) for col in m.cols]))
 
 
-@dataclass(frozen=True)  # a dataclass: cols is no part of equality, hashing or the repr
-class IntMatrix:
+class IntMatrix(_Value):
     """A square integer matrix, stored row-major.
 
     ``cols`` holds the columns, computed once on construction for the
     products; it takes no part in equality, hashing or the repr.  A product
     is built by ``_trusted``, which stores its int rows and columns as they are."""
 
+    _fields = ("rows",)
     rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    cols: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0:
             raise ValueError("IntMatrix needs at least one row")
         if any(len(row) != n for row in rows):
             raise ValueError("IntMatrix must be square")
-        object.__setattr__(self, "cols", tuple(zip(*rows)))
+        vars(self).update(rows=rows, cols=tuple(zip(*rows)))
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":

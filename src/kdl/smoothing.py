@@ -39,9 +39,9 @@ parameter names "e" and "e/w"), parameter labels and untested notes; its type st
 a row derives its generator template once, and the records they build from fields already checked (the
 family, its window, parameters and quotient, each check result, the report) skip their checks.
 ``FamilyParams``, ``QuotientInfo``, ``CheckResult`` and ``VerificationReport`` are ``kdl.lattice._Record``
-tuples with named read-only fields, built by one ``tuple.__new__`` call.  Two records stay frozen dataclasses:
-``SmoothingFamily``, which callers copy with ``dataclasses.replace``, and ``FamilySpec``, which caches its
-template, params and proof on the instance.
+tuples with named read-only fields, built by one ``tuple.__new__`` call.  ``FamilySpec`` is a ``kdl.lattice._Value``
+class, which caches its template, params and proof in its ``__dict__`` beside its compared fields.
+``SmoothingFamily`` stays a frozen dataclass, the one in kdl: callers copy it with ``dataclasses.replace``.
 Adding a family takes one fan kind in ``kdl.fans`` (its ``AXES`` and the ``ray_coefficients`` of each
 axis) and one row here, with one shift generator per axis listed first.
 """
@@ -71,7 +71,7 @@ from .fans import (
     share_facet,
     window_payload,
 )
-from .lattice import IntMatrix, IntVec, _record, _Record, det, extends_to_basis, is_unipotent
+from .lattice import IntMatrix, IntVec, _record, _Record, _Value, det, extends_to_basis, is_unipotent
 
 
 def parameter_values(e: int | None, w: int | None) -> dict[str, int]:
@@ -91,8 +91,7 @@ class QuotientInfo(_Record, namedtuple("QuotientInfo", "galois_order generic_fib
     __slots__ = ()
 
 
-@dataclass(frozen=True)  # a dataclass: it caches its template, params and proof on the instance
-class FamilySpec:
+class FamilySpec(_Value):
     """What one smoothing family adds to the axis-generic fan machinery; its type states its expected deflection.
 
     ``min_degree`` is None for the curve family, which takes no degree or
@@ -104,25 +103,28 @@ class FamilySpec:
     step along each axis of the fan, and every later one must fix the fan.
     The shifts are unipotent, which ``prove_row`` proves; a shift that
     is not makes ``verify_family`` try every power in its freeness check.
-    A row derives its generator ``template`` and the ``FamilyParams`` of its labels (``params``) once,
-    ``dataclasses.replace`` anew, so a trusted ``generators`` call builds only the generators with a row that
-    names a parameter.
+    A row derives its generator ``template`` and the ``FamilyParams`` of its labels (``params``) once, at
+    construction, so a row built anew from another's fields and a new ``group`` derives its own, and a trusted
+    ``generators`` call builds only the generators with a row that names a parameter.  The template, params and
+    proof are neither compared, hashed nor shown.
     """
 
+    _fields = ("min_degree", "kind", "group", "labels", "untested")
     min_degree: int | None
     kind: Callable[[int | None], FanKind]
     group: tuple[tuple[str, tuple | None, tuple[str, ...] | None], ...]
     labels: dict[str, str]
-    untested: tuple[str, ...] = ()
+    untested: tuple[str, ...]
 
-    def __post_init__(self):
+    def __init__(self, min_degree, kind, group, labels, untested=()):
         template = []  # per generator: name, rows, labels, which rows name a parameter, its element if none does
-        for name, rows, labels in self.group:
-            rows = rows or tuple((0,) * i + (1,) + (0,) * (len(labels) - 1 - i) for i in range(len(labels)))
-            labels, naming = labels or ("1",) * len(rows), tuple(any(isinstance(x, str) for x in row) for row in rows)
-            fixed = None if any(naming) else GroupElement._trusted(IntMatrix._trusted(rows), labels)
-            template.append((name, rows, labels, naming, fixed))
-        vars(self).update(template=tuple(template), params=FamilyParams(**self.labels))
+        for name, rows, torus in group:
+            rows = rows or tuple((0,) * i + (1,) + (0,) * (len(torus) - 1 - i) for i in range(len(torus)))
+            torus, naming = torus or ("1",) * len(rows), tuple(any(isinstance(x, str) for x in row) for row in rows)
+            fixed = None if any(naming) else GroupElement._trusted(IntMatrix._trusted(rows), torus)
+            template.append((name, rows, torus, naming, fixed))
+        vars(self).update(min_degree=min_degree, kind=kind, group=group, labels=labels, untested=untested,
+                          template=tuple(template), params=FamilyParams(**labels))
 
     def generators(self, e: int | None, w: int | None, trusted=False, values=None) -> tuple:
         """The named generators at (e, w); ``values``, if given, are ``parameter_values(e, w)``."""

@@ -580,6 +580,24 @@ class TestConesBuiltOnRead:
         assert built == []  # a copy carries every cone built before it and builds none
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_a_built_window_copies_through_its_dict(self, kind, built):
+        # keys, items and values build the window, as a lookup does, and return
+        # the built dict's views; so dict() copies a built window item for item,
+        # in the dict's order and with its cone objects, and builds no cone.
+        for read in ("keys", "items", "values"):
+            built.clear()
+            window = fan_window(kind, 3).cones
+            view = getattr(window, read)()
+            assert type(view) is type(getattr({}, read)()) and list(view) == list(getattr(window.cones, read)())
+            assert len(built) == len(window.cones)
+        built.clear()
+        cones = window.cones
+        copied = dict(window)
+        assert list(copied) == list(cones) == list(window)
+        assert all(a is b for a, b in zip(copied.values(), cones.values()))
+        assert built == [] and window.cones is cones
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_copying_an_unread_window_builds_nothing(self, kind, built):
         window = fan_window(kind, 2)
         copies = [pickle.loads(pickle.dumps(window)), copy.deepcopy(window), copy.copy(window)]

@@ -1,7 +1,9 @@
 """The record contract of kdl's tuple-built records outside ``kdl.classify``, whose records
 tests/test_classify.py covers: read-only fields, equality and hashing that depend on the type,
 a ``_replace`` that validates like the constructor, pickle and deepcopy round trips, and the
-``Name(field=value, ...)`` repr.  Also pins which kdl classes are still dataclasses."""
+``Name(field=value, ...)`` repr.  The same contract for the hand-written ``_Value`` classes,
+whose equality, hashing and repr read only their compared fields, as the frozen dataclasses
+they replace did.  Also pins which kdl class is still a dataclass."""
 
 import copy
 import dataclasses
@@ -14,7 +16,16 @@ import pytest
 
 from kdl.boundary import AdjacencyEdge, StratumComponent, adjacency_edges, enumerate_components
 from kdl.errors import KdlError
-from kdl.fans import FanWindow, GroupElement
+from kdl.fans import (
+    Cone,
+    EllipticSmoothing,
+    FanWindow,
+    GroupElement,
+    HopfSmoothing,
+    MumfordNeron,
+    RationalSmoothing,
+    cone_at,
+)
 from kdl.graphs import (
     BicolouredGraph,
     GluingSurvey,
@@ -26,9 +37,18 @@ from kdl.graphs import (
     gluing_morphism,
     neron_polygon_graph,
 )
-from kdl.lattice import IntMatrix, _Record
+from kdl.lattice import IntMatrix, IntVec, _record, _Record, _Value
 from kdl.selfcheck import CRITERIA, Criterion, CriterionResult, criterion_tables
-from kdl.smoothing import CheckResult, FamilyParams, QuotientInfo, VerificationReport, build_family, verify_family
+from kdl.smoothing import (
+    FAMILIES,
+    CheckResult,
+    FamilyParams,
+    FamilySpec,
+    QuotientInfo,
+    VerificationReport,
+    build_family,
+    verify_family,
+)
 
 UNTWISTED = PolygonGluing((0, 1, 2, 0, 1, 2), (0, 1, 0, 1, 0, 1))
 FAMILY = build_family("hopf", e=4, w=2, window=2)
@@ -53,9 +73,8 @@ RECORDS = {
     GroupElement: (FAMILY.generators[0], ("lattice_part", "torus_part")),
     FanWindow: (FAMILY.fan, ("kind", "index_range", "cones")),
 }
-# The classes that stay dataclasses, each for a reason its module states.
-DATACLASSES = {"IntVec", "IntMatrix", "Cone", "MumfordNeron", "HopfSmoothing", "EllipticSmoothing",
-               "RationalSmoothing", "SmoothingFamily", "FamilySpec"}
+# The one class that stays a dataclass, for the reason kdl.smoothing states.
+DATACLASSES = {"SmoothingFamily"}
 
 
 def kdl_classes() -> list:
@@ -74,7 +93,7 @@ def test_every_record_outside_classify_is_covered():
     assert all(issubclass(cls, tuple) and cls.__slots__ == () for cls in records)
 
 
-def test_the_dataclasses_left_are_the_nine_named():
+def test_the_one_dataclass_left_is_smoothing_family():
     assert {cls.__name__ for cls in kdl_classes() if dataclasses.is_dataclass(cls)} == DATACLASSES
 
 
@@ -177,3 +196,98 @@ def test_constructors_convert_as_before():
     assert edge.endpoints == (("hopf", 1, 1), ("rational", 1, 1))
     assert GroupElement(FAMILY.generators[0].lattice_part, [1, 1, 1]).torus_part == ("1", "1", "1")
     assert FamilyParams() == FamilyParams(None, None, None, None) and CheckResult("x", True).counterexample is None
+
+
+# ---------------------------------------------------------------------------
+# The hand-written value classes: one value of each, as kdl builds it, its
+# compared fields in constructor order, and the repr the dataclass printed.
+
+CONE = cone_at(FAMILY.kind, 0)  # tagged with its formula, and smooth
+VALUES = {
+    IntVec: (IntVec((1, 2)), ("entries",), "IntVec(entries=(1, 2))"),
+    IntMatrix: (IntMatrix(((1, 0), (1, 1))), ("rows",), "IntMatrix(rows=((1, 0), (1, 1)))"),
+    Cone: (CONE, ("rays", "rank"), "Cone(rays=(IntVec(entries=(0, 0, 1)), IntVec(entries=(1, 0, 1))), rank=3)"),
+    MumfordNeron: (MumfordNeron(), (), "MumfordNeron()"),
+    HopfSmoothing: (HopfSmoothing(2), ("e",), "HopfSmoothing(e=2)"),
+    EllipticSmoothing: (EllipticSmoothing(), (), "EllipticSmoothing()"),
+    RationalSmoothing: (RationalSmoothing(3), ("e",), "RationalSmoothing(e=3)"),
+    FamilySpec: (FAMILIES["hopf"], ("min_degree", "kind", "group", "labels", "untested"),
+                 f"FamilySpec(min_degree=1, kind={HopfSmoothing!r}, group={FAMILIES['hopf'].group!r}, "
+                 f"labels={{'alpha_label': 'alpha'}}, untested={FAMILIES['hopf'].untested!r})"),
+}
+
+
+def test_every_value_class_is_covered():
+    values = {cls for cls in kdl_classes() if issubclass(cls, _Value)}
+    values.discard(_Value)
+    assert values == set(VALUES)
+    assert all(not dataclasses.is_dataclass(cls) and cls._fields == VALUES[cls][1] for cls in values)
+
+
+@pytest.fixture(params=list(VALUES), ids=lambda cls: cls.__name__)
+def value(request):
+    return VALUES[request.param][0]
+
+
+def compared(value) -> tuple:
+    return tuple(getattr(value, name) for name in VALUES[type(value)][1])
+
+
+def test_assigning_or_deleting_any_name_raises_attribute_error(value):
+    stored, before = dict(vars(value)), repr(value)
+    for name in (*VALUES[type(value)][1], *stored, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert vars(value) == stored and repr(value) == before
+
+
+def test_repr_is_the_dataclass_text(value):
+    assert repr(value) == VALUES[type(value)][2]
+
+
+def test_equality_and_hash_read_only_the_compared_fields(value):
+    cls = type(value)
+    rebuilt = cls(**dict(zip(cls._fields, compared(value))))
+    subclass = type(cls.__name__, (cls,), {})(**dict(zip(cls._fields, compared(value))))
+    assert rebuilt == value and value == rebuilt and not rebuilt != value
+    for other in (subclass, compared(value), None):
+        assert value != other and other != value
+    if isinstance(value, FamilySpec):  # its labels are a dict, so it hashes no more than the dataclass did
+        with pytest.raises(TypeError):
+            hash(value)
+        return
+    assert hash(value) == hash(rebuilt) == hash(compared(value))
+
+
+def test_fields_outside_equality_stay_out_of_it():
+    validated = Cone(CONE.rays, CONE.rank)
+    other = _record(Cone, rays=CONE.rays, rank=CONE.rank, smooth=False, formula=("another", (1,)))
+    assert (CONE.formula, validated.formula) == ((FAMILY.kind, (0,)), None)
+    for cone in (validated, other):
+        assert cone == CONE and hash(cone) == hash(CONE) and repr(cone) == repr(CONE)
+    rows = ((2, 1), (1, 1))
+    assert IntMatrix(rows) == IntMatrix._trusted(rows) and hash(IntMatrix(rows)) == hash(IntMatrix._trusted(rows))
+    assert IntMatrix(rows) != IntMatrix(((1, 1), (1, 2)))
+    assert HopfSmoothing(2) != HopfSmoothing(3) and HopfSmoothing(2) != RationalSmoothing(2)
+    spec = FAMILIES["hopf"]
+    spec.certified()
+    fresh = FamilySpec(**{name: getattr(spec, name) for name in FamilySpec._fields})
+    assert "proof" in vars(spec) and "proof" not in vars(fresh) and fresh == spec
+
+
+def test_pickle_and_deepcopy_keep_every_stored_attribute(value):
+    FAMILIES["hopf"].certified()  # so the row carries its proof
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value) and copied == value and repr(copied) == repr(value)
+        assert copied is not value and vars(copied) == vars(value) and list(vars(copied)) == list(vars(value))
+    assert {"smooth", "formula"} <= set(vars(CONE)) and "cols" in vars(VALUES[IntMatrix][0])
+    assert all("ray_coefficients" in vars(VALUES[cls][0]) for cls in (HopfSmoothing, RationalSmoothing))
+
+
+def test_intvec_and_cone_write_their_own_init():
+    # The traced benchmark run wraps the __init__ in a class's own body as
+    # the spans lattice.IntVec.new and fans.Cone.new, and __matmul__ as
+    # lattice.IntMatrix.matmul.
+    assert "__init__" in vars(IntVec) and "__init__" in vars(Cone) and "__matmul__" in vars(IntMatrix)
