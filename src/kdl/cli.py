@@ -232,8 +232,7 @@ def _read_record(record, text: str, document: str):
     return record(*_read(_load_json(text), document).values())
 
 
-def _gluing_result_payload(p: PolygonGluing) -> dict:
-    cls = classify_gluing(p)
+def _gluing_result_payload(p: PolygonGluing, cls: GluingClass) -> dict:
     rank = None if cls is GluingClass.INVALID else pullback_rank(gluing_morphism(p))
     return {
         "components": list(p.component_targets),
@@ -249,11 +248,12 @@ def _cmd_graph(args) -> int:
         emit({"betti1": betti1(graph), "components": graph.component_count()})
         return 0
     if args.gluing is not None:
-        emit(_gluing_result_payload(_read_record(PolygonGluing, args.gluing, "gluing")))
+        gluing = _read_record(PolygonGluing, args.gluing, "gluing")
+        emit(_gluing_result_payload(gluing, classify_gluing(gluing)))
         return 0
     survey = enumerate_gluings(up_to_symmetry=args.up_to_symmetry)
-    for p, _ in survey.results:
-        print(json.dumps({"schema": SCHEMA, **_gluing_result_payload(p)}))
+    for p, cls in survey.results:
+        print(json.dumps({"schema": SCHEMA, **_gluing_result_payload(p, cls)}))
     summary = {
         "schema": SCHEMA,
         "summary": {

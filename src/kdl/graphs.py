@@ -268,32 +268,19 @@ class GluingSurvey(_Record, namedtuple("GluingSurvey", "total untwisted twisted 
 
 
 def enumerate_gluings(up_to_symmetry: bool = False) -> GluingSurvey:
-    """Classify every candidate gluing; optionally keep one gluing per dihedral orbit."""
-    counts = {cls: 0 for cls in GluingClass}
-    orbit_reps: dict = {}
-    results = []
-    total = 0
-    for p in all_gluings():
-        total += 1
-        cls = classify_gluing(p)
-        counts[cls] += 1
-        rep = canonical_gluing(p)
-        if rep not in orbit_reps:
-            orbit_reps[rep] = cls
-        if not up_to_symmetry:
-            results.append((p, cls))
-        elif rep == p:
-            results.append((p, cls))
-    orbit_counts = {cls.value: 0 for cls in GluingClass}
-    for cls in orbit_reps.values():
-        orbit_counts[cls.value] += 1
+    """Classify every candidate gluing once, noting whether it is the least member of its dihedral orbit.
+
+    A dihedral image has its gluing's class, so each orbit counts under its least member's class; ``results``
+    pairs each gluing with its class, or only each orbit's least member ``up_to_symmetry``."""
+    survey = [(p, classify_gluing(p), canonical_gluing(p) == p) for p in all_gluings()]
+    classes, orbits = [cls for _, cls, _ in survey], [cls for _, cls, least in survey if least]
     return GluingSurvey(
-        total=total,
-        untwisted=counts[GluingClass.UNTWISTED],
-        twisted=counts[GluingClass.TWISTED],
-        invalid=counts[GluingClass.INVALID],
-        orbit_counts=orbit_counts,
-        results=tuple(results),
+        total=len(survey),
+        untwisted=classes.count(GluingClass.UNTWISTED),
+        twisted=classes.count(GluingClass.TWISTED),
+        invalid=classes.count(GluingClass.INVALID),
+        orbit_counts={cls.value: orbits.count(cls) for cls in GluingClass},
+        results=tuple((p, cls) for p, cls, least in survey if least or not up_to_symmetry),
     )
 
 

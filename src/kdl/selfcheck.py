@@ -2,17 +2,20 @@
 
 The CLI selftest and the pytest acceptance module both run ``CRITERIA``, so
 the checked statements live in exactly one place.  The fan criteria 3-5 run
-``kdl.smoothing``'s verification battery over their stated ranges rather
-than restating its checks.  Everything is exact integer arithmetic.  Both
-records are ``kdl.lattice._Record`` tuples with named read-only fields.
+``kdl.smoothing``'s verification battery, certified and walked in full,
+rather than restating its checks.  Everything is exact integer arithmetic.
+Both records are ``kdl.lattice._Record`` tuples with named read-only fields.
 """
 
 from __future__ import annotations
 
 import functools
+import io
+import json
 import time
 from collections import namedtuple
 from collections.abc import Callable
+from contextlib import redirect_stderr, redirect_stdout
 
 from .boundary import adjacency_edges, enumerate_components
 from .classify import (
@@ -40,8 +43,9 @@ from .graphs import (
     pullback_rank,
     triple_line_graph,
 )
-from .lattice import _Record
-from .smoothing import FAMILIES, build_family, verify_family
+from .fans import fan_window
+from .lattice import _record, _Record
+from .smoothing import FAMILIES, SmoothingFamily, build_family, verify_family
 
 
 # The ranges the criteria check; the README states the same ones.
@@ -124,15 +128,19 @@ def criterion_warp_divides_degree():
 
 
 def _battery(scope: str, runs):
-    """Build and verify each (family, e, w, window) of runs; pass iff every check and row certificate passes."""
+    """Build and verify each (family, e, w, window) of runs; pass iff every check and row certificate passes and each
+    report equals that of the same family walked uncertified, with every cone of its window validated."""
     checks, failures = 0, []
     for family, e, w, window in runs:
-        for c in verify_family(build_family(family, e=e, w=w, window=window)).checks:
-            checks += 1
-            if not c.passed:
-                failures.append(f"{family} e={e} w={w} {c.name} at {c.counterexample}")
+        fam = build_family(family, e=e, w=w, window=window)
+        walked = _record(SmoothingFamily, **vars(fam) | {"fan": fan_window(fam.kind, window), "certificate": None})
+        report = verify_family(fam)
+        checks += len(report.checks)
+        failures += [f"{family} e={e} w={w} {c.name} at {c.counterexample}" for c in report.checks if not c.passed]
         failures += [] if FAMILIES[family].certified() else [f"{family} row certificate"]
-    return not failures, _first(f"{scope}, certified for all e >= min_degree, w | e: {checks} battery checks", failures)
+        failures += [] if verify_family(walked) == report else [f"{family} e={e} w={w} differs from its full walk"]
+    detail = f"{scope}, certified for all e >= min_degree, w | e, each equal to its validated full walk"
+    return not failures, _first(f"{detail}: {checks} battery checks", failures)
 
 
 @_criterion(3, "fan_battery_hopf", bound=2.0)
@@ -236,64 +244,49 @@ def criterion_boundary_structure():
     return not failures, _first(detail, failures)
 
 
+CLI_REQUESTS = (
+    (["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2}'], 0, '"verdict": "KodairaSurface(1)"'),
+    (["classify", "--type", "rational", "--data", '{"e":3,"w":2,"untwisted":true}'], 0, '"verdict": "NoSmoothing"'),
+    (["fan", "--family", "mumford", "--window", "4"], 0, '"kind": "mumford_neron"'),
+    (["fan", "--family", "hopf", "--e", "2", "--window", "4"], 0, '"kind": "hopf_smoothing"'),
+    (["boundary", "--degree", "1", "--max-warp", "2"], 0, '"components": ['),
+    (["boundary", "--degree", "1", "--max-warp", "2", "--format", "dot"], 0, "graph moduli_boundary {"),
+    (["graph", "--gluing", '{"components":[0,1,2,0,1,2],"nodes":[0,1,0,1,0,1]}'], 0, '"classification": "Untwisted"'),
+    (["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2,"bogus":7}'], 2, ""),
+    (["classify", "--type", "hopf", "--data", "{not json"], 2, ""),
+    (["verify", "--family", "hopf", "--e", "2", "--w", "2", "--window", "8"], 0, '"all_pass": true'),
+)
+
+
+def _error_object(text: str) -> bool:
+    """Whether ``text`` is a JSON object with an "error" field."""
+    try:
+        return isinstance(value := json.loads(text), dict) and "error" in value
+    except ValueError:
+        return False
+
+
 @_criterion(10, "cli_determinism")
 def criterion_cli_determinism():
-    import io
-    import json
-    from contextlib import redirect_stderr, redirect_stdout
-
+    """Each of ``CLI_REQUESTS`` (argv, exit code, a text stdout must hold), run twice in process, answers the same
+    both times with its exit code and text, and on exit 2 with a JSON object with an "error" field on stderr."""
     from . import cli
 
-    failures = []
-
     def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-        return code, out.getvalue(), err.getvalue()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            return cli.main(argv), out.getvalue(), err.getvalue()
 
-    fixtures = [
-        ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2}'],
-        ["classify", "--type", "rational", "--data", '{"e":3,"w":2,"untwisted":true}'],
-        ["fan", "--family", "mumford", "--window", "4"],
-        ["fan", "--family", "hopf", "--e", "2", "--window", "4"],
-        ["boundary", "--degree", "1", "--max-warp", "2"],
-        ["boundary", "--degree", "1", "--max-warp", "2", "--format", "dot"],
-        ["graph", "--gluing", '{"components":[0,1,2,0,1,2],"nodes":[0,1,0,1,0,1]}'],
-    ]
-    for argv in fixtures:
-        code1, out1, err1 = run(argv)
-        code2, out2, err2 = run(argv)
-        if (code1, out1, err1) != (code2, out2, err2):
-            failures.append(f"nondeterministic output for {' '.join(argv)}")
-        if code1 != 0:
-            failures.append(f"unexpected exit {code1} for {' '.join(argv)}")
-
-    code, out, _ = run(["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2}'])
-    if code == 0 and '"verdict": "KodairaSurface(1)"' not in out:
-        failures.append("classify fixture lost its verdict")
-
-    code, out, err = run(
-        ["classify", "--type", "hopf", "--data", '{"n":4,"n1":1,"n2":3,"b":2,"bogus":7}']
-    )
-    if code != 2:
-        failures.append(f"unknown field accepted (exit {code})")
-    else:
-        try:
-            parsed = json.loads(err)
-            if "error" not in parsed:
-                failures.append("stderr error object has no 'error' field")
-        except json.JSONDecodeError:
-            failures.append("stderr is not a JSON error object")
-
-    code, _, err = run(["classify", "--type", "hopf", "--data", "{not json"])
-    if code != 2 or not err:
-        failures.append(f"invalid JSON accepted (exit {code})")
-
-    code, _, _ = run(["verify", "--family", "hopf", "--e", "2", "--w", "2", "--window", "8"])
-    if code != 0:
-        failures.append(f"verify fixture failed (exit {code})")
-
+    failures = []
+    for argv, want, text in CLI_REQUESTS:
+        (code, out, err), request = run(argv), " ".join(argv)
+        if run(argv) != (code, out, err):
+            failures.append(f"nondeterministic output for {request}")
+        elif code != want:
+            failures.append(f"exit {code}, not {want}, for {request}")
+        elif text not in out:
+            failures.append(f"stdout lacks {text!r} for {request}")
+        elif code == 2 and not _error_object(err):
+            failures.append(f"no JSON error object on stderr for {request}")
     return not failures, _first("byte-identical reruns, structured errors with exit 2, verify exit 0", failures)
 
 

@@ -5,14 +5,16 @@ that one run (pytest -s prints the same lines as the CLI selftest)."""
 import io
 import itertools
 import re
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from kdl import selfcheck
+from kdl import cli, selfcheck, smoothing
 from kdl.classify import HOPF, TYPES
 from kdl.cli import main
+from kdl.smoothing import FAMILIES, FamilySpec
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +170,54 @@ def test_a_type_naming_another_family_fails_the_fan_criteria(monkeypatch):
     assert hopf.detail.endswith("; first failure hopf e=1 w=1 deflection at -32"), hopf.detail
     assert elliptic.detail.endswith("; first failure elliptic e=4 w=2 deflection at -16"), elliptic.detail
     assert not hopf.passed and not elliptic.passed
+
+
+def test_a_wrong_row_proof_fails_the_fan_criterion(monkeypatch):
+    # prove_row answering True for a hopf row whose shift has 1 where the
+    # paper has e: the certified battery trusts the row and passes, but the
+    # validated full walk of the same family fails.  At e = 1 the row is the
+    # paper's, so the first failure is at e = 2.
+    spec = FAMILIES["hopf"]
+    (name, rows, torus), *rest = spec.group
+    rows = tuple(tuple(1 if x == "e" else x for x in row) for row in rows)
+    monkeypatch.setattr(smoothing, "prove_row", lambda row: True)
+    monkeypatch.setitem(FAMILIES, "hopf", FamilySpec(spec.min_degree, spec.kind, ((name, rows, torus), *rest),
+                                                     spec.labels, spec.untested))
+    result = selfcheck.criterion_fan_battery_hopf()
+    assert not result.passed
+    assert result.detail.endswith("; first failure hopf e=2 w=1 differs from its full walk"), result.detail
+
+
+_REQUESTS = {" ".join(argv): (code, text) for argv, code, text in selfcheck.CLI_REQUESTS}
+_FIRST = next(iter(_REQUESTS))
+_FIRST_ERROR = next(request for request, (code, _) in _REQUESTS.items() if code == 2)
+_RUNS = itertools.count()
+
+
+def _answer(argv, code=None, out=None, err='{"error": "MalformedInput"}'):
+    # Each request's own exit code, its text on stdout and a JSON error object
+    # on stderr, unless the case gives another.
+    want, text = _REQUESTS[" ".join(argv)]
+    print(text if out is None else out)
+    print(err, file=sys.stderr)
+    return want if code is None else code
+
+
+@pytest.mark.parametrize("fake_main, first", [
+    (lambda argv: _answer(argv, out=str(next(_RUNS))), f"nondeterministic output for {_FIRST}"),
+    (lambda argv: _answer(argv, code=1), f"exit 1, not 0, for {_FIRST}"),
+    (lambda argv: _answer(argv, out="{}"), f"stdout lacks '\"verdict\": \"KodairaSurface(1)\"' for {_FIRST}"),
+    (lambda argv: _answer(argv, err="bad input"), f"no JSON error object on stderr for {_FIRST_ERROR}"),
+])
+def test_cli_criterion_fails_naming_the_request(monkeypatch, fake_main, first):
+    # A main answering every request but one way wrong: criterion 10 fails
+    # and names the first request that shows it.
+    monkeypatch.setattr(cli, "main", fake_main)
+    result = selfcheck.criterion_cli_determinism()
+    assert not result.passed
+    assert result.detail.endswith(f"; first failure {first}"), result.detail
+
+
+def test_cli_criterion_passes_the_answers_it_asks_for(monkeypatch):
+    monkeypatch.setattr(cli, "main", _answer)
+    assert selfcheck.criterion_cli_determinism().passed

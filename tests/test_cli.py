@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kdl import cli, selfcheck
+from kdl import cli, graphs, selfcheck
 from kdl.classify import classify
 from kdl.cli import build_parser, main
 
@@ -476,6 +476,27 @@ class TestGraphCommand:
         for line in lines[:-1]:
             record = json.loads(line)
             assert record["classification"] in ("Untwisted", "Twisted", "Invalid")
+
+    @pytest.mark.parametrize("mode, digest", [
+        ([], "9484cb105164a0c10f49ad752a75045a0b5baf796a4f81996526fdc0aefcfbd0"),
+        (["--up-to-symmetry"], "5e0336e809774b9361d8f9fb622f9d2d21afa306a0d8c61475f719f2bed0e376"),
+    ])
+    def test_enumerate_bytes_are_pinned(self, mode, digest):
+        code, out, err = run_cli(["graph", "--enumerate", *mode])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode, calls", [([], 5760 + 48), (["--up-to-symmetry"], 5760 + 4)])
+    def test_enumerate_classifies_each_gluing_once(self, monkeypatch, mode, calls):
+        # One call per candidate gluing in the survey, and one more in the
+        # guard of gluing_morphism for each valid gluing printed with its rank;
+        # the command prints each gluing with the class the survey holds.
+        counted = []
+        classify = graphs.classify_gluing
+        for module in (graphs, cli):
+            monkeypatch.setattr(module, "classify_gluing", lambda p: counted.append(p) or classify(p))
+        assert run_cli(["graph", "--enumerate", *mode])[0] == 0
+        assert len(counted) == calls
 
     def test_component_out_of_range_keeps_its_error_name(self):
         doc = '{"components":[0,1,2,0,1,5],"nodes":[0,1,0,1,0,1]}'
